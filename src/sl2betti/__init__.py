@@ -5,7 +5,7 @@ from .poly import GradedRing, MonomialOrder, Polynomial, WEIGHTED, LEX, eliminat
 from .groebner import Ideal, GroebnerBasis, RationalSeries, buchberger, normal_form, minimal_generators, hilbert_series_quotient
 from .invariants import ProblemSpec, CoefficientRing, GeneratorSet, apply_operator, invariant_basis, cayley_sylvester_dim, minimal_invariant_generators, verify_completeness
 from .presentation import AlgebraMap, kernel, present, substitute
-from .resolution import FreeModule, ModuleElement, Resolution, BettiTable, module_groebner, syzygies, resolve, minimize, betti, koszul_betti, verify_complex
+from .resolution import FreeModule, Resolution, BettiTable, resolve, minimize, betti, koszul_betti, verify_complex
 from .report import PalindromyVerdict, check_palindromy, poincare_from_betti, render_betti, expected_hd
 
 __version__ = "0.1.0"
@@ -18,8 +18,8 @@ __all__ = [
     "invariant_basis", "cayley_sylvester_dim", "minimal_invariant_generators",
     "verify_completeness",
     "AlgebraMap", "kernel", "present", "substitute",
-    "FreeModule", "ModuleElement", "Resolution", "BettiTable", "module_groebner",
-    "syzygies", "resolve", "minimize", "betti", "koszul_betti", "verify_complex",
+    "FreeModule", "Resolution", "BettiTable", "resolve", "minimize", "betti",
+    "koszul_betti", "verify_complex",
     "PalindromyVerdict", "check_palindromy", "poincare_from_betti", "render_betti",
     "expected_hd",
 ]

@@ -282,7 +282,3 @@ def parse_degree_list(text: str) -> Tuple[int, ...]:
         raise ValueError(f"bad degree list {text!r}")
     return degrees
 
-
-def default_bound(degrees: Sequence[int]) -> Optional[int]:
-    rec = case_for_degrees(degrees)
-    return rec.bound if rec else None

@@ -2,15 +2,13 @@
 
 Exit codes: 0 all requested checks passed, 1 a check failed, 2 usage or
 input error.  Table output is byte-stable across runs; JSON output follows
-the report module schema.  SL2BETTI_THREADS caps internal parallelism and
-defaults to 1; the engines are sequential, which is always canonical.
+the report module schema.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from collections import Counter
@@ -39,6 +37,7 @@ from .poly import (
 )
 from .presentation import (
     AlgebraMap,
+    _free_hilbert_coefficients,
     kernel,
     present,
 )
@@ -55,7 +54,6 @@ from .resolution import (
     betti,
     format_resolution,
     koszul_betti,
-    minimize,
     resolve,
     verify_complex,
 )
@@ -63,17 +61,6 @@ from .resolution import (
 
 class UsageError(Exception):
     pass
-
-
-def _threads_cap() -> int:
-    raw = os.environ.get("SL2BETTI_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise UsageError(f"SL2BETTI_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise UsageError("SL2BETTI_THREADS must be at least 1")
-    return cap
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +98,9 @@ def _pipeline(
 
 
 def _resolution_of(ideal: Ideal) -> Tuple[Resolution, BettiTable]:
-    res = minimize(resolve(ideal))
+    # resolve keeps a minimal generating set at every level, so its chain is
+    # already minimal; betti() rejects it loudly if that ever fails
+    res = resolve(ideal)
     return res, betti(res)
 
 
@@ -148,15 +137,6 @@ def _poly_in_z(coeffs: Sequence[int]) -> str:
 # budget heuristics for the expensive verifiers
 # ---------------------------------------------------------------------------
 
-def _count_monomials(weights: Sequence[int], upto: int) -> List[int]:
-    c = [0] * (upto + 1)
-    c[0] = 1
-    for w in weights:
-        for i in range(w, upto + 1):
-            c[i] += c[i - w]
-    return c
-
-
 def auto_koszul_cap(
     ring: GradedRing, hf: Sequence[int], j_star: int, budget: int = 2_000_000_000
 ) -> int:
@@ -191,7 +171,7 @@ def auto_koszul_cap(
 
 
 def auto_exactness_cap(res: Resolution, e_star: int, budget: int = 60_000_000) -> int:
-    counts = _count_monomials(res.ring.weights, e_star)
+    counts = _free_hilbert_coefficients(res.ring, e_star)
     total = 0
     cap = 0
     for e in range(e_star + 1):
@@ -608,8 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--ecap", type=int, default=None, help="exactness degree cap")
     pv.add_argument("--include-stretch", action="store_true",
                     help="include the hd 6/8 stretch cases and V8")
-    pv.add_argument("--skip-stretch", action="store_true",
-                    help="accepted for compatibility; stretch cases are skipped by default")
     pv.add_argument("--format", choices=("table", "json"), default="table")
     pv.set_defaults(func=_cmd_verify)
     return p
@@ -619,7 +597,6 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _threads_cap()
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,7 +5,9 @@ an ideal is the rank-1 case.  Inputs are processed in ascending (sugar)
 degree with FIFO tie-breaking, S-pairs are pruned by the Gebauer-Moeller
 criteria, and every treated pair that reduces to zero leaves a syzygy trace
 expressed over the original inputs.  Those traces are what the resolution
-module consumes.
+module consumes.  `Reducer` is the division step on its own; the engine
+extends it, and `normal_form` and the Koszul oracle's normal-form table
+use it directly.
 """
 
 from __future__ import annotations
@@ -112,18 +114,15 @@ def _poly_dict_mul_mono(p: PolyDict, mono: Exponent, scale: Fraction) -> PolyDic
 @dataclass
 class EngineResult:
     basis: List[Dict[ModMono, int]]
-    leads: List[ModMono]
     cofactors: List[Dict[int, PolyDict]]          # basis element -> input combination
     redundant_inputs: Set[int]
-    kept_inputs: List[int]
     syzygies: List[Dict[int, Dict[Exponent, int]]]  # traces over input indices
     input_traces: List[Tuple[int, Dict[int, Dict[Exponent, int]]]]
 
 
-class BuchbergerEngine:
-    """Degree-synchronized Buchberger over a free module.
+class Reducer:
+    """Full division of module elements by a growing list of divisors.
 
-    inputs:   module elements as {(pos, exponent): coefficient}.
     shifts:   weighted-degree shift per position.
     keyfn:    fixed-length sort key on module monomials; bigger = larger.
     """
@@ -131,71 +130,26 @@ class BuchbergerEngine:
     def __init__(
         self,
         ring: GradedRing,
-        inputs: Sequence[MVec],
         shifts: Sequence[int],
         keyfn: Callable[[ModMono], tuple],
-        *,
-        track_cofactors: bool = True,
-        want_syzygies: bool = False,
-        product_criterion: bool = True,
-        chain_criterion: bool = True,
-        interreduce: bool = True,
-        is_ideal: bool = False,
     ) -> None:
         self.ring = ring
-        self.weights = ring.weights
-        self.keyfn = keyfn
         self.shifts = list(shifts)
-        self.track = track_cofactors or want_syzygies
-        self.want_syzygies = want_syzygies
-        self.product_criterion = product_criterion and is_ideal
-        self.chain_criterion = chain_criterion
-        self.do_interreduce = interreduce
-        self.is_ideal = is_ideal
-
-        self.basis: List[Dict[ModMono, int]] = []
+        self.keyfn = keyfn
+        self.basis: List[MVec] = []
         self.leads: List[ModMono] = []
-        self.lead_coeffs: List[int] = []
-        self.sugars: List[int] = []
-        self.cofactors: List[Dict[int, PolyDict]] = []
+        self.lead_coeffs: List[object] = []
         self.by_pos: Dict[int, List[int]] = {}
 
-        self.redundant: Set[int] = set()
-        self.kept: List[int] = []
-        self.syzygies: List[Dict[int, Dict[Exponent, int]]] = []
-        self.input_traces: List[Tuple[int, Dict[int, Dict[Exponent, int]]]] = []
-        self._koszul_pairs: List[Tuple[int, int]] = []
-
-        self.pairs: Set[Tuple[int, int]] = set()
-        self._tasks: List[tuple] = []
-        self._seq = 0
-        self._inputs = [dict(v) for v in inputs]
-        for idx, vec in enumerate(self._inputs):
-            if not vec:
-                self.redundant.add(idx)
-                continue
-            self._push(self._sugar_of(vec), 1, idx)
-
-    # -- degrees -----------------------------------------------------------
-
-    def _mono_wdeg(self, mm: ModMono) -> int:
-        pos, e = mm
-        d = self.shifts[pos]
-        for x, w in zip(e, self.weights):
-            d += x * w
-        return d
-
-    def _sugar_of(self, vec: MVec) -> int:
-        return max(self._mono_wdeg(mm) for mm in vec)
-
-    # -- task queue ----------------------------------------------------------
-
-    def _push(self, degree: int, kind: int, payload) -> None:
-        # kind 0 = S-pair, 1 = input: pairs of a degree run before inputs of it
-        heapq.heappush(self._tasks, (degree, kind, self._seq, payload))
-        self._seq += 1
-
-    # -- division ------------------------------------------------------------
+    def add(self, vec: MVec) -> int:
+        """Append a nonzero divisor; returns its index."""
+        lead = max(vec, key=self.keyfn)
+        idx = len(self.basis)
+        self.basis.append(vec)
+        self.leads.append(lead)
+        self.lead_coeffs.append(vec[lead])
+        self.by_pos.setdefault(lead[0], []).append(idx)
+        return idx
 
     def _find_reducer(self, mm: ModMono) -> Optional[int]:
         pos, e = mm
@@ -254,6 +208,68 @@ class BuchbergerEngine:
                         del work[tm]
         return rem, quotients
 
+
+class BuchbergerEngine(Reducer):
+    """Degree-synchronized Buchberger over a free module.
+
+    inputs:   module elements as {(pos, exponent): coefficient}.
+    is_ideal: rank-one input, where the product criterion applies.
+    """
+
+    def __init__(
+        self,
+        ring: GradedRing,
+        inputs: Sequence[MVec],
+        shifts: Sequence[int],
+        keyfn: Callable[[ModMono], tuple],
+        *,
+        track_cofactors: bool = True,
+        want_syzygies: bool = False,
+        is_ideal: bool = False,
+    ) -> None:
+        super().__init__(ring, shifts, keyfn)
+        self.weights = ring.weights
+        self.track = track_cofactors or want_syzygies
+        self.want_syzygies = want_syzygies
+        self.is_ideal = is_ideal
+
+        self.sugars: List[int] = []
+        self.cofactors: List[Dict[int, PolyDict]] = []
+
+        self.redundant: Set[int] = set()
+        self.syzygies: List[Dict[int, Dict[Exponent, int]]] = []
+        self.input_traces: List[Tuple[int, Dict[int, Dict[Exponent, int]]]] = []
+        self._koszul_pairs: List[Tuple[int, int]] = []
+
+        self.pairs: Set[Tuple[int, int]] = set()
+        self._tasks: List[tuple] = []
+        self._seq = 0
+        self._inputs = [dict(v) for v in inputs]
+        for idx, vec in enumerate(self._inputs):
+            if not vec:
+                self.redundant.add(idx)
+                continue
+            self._push(self._sugar_of(vec), 1, idx)
+
+    # -- degrees -----------------------------------------------------------
+
+    def _mono_wdeg(self, mm: ModMono) -> int:
+        pos, e = mm
+        d = self.shifts[pos]
+        for x, w in zip(e, self.weights):
+            d += x * w
+        return d
+
+    def _sugar_of(self, vec: MVec) -> int:
+        return max(self._mono_wdeg(mm) for mm in vec)
+
+    # -- task queue ----------------------------------------------------------
+
+    def _push(self, degree: int, kind: int, payload) -> None:
+        # kind 0 = S-pair, 1 = input: pairs of a degree run before inputs of it
+        heapq.heappush(self._tasks, (degree, kind, self._seq, payload))
+        self._seq += 1
+
     # -- cofactor bookkeeping --------------------------------------------------
 
     def _combine_cofactor(
@@ -300,51 +316,40 @@ class BuchbergerEngine:
             i: monomial_lcm(self.leads[i][1], lead_new[1])
             for i in peers
         }
-        if self.chain_criterion:
-            survivors = set()
-            for (i, j) in self.pairs:
-                li, lj = self.leads[i], self.leads[j]
-                if li[0] == pos and lj[0] == pos:
-                    old_lcm = monomial_lcm(li[1], lj[1])
-                    if (
-                        monomial_divides(lead_new[1], old_lcm)
-                        and old_lcm != lcms[i]
-                        and old_lcm != lcms[j]
-                    ):
-                        continue
-                survivors.add((i, j))
-            self.pairs = survivors
+        survivors = set()
+        for (i, j) in self.pairs:
+            li, lj = self.leads[i], self.leads[j]
+            if li[0] == pos and lj[0] == pos:
+                old_lcm = monomial_lcm(li[1], lj[1])
+                if (
+                    monomial_divides(lead_new[1], old_lcm)
+                    and old_lcm != lcms[i]
+                    and old_lcm != lcms[j]
+                ):
+                    continue
+            survivors.add((i, j))
+        self.pairs = survivors
 
-        candidates: Dict[int, List[int]] = {}
-        if self.chain_criterion:
-            keyfn = self.keyfn
-            for i in peers:
-                candidates.setdefault(lcms[i], []).append(i)
-            kept_lcms: List[Exponent] = []
-            for L in sorted(candidates, key=lambda e: self.keyfn((pos, e))):
-                if all(not monomial_divides(Lk, L) for Lk in kept_lcms):
-                    kept_lcms.append(L)
-            chosen: List[Tuple[int, int]] = []
-            for L in kept_lcms:
-                group = candidates[L]
-                coprime = [
-                    i for i in group
-                    if monomial_mul(self.leads[i][1], lead_new[1]) == L
-                ]
-                if self.product_criterion and coprime:
-                    for i in coprime:
-                        self._koszul_pairs.append((i, new_idx))
-                    continue
-                chosen.append((min(group), new_idx))
-        else:
-            chosen = []
-            for i in peers:
-                if self.product_criterion and monomial_mul(
-                    self.leads[i][1], lead_new[1]
-                ) == lcms[i]:
+        candidates: Dict[Exponent, List[int]] = {}
+        for i in peers:
+            candidates.setdefault(lcms[i], []).append(i)
+        kept_lcms: List[Exponent] = []
+        for L in sorted(candidates, key=lambda e: self.keyfn((pos, e))):
+            if all(not monomial_divides(Lk, L) for Lk in kept_lcms):
+                kept_lcms.append(L)
+        chosen: List[Tuple[int, int]] = []
+        for L in kept_lcms:
+            group = candidates[L]
+            coprime = [
+                i for i in group
+                if monomial_mul(self.leads[i][1], lead_new[1]) == L
+            ]
+            if self.is_ideal and coprime:
+                # product criterion
+                for i in coprime:
                     self._koszul_pairs.append((i, new_idx))
-                    continue
-                chosen.append((i, new_idx))
+                continue
+            chosen.append((min(group), new_idx))
 
         for (i, j) in chosen:
             self.pairs.add((i, j))
@@ -359,15 +364,9 @@ class BuchbergerEngine:
     # -- element insertion ------------------------------------------------------
 
     def _insert(self, vec_int: Dict[ModMono, int], cof: Dict[int, PolyDict], sugar: int) -> None:
-        keyfn = self.keyfn
-        lead = max(vec_int, key=keyfn)
-        idx = len(self.basis)
-        self.basis.append(vec_int)
-        self.leads.append(lead)
-        self.lead_coeffs.append(vec_int[lead])
+        idx = self.add(vec_int)
         self.sugars.append(sugar)
         self.cofactors.append(cof)
-        self.by_pos.setdefault(lead[0], []).append(idx)
         self._update_pairs(idx)
 
     # -- main loop ----------------------------------------------------------------
@@ -385,14 +384,11 @@ class BuchbergerEngine:
         if self.want_syzygies:
             for (i, j) in self._koszul_pairs:
                 self._emit_koszul(i, j)
-        if self.do_interreduce:
-            self._interreduce()
+        self._interreduce()
         return EngineResult(
             basis=self.basis,
-            leads=self.leads,
             cofactors=self.cofactors,
             redundant_inputs=self.redundant,
-            kept_inputs=self.kept,
             syzygies=self.syzygies,
             input_traces=self.input_traces,
         )
@@ -410,7 +406,6 @@ class BuchbergerEngine:
         lead = max(rem, key=self.keyfn)
         ints, factor = _content_normalize(rem, lead)
         cof = self._combine_cofactor(source, quotients, factor) if self.track else {}
-        self.kept.append(idx)
         self._insert(ints, cof, sugar)
 
     def _process_pair(self, pair: Tuple[int, int], sugar: int) -> None:
@@ -512,7 +507,8 @@ class BuchbergerEngine:
 # public ideal-level operations
 # ---------------------------------------------------------------------------
 
-def _ideal_keyfn(ring: GradedRing, order: MonomialOrder) -> Callable[[ModMono], tuple]:
+def base_keyfn(ring: GradedRing, order: MonomialOrder = WEIGHTED) -> Callable[[ModMono], tuple]:
+    """Key on rank-one module monomials: the ring order."""
     base = order.key_function(ring)
     return lambda mm: base(mm[1])
 
@@ -559,24 +555,10 @@ def normal_form(
             raise RingMismatchError("reducers from a different ring")
         if g.is_zero():
             raise ValueError("zero reducer")
-    engine = BuchbergerEngine(
-        ring,
-        [],
-        [0],
-        _ideal_keyfn(ring, order),
-        track_cofactors=False,
-        is_ideal=True,
-    )
+    reducer = Reducer(ring, [0], base_keyfn(ring, order))
     for g in reducers:
-        vec = {(0, m): c for m, c in g.terms.items()}
-        lead = max(vec, key=engine.keyfn)
-        engine.basis.append(vec)
-        engine.leads.append(lead)
-        engine.lead_coeffs.append(vec[lead])
-        engine.sugars.append(0)
-        engine.cofactors.append({})
-        engine.by_pos.setdefault(0, []).append(len(engine.basis) - 1)
-    rem, quotients = engine._divide(_poly_to_mvec(p))
+        reducer.add(_poly_to_mvec(g))
+    rem, quotients = reducer._divide(_poly_to_mvec(p))
     remainder = Polynomial._raw(ring, {mm[1]: c for mm, c in rem.items()})
     cofs = []
     for i in range(len(reducers)):
@@ -598,7 +580,7 @@ def buchberger(
         ring,
         [_poly_to_mvec(p) for p in inputs],
         [0],
-        _ideal_keyfn(ring, order),
+        base_keyfn(ring, order),
         track_cofactors=track_cofactors,
         is_ideal=True,
     )
@@ -612,10 +594,6 @@ def buchberger(
                 row.append(Polynomial._raw(ring, dict(cof.get(i, {}))))
             cof_rows.append(row)
     return GroebnerBasis(ring, order, elements, cof_rows, inputs)
-
-
-def ideal_contains(gb: GroebnerBasis, p: Polynomial) -> bool:
-    return gb.contains(p)
 
 
 def ideals_equal(a: Ideal, b: Ideal, order: MonomialOrder = WEIGHTED) -> bool:
@@ -841,18 +819,6 @@ def hilbert_series_quotient(
         gb = buchberger(I, order, track_cofactors=False)
     leads = gb.leading_monomials()
     return RationalSeries(hilbert_numerator_monomial(leads, ring), ring.weights)
-
-
-def format_groebner_dump(gb: GroebnerBasis) -> str:
-    """Elements in normalized form, sorted by (degree, order), text grammar."""
-    from .poly import format_polynomial, format_session
-
-    keyfn = gb.order.key_function(gb.ring)
-    elements = sorted(
-        (g.normalize(gb.order) for g in gb.elements),
-        key=lambda g: (g.weighted_degree(), keyfn(g.leading_monomial(gb.order))),
-    )
-    return format_session(gb.ring, gb.order, elements)
 
 
 def standard_monomials(

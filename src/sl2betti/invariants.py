@@ -351,7 +351,6 @@ class GeneratorSet:
     degrees: List[int]
     multidegrees: List[Tuple[int, ...]]
     bound: int
-    unverified_beyond_bound: bool = True
 
     def __len__(self) -> int:
         return len(self.generators)

@@ -109,13 +109,6 @@ class Echelon:
         return sorted(self.rows)
 
 
-def rank_of_vectors(vectors: Iterable[Vector]) -> int:
-    ech = Echelon()
-    for v in vectors:
-        ech.add(v)
-    return ech.rank
-
-
 def nullspace(
     rows: Iterable[Vector],
     columns: Sequence[int],
@@ -159,26 +152,3 @@ def kernel_from_echelon(ech: Echelon, columns: Sequence[int]) -> List[Vector]:
         basis.append(normalize_vector(intify(x)))
     return basis
 
-
-def solve_upper(ech: Echelon, target: Vector) -> Optional[Dict[int, Fraction]]:
-    """Solve rows^T combination == target if target lies in the row space.
-
-    Returns None when target is independent of the rows.  Coordinates are
-    expressed over the pivot columns.
-    """
-    v: Dict[int, Fraction] = {k: Fraction(c) for k, c in target.items()}
-    coords: Dict[int, Fraction] = {}
-    while v:
-        p = min(v)
-        row = ech.rows.get(p)
-        if row is None:
-            return None
-        factor = v[p] / row[p]
-        coords[p] = factor
-        for k, c in row.items():
-            s = v.get(k, Fraction(0)) - factor * c
-            if s:
-                v[k] = s
-            else:
-                v.pop(k, None)
-    return coords

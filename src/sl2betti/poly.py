@@ -389,7 +389,10 @@ def parse_polynomial(text: str, ring: GradedRing) -> Polynomial:
             if not factor:
                 raise ValueError(f"empty factor in {text!r}")
             if factor[0].isdigit():
-                coeff *= Fraction(factor)
+                try:
+                    coeff *= Fraction(factor)
+                except ZeroDivisionError:
+                    raise ValueError(f"zero denominator in {factor!r} in {text!r}") from None
                 continue
             m = _VAR_RE.match(factor)
             if not m or m.group(1) not in index:
@@ -453,6 +456,8 @@ def parse_header(text: str) -> Tuple[GradedRing, MonomialOrder]:
             if not rest:
                 raise ValueError("order clause needs a kind")
             if rest[0] == "block":
+                if len(rest) != 2:
+                    raise ValueError("block order needs exactly one front block size")
                 order = elimination_order(int(rest[1]))
             elif rest[0] in _ORDER_TOKENS:
                 order = _ORDER_TOKENS[rest[0]]

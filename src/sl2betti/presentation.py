@@ -334,13 +334,6 @@ def present(
     combined-ring Groebner basis and minimalizes the result.
     """
     genset = genset or minimal_invariant_generators(spec)
-    if not genset.generators:
-        source = GradedRing((), ())
-        return (
-            AlgebraMap(source, []),
-            Ideal(source, []),
-            PresentInfo(horizon or 0, True, [], "no generators: the base field"),
-        )
     amap = algebra_map_from_generators(genset)
     if method == "elimination":
         ker = kernel(amap)

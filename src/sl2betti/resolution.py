@@ -1,11 +1,13 @@
 """Graded free resolutions, Betti tables, and the Koszul homology oracle.
 
-Resolutions are built level by level: a module Groebner basis of the current
-(minimal) generators is computed with full cofactor tracking, every treated
-S-pair that reduces to zero leaves a syzygy of those generators, and the
-syzygies become the next level's generators.  Building each level from a
-minimal generating set makes the resulting chain minimal; the raw mode keeps
-every Schreyer syzygy instead and leaves the cleanup to `minimize`.
+Resolutions are built level by level by `resolve`: a module Groebner basis of
+the current (minimal) generators is computed with full cofactor tracking,
+every treated S-pair that reduces to zero leaves a syzygy of those
+generators, and the syzygies become the next level's generators.  Building
+each level from a minimal generating set makes the resulting chain minimal,
+and this level-minimal mode is the only one the pipeline uses.  The raw mode
+keeps every Schreyer syzygy instead; raw mode followed by `minimize` is an
+independent cross-check of the Betti numbers, used by the tests.
 """
 
 from __future__ import annotations
@@ -14,13 +16,15 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .groebner import (
     BuchbergerEngine,
     GroebnerBasis,
     Ideal,
     ModMono,
+    Reducer,
+    base_keyfn,
     buchberger,
     monomials_of_degree,
     standard_monomials,
@@ -45,44 +49,6 @@ class FreeModule:
     @property
     def rank(self) -> int:
         return len(self.shifts)
-
-
-@dataclass
-class ModuleElement:
-    """Element of a free module, one polynomial component per generator."""
-
-    module: FreeModule
-    components: Tuple[Polynomial, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.components) != self.module.rank:
-            raise ValueError("component count must equal the module rank")
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
-
-    def degree(self) -> int:
-        """Weighted degree when homogeneous; -1 for zero."""
-        degs = {
-            c.weighted_degree() + s
-            for c, s in zip(self.components, self.module.shifts)
-            if not c.is_zero()
-        }
-        if not degs:
-            return -1
-        if len(degs) > 1:
-            raise ValueError("element is not homogeneous")
-        return degs.pop()
-
-    def is_homogeneous(self) -> bool:
-        degs = set()
-        for c, s in zip(self.components, self.module.shifts):
-            if c.is_zero():
-                continue
-            if not c.is_homogeneous():
-                return False
-            degs.add(c.weighted_degree() + s)
-        return len(degs) <= 1
 
 
 Matrix = Dict[int, Dict[int, Polynomial]]  # column -> row -> entry
@@ -146,18 +112,6 @@ class BettiTable:
 # module orders
 # ---------------------------------------------------------------------------
 
-def base_keyfn(ring: GradedRing, order: MonomialOrder = WEIGHTED) -> Callable[[ModMono], tuple]:
-    """Key on rank-one module monomials: the ring order."""
-    base = order.key_function(ring)
-    return lambda mm: base(mm[1])
-
-
-def pot_keyfn(ring: GradedRing, order: MonomialOrder = WEIGHTED) -> Callable[[ModMono], tuple]:
-    """Position over term: lower position wins, ring order breaks ties."""
-    base = order.key_function(ring)
-    return lambda mm: (-mm[0],) + base(mm[1])
-
-
 def schreyer_keyfn(
     prev_keyfn: Callable[[ModMono], tuple], tags: Sequence[ModMono]
 ) -> Callable[[ModMono], tuple]:
@@ -169,130 +123,6 @@ def schreyer_keyfn(
         return prev_keyfn((tpos, monomial_mul(tmono, m))) + (-pos,)
 
     return key
-
-
-# ---------------------------------------------------------------------------
-# module Groebner bases and syzygies
-# ---------------------------------------------------------------------------
-
-def _element_to_mvec(el: ModuleElement) -> Dict[ModMono, Fraction]:
-    vec: Dict[ModMono, Fraction] = {}
-    for pos, comp in enumerate(el.components):
-        for m, c in comp.terms.items():
-            vec[(pos, m)] = c
-    return vec
-
-
-def _mvec_to_element(
-    ring: GradedRing, module: FreeModule, vec: Dict[ModMono, object]
-) -> ModuleElement:
-    comps: List[Dict[Exponent, Fraction]] = [dict() for _ in range(module.rank)]
-    for (pos, m), c in vec.items():
-        comps[pos][m] = Fraction(c)
-    return ModuleElement(
-        module, tuple(Polynomial._raw(ring, d) for d in comps)
-    )
-
-
-def _trace_to_element(
-    ring: GradedRing, module: FreeModule, trace: Dict[int, Dict[Exponent, int]]
-) -> ModuleElement:
-    comps: List[Dict[Exponent, Fraction]] = [dict() for _ in range(module.rank)]
-    for pos, p in trace.items():
-        for m, c in p.items():
-            comps[pos][m] = Fraction(c)
-    return ModuleElement(
-        module, tuple(Polynomial._raw(ring, d) for d in comps)
-    )
-
-
-@dataclass
-class ModuleGB:
-    """Module Groebner basis with cofactors over the input elements."""
-
-    ring: GradedRing
-    ambient: FreeModule
-    inputs: List[ModuleElement]
-    elements: List[ModuleElement]
-    leads: List[ModMono]
-    cofactors: List[Dict[int, Dict[Exponent, Fraction]]]
-    keyfn: Callable[[ModMono], tuple]
-    redundant_inputs: Set[int]
-    input_syzygies: List[ModuleElement]   # syzygies of the inputs, not the basis
-    _is_ideal: bool = False
-
-
-def module_groebner(
-    elements: Sequence[ModuleElement],
-    module: FreeModule,
-    ring: Optional[GradedRing] = None,
-    keyfn: Optional[Callable[[ModMono], tuple]] = None,
-    *,
-    is_ideal: bool = False,
-) -> ModuleGB:
-    """Groebner basis of a submodule with Schreyer-ready bookkeeping."""
-    elements = list(elements)
-    if ring is None:
-        if not elements:
-            raise ValueError("need at least one element or an explicit ring")
-        ring = elements[0].components[0].ring
-    if keyfn is None:
-        keyfn = pot_keyfn(ring) if module.rank > 1 else base_keyfn(ring)
-    for el in elements:
-        if not el.is_homogeneous():
-            raise ValueError("module Groebner input must be homogeneous")
-    engine = BuchbergerEngine(
-        ring,
-        [_element_to_mvec(el) for el in elements],
-        module.shifts,
-        keyfn,
-        track_cofactors=True,
-        want_syzygies=True,
-        is_ideal=is_ideal or module.rank == 1,
-    )
-    res = engine.run()
-    gb_elements = [_mvec_to_element(ring, module, vec) for vec in res.basis]
-    input_module = FreeModule(tuple(el.degree() for el in elements))
-    syz = [
-        _trace_to_element(ring, input_module, t) for t in res.syzygies
-    ] + [
-        _trace_to_element(ring, input_module, t) for _, t in res.input_traces
-    ]
-    return ModuleGB(
-        ring=ring,
-        ambient=module,
-        inputs=elements,
-        elements=gb_elements,
-        leads=res.leads,
-        cofactors=res.cofactors,
-        keyfn=keyfn,
-        redundant_inputs=res.redundant_inputs,
-        input_syzygies=[s for s in syz if not s.is_zero()],
-        _is_ideal=is_ideal or module.rank == 1,
-    )
-
-
-def syzygies(gb: ModuleGB) -> Tuple[FreeModule, List[ModuleElement]]:
-    """Schreyer generators of the kernel of the map defined by gb.elements.
-
-    Shifts of the output module are the degrees of the basis elements.
-    """
-    engine = BuchbergerEngine(
-        gb.ring,
-        [_element_to_mvec(el) for el in gb.elements],
-        gb.ambient.shifts,
-        gb.keyfn,
-        track_cofactors=True,
-        want_syzygies=True,
-        is_ideal=gb._is_ideal,
-    )
-    res = engine.run()
-    out_module = FreeModule(tuple(el.degree() for el in gb.elements))
-    out = [_trace_to_element(gb.ring, out_module, t) for t in res.syzygies]
-    out += [_trace_to_element(gb.ring, out_module, t) for _, t in res.input_traces]
-    out = [s for s in out if not s.is_zero()]
-    out.sort(key=lambda el: el.degree())
-    return out_module, out
 
 
 # ---------------------------------------------------------------------------
@@ -552,23 +382,14 @@ class _NormalFormTable:
     def __init__(self, gb: GroebnerBasis):
         self.gb = gb
         self.ring = gb.ring
-        keyfn = gb.order.key_function(gb.ring)
-        self._keyfn = keyfn
+        self._keyfn = gb.order.key_function(gb.ring)
         self.std: Dict[int, List[Exponent]] = {}
         self.index: Dict[int, Dict[Exponent, int]] = {}
-        self._engine = BuchbergerEngine(
-            self.ring, [], [0], lambda mm: keyfn(mm[1]), track_cofactors=False,
-            is_ideal=True,
-        )
+        self._reducer = Reducer(self.ring, [0], base_keyfn(self.ring, gb.order))
         for g in gb.elements:
-            vec = {(0, m): c for m, c in g.normalize(gb.order).terms.items()}
-            lead = max(vec, key=self._engine.keyfn)
-            self._engine.basis.append({mm: c.numerator for mm, c in vec.items()})
-            self._engine.leads.append(lead)
-            self._engine.lead_coeffs.append(vec[lead].numerator)
-            self._engine.sugars.append(0)
-            self._engine.cofactors.append({})
-            self._engine.by_pos.setdefault(0, []).append(len(self._engine.basis) - 1)
+            self._reducer.add(
+                {(0, m): c.numerator for m, c in g.normalize(gb.order).terms.items()}
+            )
         self._nf_cache: Dict[Exponent, Dict[int, Fraction]] = {}
 
     def standard(self, degree: int) -> List[Exponent]:
@@ -591,7 +412,7 @@ class _NormalFormTable:
         if mono in idx:
             out = {idx[mono]: Fraction(1)}
         else:
-            rem, _ = self._engine._divide({(0, mono): 1})
+            rem, _ = self._reducer._divide({(0, mono): 1})
             out = {idx[mm[1]]: c for mm, c in rem.items()}
         self._nf_cache[mono] = out
         return out

@@ -4,7 +4,6 @@ from sl2betti.cases import (
     CASES,
     BY_LABEL,
     case_for_degrees,
-    default_bound,
     find_case,
     normalize_label,
     parse_degree_list,
@@ -58,8 +57,6 @@ def test_label_parsing():
 def test_degree_lookup():
     assert case_for_degrees((2, 1, 1)).label == "2V1+V2"
     assert case_for_degrees((9, 9)) is None
-    assert default_bound((1, 1, 1, 2)) == 3
-    assert default_bound((9, 9)) is None
 
 
 def test_parse_degree_list():

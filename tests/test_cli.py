@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +76,18 @@ class TestBettiCommand:
         path.write_text("ring x ; weights 1 ; order weighted ;\nx + q*z\n")
         assert run(["betti", "--gens", str(path)]) == 2
 
+    def test_zero_denominator_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text("ring x ; weights 1 ; order weighted ;\n1/0*x\n")
+        assert run(["betti", "--gens", str(path)]) == 2
+        assert "error: zero denominator" in capsys.readouterr().err
+
+    def test_block_order_without_size_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text("ring x y ; weights 1 1 ; order block ;\nx\n")
+        assert run(["betti", "--gens", str(path)]) == 2
+        assert "error: block order needs" in capsys.readouterr().err
+
 
 class TestResolveCommand:
     def test_two_cubics(self, capsys):
@@ -102,6 +115,26 @@ class TestResolveCommand:
         assert code == 2
         assert "--bound" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("degrees, bound", [("4", "2"), ("7", "2"), ("3", "3")])
+    def test_bound_below_first_invariant_fails(self, degrees, bound, capsys):
+        # an empty or short generator search must fail the dimension
+        # certificate instead of printing the trivial diagram
+        code = run(["resolve", degrees, "--bound", bound])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "the generator set upstream is incomplete" in captured.err
+        assert "palindromic" not in captured.out
+
+    def test_matches_recorded_outputs(self, tmp_path, capsys):
+        data = Path(__file__).parent / "data"
+        code = run(["resolve", "1,1,1,2", "--format", "json"])
+        assert code == 0
+        assert capsys.readouterr().out == (data / "resolve_1112.json").read_text()
+        dump = tmp_path / "dump.txt"
+        code = run(["resolve", "1,1,1,2", "--dump", str(dump)])
+        assert code == 0
+        assert dump.read_bytes() == (data / "resolve_1112.dump").read_bytes()
+
 
 class TestKernelCommand:
     def test_pipeline_route(self, capsys):
@@ -125,6 +158,13 @@ class TestKernelCommand:
 
     def test_missing_args(self, capsys):
         assert run(["kernel"]) == 2
+
+    def test_empty_generator_search_not_certified(self, capsys):
+        code = run(["kernel", "7", "--bound", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "certified" not in captured.out
+        assert "the generator set upstream is incomplete" in captured.err
 
 
 class TestInvariantsCommand:
@@ -164,18 +204,6 @@ class TestVerifyCommand:
         assert "V8" not in non_stretch
         assert "2V1+V3" not in non_stretch
 
-    def test_skip_stretch_flag_accepted(self, capsys):
-        # compatibility spelling: stretch cases are already skipped by default
-        code = run(["verify", "4V1", "--skip-stretch"])
-        assert code == 0
-
-
-class TestEnvironment:
-    def test_threads_env_validation(self, monkeypatch, capsys):
-        monkeypatch.setenv("SL2BETTI_THREADS", "zero")
-        assert run(["invariants", "1,1"]) == 2
-        monkeypatch.setenv("SL2BETTI_THREADS", "2")
-        assert run(["invariants", "1,1"]) == 0
 
 
 class TestDeterminism:

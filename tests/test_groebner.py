@@ -279,22 +279,6 @@ class TestHilbertSeries:
         assert not a.equals(RationalSeries({0: 1}, ()))
 
 
-class TestGroebnerDump:
-    def test_sorted_by_degree_then_order(self, paper_ring, paper_J):
-        from sl2betti.groebner import format_groebner_dump
-        from sl2betti.poly import parse_session
-
-        gb = buchberger(Ideal(paper_ring, paper_J), track_cofactors=False)
-        text = format_groebner_dump(gb)
-        ring, order, polys = parse_session(text)
-        assert ring == paper_ring
-        degrees = [p.weighted_degree() for p in polys]
-        assert degrees == sorted(degrees)
-        assert sorted(str(p) for p in polys) == sorted(
-            str(g.normalize(gb.order)) for g in gb.elements
-        )
-
-
 class TestStandardMonomials:
     def test_counts_match_series(self, paper_ring, paper_J):
         I = Ideal(paper_ring, paper_J)

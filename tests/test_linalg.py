@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from sl2betti.linalg import Echelon, intify, nullspace, solve_upper
+from sl2betti.linalg import Echelon, intify, nullspace
 
 
 def test_intify_clears_denominators():
@@ -67,17 +67,3 @@ def test_random_nullspace_annihilates():
             for r in rows:
                 assert sum(r.get(j, 0) * v.get(j, 0) for j in set(r) | set(v)) == 0
 
-
-def test_solve_upper():
-    e = Echelon()
-    e.add({0: 2, 1: 1})
-    e.add({1: 3})
-    coords = solve_upper(e, {0: 2, 1: 4})
-    assert coords is not None
-    # reconstruct
-    acc = {}
-    for pivot, f in coords.items():
-        for k, c in e.rows[pivot].items():
-            acc[k] = acc.get(k, Fraction(0)) + f * c
-    assert {k: v for k, v in acc.items() if v} == {0: 2, 1: 4}
-    assert solve_upper(e, {2: 1}) is None

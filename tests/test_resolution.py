@@ -6,18 +6,23 @@ from fractions import Fraction
 
 import pytest
 
-from sl2betti.groebner import Ideal, minimal_generators, monomials_of_degree
+from sl2betti.groebner import (
+    BuchbergerEngine,
+    Ideal,
+    base_keyfn,
+    buchberger,
+    minimal_generators,
+    monomials_of_degree,
+)
 from sl2betti.poly import GradedRing, Polynomial
 from sl2betti.resolution import (
     FreeModule,
-    ModuleElement,
     Resolution,
     betti,
+    format_resolution,
     koszul_betti,
     minimize,
-    module_groebner,
     resolve,
-    syzygies,
     verify_complex,
 )
 from conftest import WORKED_BETTI
@@ -31,54 +36,61 @@ def minimal_ideal(ring, gens):
 @pytest.fixture(scope="module")
 def worked_resolution(paper_ring, paper_J):
     I = minimal_ideal(paper_ring, paper_J)
-    return minimize(resolve(I))
+    return resolve(I)
 
 
 class TestModuleGroebner:
     def test_rank_one_matches_ideal_basis(self):
+        # the engine as resolve runs it on level 1 (syzygy traces on) finds
+        # the same reduced basis as the ideal-level buchberger
         R = GradedRing(("x", "y"), (1, 1))
         x, y = R.variable(0), R.variable(1)
-        F = FreeModule((0,))
-        els = [ModuleElement(F, (x * x - y * y,)), ModuleElement(F, (x * y,))]
-        gb = module_groebner(els, F, R)
-        from sl2betti.groebner import buchberger
-
-        ideal_gb = buchberger(Ideal(R, [x * x - y * y, x * y]))
-        assert sorted(str(e.components[0]) for e in gb.elements) == sorted(
-            str(g) for g in ideal_gb.elements
+        gens = [x * x - y * y, x * y]
+        engine = BuchbergerEngine(
+            R,
+            [{(0, m): c for m, c in g.terms.items()} for g in gens],
+            [0],
+            base_keyfn(R),
+            want_syzygies=True,
+            is_ideal=True,
         )
+        basis = engine.run().basis
+        ideal_gb = buchberger(Ideal(R, gens))
+        assert sorted(
+            str(Polynomial(R, {mm[1]: c for mm, c in vec.items()})) for vec in basis
+        ) == sorted(str(g) for g in ideal_gb.elements)
 
     def test_unit_vectors_no_pairs(self):
+        # leads in different positions never form an S-pair
         R = GradedRing(("x",), (1,))
-        F = FreeModule((0, 0))
-        e0 = ModuleElement(F, (R.one(), R.zero()))
-        e1 = ModuleElement(F, (R.zero(), R.one()))
-        gb = module_groebner([e0, e1], F, R)
-        assert len(gb.elements) == 2
-        _, syz = syzygies(gb)
-        assert syz == []
+        ring_key = base_keyfn(R)
+        engine = BuchbergerEngine(
+            R,
+            [{(0, (0,)): 1}, {(1, (0,)): 1}],
+            [0, 0],
+            lambda mm: (-mm[0],) + ring_key(mm),
+            want_syzygies=True,
+        )
+        result = engine.run()
+        assert len(result.basis) == 2
+        assert result.syzygies == [] and result.input_traces == []
 
 
 class TestSyzygies:
     def test_koszul_pair(self):
         R = GradedRing(("x", "y"), (1, 1))
         x, y = R.variable(0), R.variable(1)
-        F = FreeModule((0,))
-        gb = module_groebner([ModuleElement(F, (x,)), ModuleElement(F, (y,))], F, R)
-        out_mod, syz = syzygies(gb)
-        assert len(syz) == 1
-        s = syz[0]
-        assert s.degree() == 2
-        # s = (y, -x) up to sign
-        comps = [str(c) for c in s.components]
+        res = resolve(Ideal(R, [x, y]))
+        assert res.modules[2].shifts == (2,)
+        # the single second syzygy is (y, -x) up to sign
+        col = res.differential(2)[0]
+        comps = [str(col[r]) for r in (0, 1)]
         assert comps in (["y", "-x"], ["-y", "x"])
 
     def test_single_element_domain(self):
         R = GradedRing(("x",), (1,))
-        F = FreeModule((0,))
-        gb = module_groebner([ModuleElement(F, (R.variable(0),))], F, R)
-        _, syz = syzygies(gb)
-        assert syz == []
+        res = resolve(Ideal(R, [R.variable(0)]))
+        assert res.length == 1
 
     def test_monomial_triple(self):
         # (yz, xz, xy): two minimal syzygies, both of shift 3
@@ -91,19 +103,13 @@ class TestSyzygies:
         assert betti(res).entries == {(0, 0): 1, (1, 2): 3, (2, 3): 2}
 
     def test_syzygies_generate_kernel(self):
-        # every emitted syzygy maps to zero, and their count-by-degree matches
-        # the exactness check of the assembled complex
+        # every emitted syzygy maps to zero and together they generate the
+        # kernel, in both the level-minimal and the raw Schreyer mode
         R = GradedRing(("x", "y", "z"), (1, 1, 1))
         x, y, z = (R.variable(i) for i in range(3))
-        F = FreeModule((0,))
-        els = [ModuleElement(F, (p,)) for p in (x * x - y * z, x * y, z * z - x * x)]
-        gb = module_groebner(els, F, R)
-        out_mod, syz = syzygies(gb)
-        for s in syz:
-            image = R.zero()
-            for comp, g in zip(s.components, gb.elements):
-                image = image + comp * g.components[0]
-            assert image.is_zero()
+        I = Ideal(R, [x * x - y * z, x * y, z * z - x * x])
+        assert verify_complex(resolve(I), 8).ok
+        assert verify_complex(resolve(I, minimalize_levels=False), 8).ok
 
 
 class TestResolve:
@@ -172,6 +178,13 @@ class TestMinimize:
         assert [m.shifts for m in again.modules] == [
             m.shifts for m in worked_resolution.modules
         ]
+
+    def test_level_minimal_resolve_unchanged(self, worked_resolution):
+        # the pipeline skips minimize because resolve is already minimal
+        assert worked_resolution.is_minimal()
+        assert format_resolution(minimize(worked_resolution)) == format_resolution(
+            worked_resolution
+        )
 
     def test_trivial_complex_cancels(self):
         # R(-3) --1--> R(-3) appended as a junk pair to a principal resolution
