@@ -82,7 +82,6 @@ def _spec_for(degrees: Tuple[int, ...], bound: Optional[int]) -> ProblemSpec:
 def _pipeline(
     degrees: Tuple[int, ...],
     bound: Optional[int],
-    method: str = "linear",
     horizon: Optional[int] = None,
 ):
     spec = _spec_for(degrees, bound)
@@ -91,9 +90,7 @@ def _pipeline(
         rec = case_for_degrees(degrees)
         if rec is not None:
             horizon = rec.horizon
-    amap, ideal, info = present(
-        spec, genset=genset, method=method, horizon=horizon
-    )
+    amap, ideal, info = present(spec, genset=genset, horizon=horizon)
     return spec, genset, amap, ideal, info
 
 
@@ -403,7 +400,7 @@ def _cmd_kernel(args) -> int:
         if not args.degrees:
             raise UsageError("kernel needs a degree list or --gens FILE")
         degrees = parse_degree_list(args.degrees)
-        _, _, amap, ideal, info = _pipeline(degrees, args.bound, method=args.method)
+        _, _, amap, ideal, info = _pipeline(degrees, args.bound)
         degs = info.relation_degrees
         if args.format == "table":
             print(f"# completeness: {'certified' if info.verified else 'UNVERIFIED'} "
@@ -563,7 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--gens", help="file of invariant generators (poly grammar)")
     pk.add_argument("--weights", help="expected source weights (validated)")
     pk.add_argument("--bound", type=int, default=None)
-    pk.add_argument("--method", choices=("linear", "elimination"), default="linear")
     pk.add_argument("--format", choices=("table", "json"), default="table")
     pk.set_defaults(func=_cmd_kernel)
 

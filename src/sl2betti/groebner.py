@@ -15,10 +15,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from .linalg import Echelon
+from .linalg import Echelon, primitive
 from .poly import (
     Exponent,
     GradedRing,
@@ -59,33 +58,6 @@ class Ideal:
 # integer term-map helpers
 # ---------------------------------------------------------------------------
 
-def _content_normalize(vec: Dict, lead: Optional[ModMono] = None) -> Tuple[Dict[ModMono, int], Fraction]:
-    """Scale to coprime integers, positive on `lead`; returns (result, factor).
-
-    factor is the rational multiplier applied: result = factor * vec.
-    """
-    if not vec:
-        return {}, Fraction(1)
-    den = 1
-    for c in vec.values():
-        f = c if isinstance(c, Fraction) else Fraction(c)
-        den = den * f.denominator // gcd(den, f.denominator)
-    num = 0
-    ints: Dict[ModMono, int] = {}
-    for m, c in vec.items():
-        f = c if isinstance(c, Fraction) else Fraction(c)
-        v = f.numerator * (den // f.denominator)
-        ints[m] = v
-        num = gcd(num, v)
-    factor = Fraction(den, num)
-    if lead is not None and ints[lead] < 0:
-        factor = -factor
-        num = -num
-    if num != 1:
-        ints = {m: v // num for m, v in ints.items()}
-    return ints, factor
-
-
 def _poly_dict_add(acc: PolyDict, other: PolyDict, scale: Fraction) -> None:
     if not scale:
         return
@@ -114,7 +86,6 @@ def _poly_dict_mul_mono(p: PolyDict, mono: Exponent, scale: Fraction) -> PolyDic
 @dataclass
 class EngineResult:
     basis: List[Dict[ModMono, int]]
-    cofactors: List[Dict[int, PolyDict]]          # basis element -> input combination
     redundant_inputs: Set[int]
     syzygies: List[Dict[int, Dict[Exponent, int]]]  # traces over input indices
     input_traces: List[Tuple[int, Dict[int, Dict[Exponent, int]]]]
@@ -295,11 +266,7 @@ class BuchbergerEngine(Reducer):
         for inp, p in trace.items():
             for m, c in p.items():
                 flat[(inp, m)] = c
-        ints, _ = _content_normalize(flat)
-        if ints:
-            first = min(ints)
-            if ints[first] < 0:
-                ints = {k: -v for k, v in ints.items()}
+        ints, _ = primitive(flat, min(flat, default=None))
         out: Dict[int, Dict[Exponent, int]] = {}
         for (inp, m), c in ints.items():
             out.setdefault(inp, {})[m] = c
@@ -363,8 +330,17 @@ class BuchbergerEngine(Reducer):
 
     # -- element insertion ------------------------------------------------------
 
-    def _insert(self, vec_int: Dict[ModMono, int], cof: Dict[int, PolyDict], sugar: int) -> None:
-        idx = self.add(vec_int)
+    def _insert(
+        self,
+        rem: Dict[ModMono, Fraction],
+        source: Dict[int, PolyDict],
+        quotients: Dict[int, PolyDict],
+        sugar: int,
+    ) -> None:
+        """Add a nonzero remainder, scaled to coprime integers with positive lead."""
+        ints, (den, g) = primitive(rem, max(rem, key=self.keyfn))
+        cof = self._combine_cofactor(source, quotients, Fraction(den, g)) if self.track else {}
+        idx = self.add(ints)
         self.sugars.append(sugar)
         self.cofactors.append(cof)
         self._update_pairs(idx)
@@ -384,10 +360,8 @@ class BuchbergerEngine(Reducer):
         if self.want_syzygies:
             for (i, j) in self._koszul_pairs:
                 self._emit_koszul(i, j)
-        self._interreduce()
         return EngineResult(
             basis=self.basis,
-            cofactors=self.cofactors,
             redundant_inputs=self.redundant,
             syzygies=self.syzygies,
             input_traces=self.input_traces,
@@ -403,10 +377,7 @@ class BuchbergerEngine(Reducer):
                 trace = self._combine_cofactor(source, quotients, Fraction(1))
                 self.input_traces.append((idx, self._normalize_trace(trace)))
             return
-        lead = max(rem, key=self.keyfn)
-        ints, factor = _content_normalize(rem, lead)
-        cof = self._combine_cofactor(source, quotients, factor) if self.track else {}
-        self._insert(ints, cof, sugar)
+        self._insert(rem, source, quotients, sugar)
 
     def _process_pair(self, pair: Tuple[int, int], sugar: int) -> None:
         i, j = pair
@@ -444,10 +415,7 @@ class BuchbergerEngine(Reducer):
                 if trace:
                     self.syzygies.append(self._normalize_trace(trace))
             return
-        lead = max(rem, key=self.keyfn)
-        ints, factor = _content_normalize(rem, lead)
-        cof = self._combine_cofactor(source, quotients, factor) if self.track else {}
-        self._insert(ints, cof, sugar)
+        self._insert(rem, source, quotients, sugar)
 
     def _emit_koszul(self, i: int, j: int) -> None:
         """Trivial syzygy g_j*eps_i - g_i*eps_j for a product-criterion skip."""
@@ -466,6 +434,10 @@ class BuchbergerEngine(Reducer):
             self.syzygies.append(self._normalize_trace(trace))
 
     def _interreduce(self) -> None:
+        """Tail-reduce the completed basis; `buchberger` calls this after `run`.
+
+        Resolution levels read only syzygies and traces and skip it.
+        """
         removed = set()
         for idx in range(len(self.basis)):
             own = self.basis[idx]
@@ -483,14 +455,14 @@ class BuchbergerEngine(Reducer):
             lead = max(rem, key=self.keyfn)
             # tail reduction of a completed basis cannot move the lead
             assert lead == self.leads[idx], "interreduction changed a lead term"
-            ints, factor = _content_normalize(rem, lead)
+            ints, (den, g) = primitive(rem, lead)
             self.basis[idx] = ints
             self.lead_coeffs[idx] = ints[lead]
             if self.track:
                 source = {
                     inp: dict(p) for inp, p in self.cofactors[idx].items()
                 }
-                self.cofactors[idx] = self._combine_cofactor(source, quotients, factor)
+                self.cofactors[idx] = self._combine_cofactor(source, quotients, Fraction(den, g))
         if removed:
             keep = [i for i in range(len(self.basis)) if i not in removed]
             self.basis = [self.basis[i] for i in keep]
@@ -584,11 +556,12 @@ def buchberger(
         track_cofactors=track_cofactors,
         is_ideal=True,
     )
-    result = engine.run()
-    elements = [_mvec_to_poly(ring, vec) for vec in result.basis]
+    engine.run()
+    engine._interreduce()
+    elements = [_mvec_to_poly(ring, vec) for vec in engine.basis]
     cof_rows: List[List[Polynomial]] = []
     if track_cofactors:
-        for cof in result.cofactors:
+        for cof in engine.cofactors:
             row = []
             for i in range(len(inputs)):
                 row.append(Polynomial._raw(ring, dict(cof.get(i, {}))))
@@ -664,32 +637,23 @@ def minimal_generators(
         index = {m: i for i, m in enumerate(monos)}
         ech = Echelon()
         for g, d in chosen:
+            ints, _ = primitive(g.terms)
             for mult in monomials_of_degree(ring, e - d):
-                vec = {
-                    index[monomial_mul(m, mult)]: c
-                    for m, c in ((mm, int(cc)) for mm, cc in _clear_poly(g))
-                }
-                ech.add(vec)
+                ech.add({index[monomial_mul(m, mult)]: c for m, c in ints.items()})
         new_rows: List[Dict[int, int]] = []
         for g in gb.elements:
             d = g.weighted_degree()
             if d > e:
                 continue
-            cleared = _clear_poly(g)
+            ints, _ = primitive(g.terms)
             for mult in monomials_of_degree(ring, e - d):
-                vec = {index[monomial_mul(m, mult)]: c for m, c in cleared}
-                rem = ech.add(vec)
+                rem = ech.add({index[monomial_mul(m, mult)]: c for m, c in ints.items()})
                 if rem is not None:
                     new_rows.append(rem)
         for row in new_rows:
             terms = {monos[i]: Fraction(c) for i, c in row.items()}
             chosen.append((Polynomial._raw(ring, terms).normalize(order), e))
     return chosen
-
-
-def _clear_poly(p: Polynomial) -> List[Tuple[Exponent, int]]:
-    q = p.normalize()
-    return [(m, c.numerator) for m, c in q.terms.items()]
 
 
 # ---------------------------------------------------------------------------

@@ -5,52 +5,51 @@ elimination is fraction-free: rows are kept with coprime integer entries,
 updates are cross-multiplications followed by content removal, and pivots
 are always the leftmost (smallest) column index, so results are
 deterministic and exact.
+
+`primitive` is the package's one normalization: every layer that turns a
+rational vector, a polynomial, a remainder or a syzygy trace into coprime
+integers with a fixed sign goes through it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Dict, Iterable, List, Optional, Sequence
+from math import gcd, lcm
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 Vector = Dict[int, int]
+K = TypeVar("K", bound=Hashable)
 
 
-def intify(vec: Dict[int, object]) -> Vector:
-    """Clear denominators and remove content; empty dict for the zero vector."""
-    num = 0
-    den = 1
-    items = []
-    for k, v in vec.items():
-        f = v if isinstance(v, Fraction) else Fraction(v)
-        if f == 0:
-            continue
-        items.append((k, f))
-        den = den * f.denominator // gcd(den, f.denominator)
-    out: Vector = {}
-    for k, f in items:
-        c = f.numerator * (den // f.denominator)
-        out[k] = c
-        num = gcd(num, c)
-    if num > 1:
-        for k in out:
-            out[k] //= num
-    return out
+def primitive(
+    vec: Dict[K, object], lead: Optional[K] = None
+) -> Tuple[Dict[K, int], Tuple[int, int]]:
+    """Coprime integer multiple of an int or Fraction vector: (ints, (den, g)).
 
-
-def normalize_vector(vec: Vector) -> Vector:
-    """Divide by the gcd of the entries and make the leftmost entry positive."""
-    if not vec:
-        return vec
-    g = 0
-    for v in vec.values():
-        g = gcd(g, v)
-    lead = min(vec)
-    if vec[lead] < 0:
+    ints[k] == vec[k] * den / g for every nonzero entry; zero entries are
+    dropped.  den > 0 clears the denominators and |g| is the content of the
+    cleared vector.  g < 0 exactly when the entry at `lead` would otherwise
+    be negative; without `lead` the sign is unchanged.  The zero vector
+    gives ({}, (1, 1)).  An int vector that needs no change comes back as
+    the same dict object.
+    """
+    values = vec.values()
+    try:
+        # math.gcd takes only ints: integer rows never build a Fraction
+        g = gcd(*values)
+        den = 1
+        ints = vec if all(values) else {k: v for k, v in vec.items() if v}
+    except TypeError:
+        den = lcm(*(v.denominator for v in values))
+        ints = {k: v.numerator * (den // v.denominator) for k, v in vec.items() if v}
+        g = gcd(*ints.values())
+    if not ints:
+        return {}, (1, 1)
+    if lead is not None and ints[lead] < 0:
         g = -g
     if g != 1:
-        vec = {k: v // g for k, v in vec.items()}
-    return vec
+        ints = {k: v // g for k, v in ints.items()}
+    return ints, (den, g)
 
 
 class Echelon:
@@ -92,7 +91,7 @@ class Echelon:
             if g2 > 1:
                 for k in v:
                     v[k] //= g2
-        return normalize_vector(v)
+        return primitive(v, min(v))[0] if v else v
 
     def add(self, vec: Vector) -> Optional[Vector]:
         """Reduce and insert; returns the stored row, or None if vec was dependent."""
@@ -149,6 +148,6 @@ def kernel_from_echelon(ech: Echelon, columns: Sequence[int]) -> List[Vector]:
                     s += c * x[k]
             if s:
                 x[p] = -s / row[p]
-        basis.append(normalize_vector(intify(x)))
+        basis.append(primitive(x, min(x))[0])
     return basis
 

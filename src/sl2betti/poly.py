@@ -11,10 +11,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+from .linalg import primitive
+
 Exponent = Tuple[int, ...]
+
+# largest exponent of one variable that any input or product may carry; it
+# fills the 12-bit field in which presentation packs exponents
+MAX_EXPONENT = 4095
 
 
 class RingMismatchError(ValueError):
@@ -308,16 +313,8 @@ class Polynomial:
         """
         if not self.terms:
             return self
-        den = 1
-        for c in self.terms.values():
-            den = den * c.denominator // gcd(den, c.denominator)
-        num = 0
-        for c in self.terms.values():
-            num = gcd(num, c.numerator * (den // c.denominator))
-        scale = Fraction(den, num)
-        if self.terms[self.leading_monomial(order)] < 0:
-            scale = -scale
-        return self.scale(scale)
+        ints, _ = primitive(self.terms, self.leading_monomial(order))
+        return Polynomial._raw(self.ring, {m: Fraction(c) for m, c in ints.items()})
 
     def __str__(self) -> str:
         return format_polynomial(self)
@@ -389,6 +386,9 @@ def parse_polynomial(text: str, ring: GradedRing) -> Polynomial:
             if not factor:
                 raise ValueError(f"empty factor in {text!r}")
             if factor[0].isdigit():
+                if "e" in factor or "E" in factor:
+                    # Fraction("1e999999999") would build a billion-digit integer
+                    raise ValueError(f"exponent notation in {factor!r} in {text!r}")
                 try:
                     coeff *= Fraction(factor)
                 except ZeroDivisionError:
@@ -397,7 +397,12 @@ def parse_polynomial(text: str, ring: GradedRing) -> Polynomial:
             m = _VAR_RE.match(factor)
             if not m or m.group(1) not in index:
                 raise ValueError(f"unknown factor {factor!r} in {text!r}")
-            exps[index[m.group(1)]] += int(m.group(2) or 1)
+            i = index[m.group(1)]
+            exps[i] += int(m.group(2) or 1)
+            if exps[i] > MAX_EXPONENT:
+                raise ValueError(
+                    f"exponent of {m.group(1)} exceeds {MAX_EXPONENT} in {text!r}"
+                )
         mono = tuple(exps)
         c = terms.get(mono, Fraction(0)) + coeff
         if c:

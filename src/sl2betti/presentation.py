@@ -19,7 +19,6 @@ from .groebner import (
     Ideal,
     buchberger,
     hilbert_series_quotient,
-    minimal_generators,
     monomials_of_degree,
     standard_monomials,
 )
@@ -29,8 +28,9 @@ from .invariants import (
     cs_total_dims,
     minimal_invariant_generators,
 )
-from .linalg import nullspace
+from .linalg import nullspace, primitive
 from .poly import (
+    MAX_EXPONENT,
     Exponent,
     GradedRing,
     Polynomial,
@@ -75,23 +75,31 @@ class _ImageCache:
     product inner loop is integer addition; `unpack` restores tuples.
     """
 
-    PACK_BITS = 12  # enough for exponents up to 4095 per variable
+    PACK_BITS = MAX_EXPONENT.bit_length()
 
     def __init__(self, amap: AlgebraMap):
         self.amap = amap
-        tgt = amap.target_ring
-        self.nvars_t = tgt.nvars
-        bits = self.PACK_BITS
+        self.nvars_t = amap.target_ring.nvars
         self.images: List[Dict[int, int]] = []
         self.image_factors: List[Fraction] = []
+        # per image, the largest exponent of any variable in any term
+        self.max_exps: List[int] = []
         for f in amap.images:
-            g = f.normalize()
-            m0 = next(iter(g.terms))
-            self.image_factors.append(f.terms[m0] / g.terms[m0])
-            self.images.append(
-                {self._pack(m): c.numerator for m, c in g.terms.items()}
-            )
+            top = max(max(m, default=0) for m in f.terms)
+            self._guard(top)
+            self.max_exps.append(top)
+            ints, (den, g) = primitive(f.terms, f.leading_monomial())
+            self.image_factors.append(Fraction(g, den))
+            self.images.append({self._pack(m): c for m, c in ints.items()})
         self.cache: Dict[Exponent, Dict[int, int]] = {}
+
+    @staticmethod
+    def _guard(bound: int) -> None:
+        """Refuse exponents that could carry out of a packed field."""
+        if bound > MAX_EXPONENT:
+            raise ValueError(
+                f"exponents up to {bound} exceed the supported maximum {MAX_EXPONENT}"
+            )
 
     def _pack(self, m: Exponent) -> int:
         out = 0
@@ -121,6 +129,7 @@ class _ImageCache:
         got = self.cache.get(alpha)
         if got is not None:
             return got
+        self._guard(sum(a * e for a, e in zip(alpha, self.max_exps)))
         # peel off the generator with the fewest terms for the cheapest product
         best = min(
             (i for i, e in enumerate(alpha) if e),
@@ -182,6 +191,8 @@ def kernel(amap: AlgebraMap, *, check: bool = True) -> Ideal:
     m = src.nvars
     if m == 0:
         return Ideal(src, [])
+    # built first, so that its exponent guard runs before the elimination
+    cache = _ImageCache(amap) if check else None
     tgt = amap.target_ring
     nc = tgt.nvars
     names = tuple(f"c{i}" for i in range(nc)) + tuple(f"z{i}" for i in range(m))
@@ -211,7 +222,6 @@ def kernel(amap: AlgebraMap, *, check: bool = True) -> Ideal:
     out.sort(key=lambda p: (p.weighted_degree(), keyfn(p.leading_monomial(WEIGHTED))))
     result = Ideal(src, out)
     if check:
-        cache = _ImageCache(amap)
         for g in out:
             if not substitute(amap, g, cache).is_zero():
                 raise AssertionError("kernel element does not map to zero")
@@ -325,29 +335,11 @@ def present(
     spec: ProblemSpec,
     *,
     genset: Optional[GeneratorSet] = None,
-    method: str = "linear",
     horizon: Optional[int] = None,
 ) -> Tuple[AlgebraMap, Ideal, PresentInfo]:
-    """Full pipeline front half: generators, map, minimal kernel.
-
-    method "linear" uses the degree-certified route; "elimination" forms the
-    combined-ring Groebner basis and minimalizes the result.
-    """
+    """Full pipeline front half: generators, map, degree-certified minimal kernel."""
     genset = genset or minimal_invariant_generators(spec)
     amap = algebra_map_from_generators(genset)
-    if method == "elimination":
-        ker = kernel(amap)
-        mins = minimal_generators(ker) if ker.generators else []
-        ideal = Ideal(amap.source, [g for g, _ in mins])
-        degs = [d for _, d in mins]
-        h = horizon or default_horizon(degs, amap.source.weights)
-        hs = hilbert_series_quotient(ideal, amap.source)
-        cs = cs_total_dims(spec, h)
-        hf = hs.coefficients(h)
-        verified = hf == cs
-        return amap, ideal, PresentInfo(h, verified, degs, "elimination route")
-    if method != "linear":
-        raise ValueError(f"unknown kernel method {method!r}")
     if horizon is None:
         # discover relations with a provisional horizon, then extend the
         # certificate to twice the largest relation degree found

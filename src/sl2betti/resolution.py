@@ -24,12 +24,13 @@ from .groebner import (
     Ideal,
     ModMono,
     Reducer,
+    _poly_to_mvec,
     base_keyfn,
     buchberger,
     monomials_of_degree,
     standard_monomials,
 )
-from .linalg import Echelon, intify
+from .linalg import Echelon, primitive
 from .poly import (
     Exponent,
     GradedRing,
@@ -154,9 +155,8 @@ def resolve(I: Ideal, *, minimalize_levels: bool = True) -> Resolution:
     inputs: List[Dict[ModMono, int]] = []
     input_degrees: List[int] = []
     for g in gens:
-        gn = g.normalize()
-        inputs.append({(0, m): c.numerator for m, c in gn.terms.items()})
-        input_degrees.append(gn.weighted_degree())
+        inputs.append(primitive(_poly_to_mvec(g), (0, g.leading_monomial()))[0])
+        input_degrees.append(g.weighted_degree())
     keyfn = base_keyfn(ring)
     level = 1
     while inputs:
@@ -387,9 +387,8 @@ class _NormalFormTable:
         self.index: Dict[int, Dict[Exponent, int]] = {}
         self._reducer = Reducer(self.ring, [0], base_keyfn(self.ring, gb.order))
         for g in gb.elements:
-            self._reducer.add(
-                {(0, m): c.numerator for m, c in g.normalize(gb.order).terms.items()}
-            )
+            lead = (0, g.leading_monomial(gb.order))
+            self._reducer.add(primitive(_poly_to_mvec(g), lead)[0])
         self._nf_cache: Dict[Exponent, Dict[int, Fraction]] = {}
 
     def standard(self, degree: int) -> List[Exponent]:
@@ -493,7 +492,7 @@ def koszul_betti(
                     else:
                         colvec.pop(tgt, None)
             if colvec:
-                ech.add(intify(colvec))
+                ech.add(primitive(colvec)[0])
         return ech.rank
 
     entries: Dict[Tuple[int, int], int] = {}
@@ -635,5 +634,5 @@ def _strand_rank(res: Resolution, i: int, e: int) -> int:
                     else:
                         vec.pop(rid, None)
             if vec:
-                ech.add(intify(vec))
+                ech.add(primitive(vec)[0])
     return ech.rank

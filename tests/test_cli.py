@@ -88,6 +88,12 @@ class TestBettiCommand:
         assert run(["betti", "--gens", str(path)]) == 2
         assert "error: block order needs" in capsys.readouterr().err
 
+    def test_huge_exponent_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text("ring x ;\nx^99999999999999999\n")
+        assert run(["betti", "--gens", str(path)]) == 2
+        assert "error: exponent of x exceeds 4095" in capsys.readouterr().err
+
 
 class TestResolveCommand:
     def test_two_cubics(self, capsys):
@@ -135,6 +141,15 @@ class TestResolveCommand:
         assert code == 0
         assert dump.read_bytes() == (data / "resolve_1112.dump").read_bytes()
 
+    @pytest.mark.parametrize("command", ["invariants", "kernel"])
+    def test_front_half_matches_recorded_outputs(self, command, capsys):
+        # these outputs pass through Polynomial.normalize in the invariant
+        # search and in the degree-certified kernel
+        data = Path(__file__).parent / "data"
+        code = run([command, "1,1,1,2", "--format", "json"])
+        assert code == 0
+        assert capsys.readouterr().out == (data / f"{command}_1112.json").read_text()
+
 
 class TestKernelCommand:
     def test_pipeline_route(self, capsys):
@@ -150,14 +165,23 @@ class TestKernelCommand:
         assert code == 0
         assert "minimal kernel generators: 1" in out
 
-    def test_elimination_method(self, capsys):
-        code = run(["kernel", "1,1,2", "--method", "elimination"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "degrees: 6" in out
-
     def test_missing_args(self, capsys):
         assert run(["kernel"]) == 2
+
+    @pytest.mark.parametrize(
+        "images",
+        [
+            # y^6000 in f1^2 would carry into x's packed exponent field
+            ["y^3000", "y^2000", "x"],
+            ["x*y^5000", "x", "y^2500"],
+        ],
+    )
+    def test_exponent_limit_is_input_error(self, images, tmp_path, capsys):
+        path = tmp_path / "gens.txt"
+        path.write_text("ring x y ;\n" + "\n".join(images) + "\n")
+        assert run(["kernel", "--gens", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "4095" in err
 
     def test_empty_generator_search_not_certified(self, capsys):
         code = run(["kernel", "7", "--bound", "2"])

@@ -16,7 +16,7 @@ from sl2betti.groebner import (
     normal_form,
     standard_monomials,
 )
-from sl2betti.linalg import Echelon, intify
+from sl2betti.linalg import Echelon, primitive
 from sl2betti.poly import (
     GradedRing,
     Polynomial,
@@ -269,7 +269,7 @@ class TestHilbertSeries:
                             index[monomial_mul(m, mult)]: c
                             for m, c in g.terms.items()
                         }
-                        ech.add(intify(vec))
+                        ech.add(primitive(vec)[0])
                 assert coeffs[e] == len(monos) - ech.rank, (trial, e)
 
     def test_series_equals_cross_multiplication(self):

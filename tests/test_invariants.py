@@ -18,7 +18,7 @@ from sl2betti.invariants import (
     verify_completeness,
     weight_multiplicity,
 )
-from sl2betti.linalg import Echelon
+from sl2betti.linalg import Echelon, primitive
 from sl2betti.poly import Polynomial, WEIGHTED
 
 
@@ -165,8 +165,7 @@ class TestGeneratorSearch:
                     if m not in index:
                         index[m] = len(index)
                     vec[index[m]] = c
-                from sl2betti.linalg import intify
-                ech.add(intify(vec))
+                ech.add(primitive(vec)[0])
             return ech.rank
 
         for e in (2, 3):

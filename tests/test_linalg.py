@@ -2,13 +2,51 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
-from sl2betti.linalg import Echelon, intify, nullspace
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sl2betti.linalg import Echelon, nullspace, primitive
 
 
-def test_intify_clears_denominators():
-    assert intify({0: Fraction(1, 2), 3: Fraction(-2, 3)}) == {0: 3, 3: -4}
-    assert intify({1: Fraction(0)}) == {}
+def test_primitive_clears_denominators():
+    assert primitive({0: Fraction(1, 2), 3: Fraction(-2, 3)}) == ({0: 3, 3: -4}, (6, 1))
+    assert primitive({1: Fraction(0)}) == ({}, (1, 1))
+
+
+def test_primitive_integer_row_is_returned_as_is():
+    row = {0: 3, 2: -5}
+    ints, scale = primitive(row, 0)
+    assert ints is row and scale == (1, 1)
+    assert primitive({0: -4, 1: 6}, 0) == ({0: 2, 1: -3}, (1, -2))
+    assert primitive({0: 0, 1: 6}) == ({1: 1}, (1, 6))
+
+
+_values = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.fractions(max_denominator=50).filter(lambda f: abs(f) < 10**6),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.integers(0, 9), _values, max_size=8), st.data())
+def test_primitive_contract(vec, data):
+    nonzero = [k for k, v in vec.items() if v]
+    lead = data.draw(st.sampled_from([None] + nonzero))
+    ints, (den, g) = primitive(vec, lead)
+    assert set(ints) == set(nonzero)
+    assert den > 0 and g != 0
+    for k, c in ints.items():
+        assert type(c) is int
+        assert c == vec[k] * Fraction(den, g)
+    if ints:
+        assert gcd(*ints.values()) == 1
+        if lead is None:
+            assert all((c > 0) == (vec[k] > 0) for k, c in ints.items())
+        else:
+            assert ints[lead] > 0
+    assert primitive(ints, lead) == (ints, (1, 1))
 
 
 def test_echelon_rank_and_membership():

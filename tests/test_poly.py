@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sl2betti.poly import (
+    MAX_EXPONENT,
     GradedRing,
     LEX,
     Polynomial,
@@ -224,6 +225,12 @@ class TestGrammar:
         _, order = parse_header("ring a b ; weights 1 1 ; order block 1 ;")
         assert order.kind == "block" and order.block == 1
 
+    def test_exponent_notation_rejected(self):
+        # Fraction("1e999999999") would build a billion-digit integer
+        R = GradedRing(("x",), (1,))
+        with pytest.raises(ValueError, match="exponent notation"):
+            parse_polynomial("1e999999999*x", R)
+
     def test_unknown_variable(self):
         R = GradedRing(("x",), (1,))
         with pytest.raises(ValueError):
@@ -247,3 +254,37 @@ class TestGrammar:
         if p.is_zero():
             return
         assert parse_polynomial(format_polynomial(p), R) == p
+
+
+class TestGrammarFuzz:
+    """Any text either parses or raises ValueError, promptly."""
+
+    R = GradedRing(("x", "y"), (1, 2))
+    _alphabet = st.sampled_from(list("xyz0123456789^*/+-.eE_ ;#\n\t") + ["ring", "weights", "order", "block"])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(st.text(max_size=40), st.lists(_alphabet, max_size=20).map("".join)))
+    def test_arbitrary_text(self, text):
+        for parse in (lambda t: parse_polynomial(t, self.R), parse_session):
+            try:
+                parse(text)
+            except ValueError:
+                pass
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.text("0123456789", min_size=1, max_size=30), min_size=1, max_size=3),
+        st.sampled_from(["", "2*", "-1/3*"]),
+    )
+    def test_exponent_terms(self, digits, coeff):
+        text = coeff + "*".join(f"x^{d}" for d in digits)
+        total = sum(int(d) for d in digits)
+        if total > MAX_EXPONENT:
+            with pytest.raises(ValueError, match="exceeds"):
+                parse_polynomial(text, self.R)
+            with pytest.raises(ValueError, match="exceeds"):
+                parse_session("ring x y ;\n" + text + "\n")
+        else:
+            assert parse_polynomial(text, self.R).terms == {
+                (total, 0): Fraction(coeff[:-1] or 1)
+            }
