@@ -15,6 +15,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, neg, sub
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .linalg import Echelon, primitive
@@ -31,8 +33,7 @@ from .poly import (
 )
 
 ModMono = Tuple[int, Exponent]          # (position, exponent)
-MVec = Dict[ModMono, object]            # module element, int or Fraction coeffs
-PolyDict = Dict[Exponent, Fraction]     # ring element as plain dict
+MVec = Dict[ModMono, int]               # integer module element
 
 
 @dataclass
@@ -58,25 +59,15 @@ class Ideal:
 # integer term-map helpers
 # ---------------------------------------------------------------------------
 
-def _poly_dict_add(acc: PolyDict, other: PolyDict, scale: Fraction) -> None:
-    if not scale:
-        return
-    for m, c in other.items():
-        s = acc.get(m)
-        if s is None:
-            acc[m] = c * scale
+def _add_shifted(acc: MVec, vec: MVec, mono: Exponent, scale: int) -> None:
+    """acc += scale * x^mono * vec, for integer dicts keyed by (index, exponent)."""
+    for (pos, e), c in vec.items():
+        key = (pos, tuple(map(add, e, mono)))
+        v = acc.get(key, 0) + scale * c
+        if v:
+            acc[key] = v
         else:
-            s = s + c * scale
-            if s:
-                acc[m] = s
-            else:
-                del acc[m]
-
-
-def _poly_dict_mul_mono(p: PolyDict, mono: Exponent, scale: Fraction) -> PolyDict:
-    if not scale:
-        return {}
-    return {monomial_mul(m, mono): c * scale for m, c in p.items()}
+            del acc[key]
 
 
 # ---------------------------------------------------------------------------
@@ -85,17 +76,20 @@ def _poly_dict_mul_mono(p: PolyDict, mono: Exponent, scale: Fraction) -> PolyDic
 
 @dataclass
 class EngineResult:
-    basis: List[Dict[ModMono, int]]
+    basis: List[MVec]
     redundant_inputs: Set[int]
-    syzygies: List[Dict[int, Dict[Exponent, int]]]  # traces over input indices
-    input_traces: List[Tuple[int, Dict[int, Dict[Exponent, int]]]]
+    syzygies: List[MVec]        # traces: module elements over the input indices
+    input_traces: List[Tuple[int, MVec]]
 
 
 class Reducer:
-    """Full division of module elements by a growing list of divisors.
+    """Full division of integer module elements by a growing list of divisors.
 
     shifts:   weighted-degree shift per position.
     keyfn:    fixed-length sort key on module monomials; bigger = larger.
+
+    Divisors are integer vectors; their lead coefficients may be any
+    nonzero integer.  Division runs on integers only (see `_divide`).
     """
 
     def __init__(
@@ -109,11 +103,11 @@ class Reducer:
         self.keyfn = keyfn
         self.basis: List[MVec] = []
         self.leads: List[ModMono] = []
-        self.lead_coeffs: List[object] = []
+        self.lead_coeffs: List[int] = []
         self.by_pos: Dict[int, List[int]] = {}
 
     def add(self, vec: MVec) -> int:
-        """Append a nonzero divisor; returns its index."""
+        """Append a nonzero integer divisor; returns its index."""
         lead = max(vec, key=self.keyfn)
         idx = len(self.basis)
         self.basis.append(vec)
@@ -135,56 +129,74 @@ class Reducer:
                 return idx
         return None
 
-    def _divide(self, vec: MVec) -> Tuple[Dict[ModMono, Fraction], Dict[int, PolyDict]]:
-        """Full normal form: vec = sum(quotients * basis) + remainder."""
+    def _divide(self, vec: MVec) -> Tuple[MVec, Dict[int, Dict[Exponent, int]], Tuple[int, int]]:
+        """Full normal form in integers: (rem, quotients, (den, g)) with
+        vec * den / g == sum(quotients[k] * basis[k]) + rem.
+
+        vec may carry int or Fraction coefficients; it is made primitive
+        once, with scale (den, g).  When a lead coefficient a does not divide
+        the current term c, the whole state (work, remainder and quotients)
+        is multiplied by |a| / gcd(c, a), and den keeps that factor.
+        """
+        work, (den, g) = primitive(vec)
+        if work is vec:
+            work = dict(vec)
         keyfn = self.keyfn
-        work: Dict[ModMono, Fraction] = {
-            m: (c if isinstance(c, Fraction) else Fraction(c)) for m, c in vec.items()
-        }
-        heap: List[tuple] = [(tuple(-x for x in keyfn(m)), m) for m in work]
+        leads, lead_coeffs, basis = self.leads, self.lead_coeffs, self.basis
+        heap: List[tuple] = [(tuple(map(neg, keyfn(m))), m) for m in work]
         heapq.heapify(heap)
-        rem: Dict[ModMono, Fraction] = {}
-        quotients: Dict[int, PolyDict] = {}
+        rem: MVec = {}
+        quotients: Dict[int, Dict[Exponent, int]] = {}
         while heap:
-            _, mm = heapq.heappop(heap)
+            mm = heapq.heappop(heap)[1]
             c = work.get(mm)
-            if not c:
+            if c is None:
                 continue
             idx = self._find_reducer(mm)
             if idx is None:
                 rem[mm] = c
                 del work[mm]
                 continue
-            lead = self.leads[idx]
-            delta = tuple(a - b for a, b in zip(mm[1], lead[1]))
-            factor = c / self.lead_coeffs[idx]
-            q = quotients.setdefault(idx, {})
-            s = q.get(delta)
-            q[delta] = s + factor if s is not None else factor
-            if q[delta] == 0:
-                del q[delta]
-            for bm, bc in self.basis[idx].items():
-                tm = (bm[0], tuple(a + b for a, b in zip(bm[1], delta)))
+            a = lead_coeffs[idx]
+            f, r = divmod(c, a)
+            if r:
+                s = abs(a) // gcd(c, a)
+                den *= s
+                for k in work:
+                    work[k] *= s
+                for k in rem:
+                    rem[k] *= s
+                for q in quotients.values():
+                    for k in q:
+                        q[k] *= s
+                f = c * s // a
+            # each term is reduced at most once: later terms are smaller
+            delta = tuple(map(sub, mm[1], leads[idx][1]))
+            quotients.setdefault(idx, {})[delta] = f
+            for (bpos, be), bc in basis[idx].items():
+                tm = (bpos, tuple(map(add, be, delta)))
                 old = work.get(tm)
                 if old is None:
-                    nv = -factor * bc
-                    if nv:
-                        work[tm] = nv
-                        heapq.heappush(heap, (tuple(-x for x in keyfn(tm)), tm))
+                    work[tm] = -f * bc
+                    heapq.heappush(heap, (tuple(map(neg, keyfn(tm))), tm))
                 else:
-                    nv = old - factor * bc
+                    nv = old - f * bc
                     if nv:
                         work[tm] = nv
                     else:
                         del work[tm]
-        return rem, quotients
+        return rem, quotients, (den, g)
 
 
 class BuchbergerEngine(Reducer):
     """Degree-synchronized Buchberger over a free module.
 
-    inputs:   module elements as {(pos, exponent): coefficient}.
+    inputs:   integer module elements as {(pos, exponent): coefficient}.
     is_ideal: rank-one input, where the product criterion applies.
+
+    Basis element k is cofactors[k] / cof_dens[k] over the inputs: an
+    integer module element keyed by (input index, exponent) and one positive
+    denominator, so no per-term rational arithmetic is needed.
     """
 
     def __init__(
@@ -205,11 +217,12 @@ class BuchbergerEngine(Reducer):
         self.is_ideal = is_ideal
 
         self.sugars: List[int] = []
-        self.cofactors: List[Dict[int, PolyDict]] = []
+        self.cofactors: List[MVec] = []
+        self.cof_dens: List[int] = []
 
         self.redundant: Set[int] = set()
-        self.syzygies: List[Dict[int, Dict[Exponent, int]]] = []
-        self.input_traces: List[Tuple[int, Dict[int, Dict[Exponent, int]]]] = []
+        self.syzygies: List[MVec] = []
+        self.input_traces: List[Tuple[int, MVec]] = []
         self._koszul_pairs: List[Tuple[int, int]] = []
 
         self.pairs: Set[Tuple[int, int]] = set()
@@ -245,32 +258,40 @@ class BuchbergerEngine(Reducer):
 
     def _combine_cofactor(
         self,
-        source: Dict[int, PolyDict],
-        quotients: Dict[int, PolyDict],
-        factor: Fraction,
-    ) -> Dict[int, PolyDict]:
-        """factor * (source - sum quotients*basis-cofactors), over input indices."""
-        acc: Dict[int, PolyDict] = {}
-        for inp, p in source.items():
-            acc[inp] = {m: c * factor for m, c in p.items()}
-        for bidx, q in quotients.items():
-            for inp, p in self.cofactors[bidx].items():
-                slot = acc.setdefault(inp, {})
-                for qm, qc in q.items():
-                    _poly_dict_add(slot, _poly_dict_mul_mono(p, qm, Fraction(1)), -qc * factor)
-        return {inp: p for inp, p in acc.items() if p}
+        source: MVec,
+        sden: int,
+        quotients: Dict[int, Dict[Exponent, int]],
+        scale: Tuple[int, int],
+        g2: int = 1,
+    ) -> Tuple[MVec, int]:
+        """(num, den) of (vec * d / g - sum quotients*basis) / g2 over the inputs.
+
+        vec = source / sden, (d, g) is the scale `_divide` returned for it
+        and g2 a further content to take out; den > 0.
+        """
+        d, g = scale
+        dens = self.cof_dens
+        common = lcm(sden * g, *(dens[k] for k in quotients))
+        f0 = d * (common // (sden * g))
+        num = {k: c * f0 for k, c in source.items()} if f0 != 1 else dict(source)
+        for k, q in quotients.items():
+            fk = common // dens[k]
+            cof = self.cofactors[k]
+            for qm, qc in q.items():
+                _add_shifted(num, cof, qm, -qc * fk)
+        den = common * g2
+        if den != 1:
+            h = gcd(den, *num.values())
+            if den < 0:
+                h = -h
+            if h != 1:
+                num = {k: c // h for k, c in num.items()}
+                den //= h
+        return num, den
 
     @staticmethod
-    def _normalize_trace(trace: Dict[int, PolyDict]) -> Dict[int, Dict[Exponent, int]]:
-        flat: Dict[Tuple[int, Exponent], Fraction] = {}
-        for inp, p in trace.items():
-            for m, c in p.items():
-                flat[(inp, m)] = c
-        ints, _ = primitive(flat, min(flat, default=None))
-        out: Dict[int, Dict[Exponent, int]] = {}
-        for (inp, m), c in ints.items():
-            out.setdefault(inp, {})[m] = c
-        return out
+    def _normalize_trace(trace: MVec) -> MVec:
+        return primitive(trace, min(trace, default=None))[0]
 
     # -- pair management -------------------------------------------------------
 
@@ -332,17 +353,23 @@ class BuchbergerEngine(Reducer):
 
     def _insert(
         self,
-        rem: Dict[ModMono, Fraction],
-        source: Dict[int, PolyDict],
-        quotients: Dict[int, PolyDict],
+        rem: MVec,
+        source: MVec,
+        sden: int,
+        quotients: Dict[int, Dict[Exponent, int]],
+        scale: Tuple[int, int],
         sugar: int,
     ) -> None:
         """Add a nonzero remainder, scaled to coprime integers with positive lead."""
-        ints, (den, g) = primitive(rem, max(rem, key=self.keyfn))
-        cof = self._combine_cofactor(source, quotients, Fraction(den, g)) if self.track else {}
+        ints, (_, g2) = primitive(rem, max(rem, key=self.keyfn))
+        cof, den = (
+            self._combine_cofactor(source, sden, quotients, scale, g2)
+            if self.track else ({}, 1)
+        )
         idx = self.add(ints)
         self.sugars.append(sugar)
         self.cofactors.append(cof)
+        self.cof_dens.append(den)
         self._update_pairs(idx)
 
     # -- main loop ----------------------------------------------------------------
@@ -369,67 +396,56 @@ class BuchbergerEngine(Reducer):
 
     def _process_input(self, idx: int, sugar: int) -> None:
         vec = self._inputs[idx]
-        rem, quotients = self._divide(vec)
-        source = {idx: {self.ring.zero_exponent(): Fraction(1)}} if self.track else {}
+        rem, quotients, scale = self._divide(vec)
+        source = {(idx, self.ring.zero_exponent()): 1} if self.track else {}
         if not rem:
             self.redundant.add(idx)
             if self.want_syzygies:
-                trace = self._combine_cofactor(source, quotients, Fraction(1))
+                trace, _ = self._combine_cofactor(source, 1, quotients, scale)
                 self.input_traces.append((idx, self._normalize_trace(trace)))
             return
-        self._insert(rem, source, quotients, sugar)
+        self._insert(rem, source, 1, quotients, scale, sugar)
 
     def _process_pair(self, pair: Tuple[int, int], sugar: int) -> None:
         i, j = pair
         li, lj = self.leads[i], self.leads[j]
-        pos = li[0]
-        lcm = monomial_lcm(li[1], lj[1])
-        mi = tuple(a - b for a, b in zip(lcm, li[1]))
-        mj = tuple(a - b for a, b in zip(lcm, lj[1]))
+        lcm_ij = monomial_lcm(li[1], lj[1])
+        mi = tuple(map(sub, lcm_ij, li[1]))
+        mj = tuple(map(sub, lcm_ij, lj[1]))
         ci, cj = self.lead_coeffs[i], self.lead_coeffs[j]
-        spair: Dict[ModMono, int] = {}
-        for mm, c in self.basis[i].items():
-            spair[(mm[0], monomial_mul(mm[1], mi))] = c * cj
-        for mm, c in self.basis[j].items():
-            key = (mm[0], monomial_mul(mm[1], mj))
-            s = spair.get(key, 0) - c * ci
-            if s:
-                spair[key] = s
-            else:
-                spair.pop(key, None)
-        source: Dict[int, PolyDict] = {}
+        spair: MVec = {}
+        _add_shifted(spair, self.basis[i], mi, cj)
+        _add_shifted(spair, self.basis[j], mj, -ci)
+        # spair = source / sden over the inputs
+        source: MVec = {}
+        sden = 1
         if self.track:
-            for inp, p in self.cofactors[i].items():
-                _poly_dict_add(source.setdefault(inp, {}), _poly_dict_mul_mono(p, mi, Fraction(cj)), Fraction(1))
-            for inp, p in self.cofactors[j].items():
-                _poly_dict_add(source.setdefault(inp, {}), _poly_dict_mul_mono(p, mj, Fraction(ci)), Fraction(-1))
-            source = {inp: p for inp, p in source.items() if p}
+            di, dj = self.cof_dens[i], self.cof_dens[j]
+            sden = lcm(di, dj)
+            _add_shifted(source, self.cofactors[i], mi, cj * (sden // di))
+            _add_shifted(source, self.cofactors[j], mj, -ci * (sden // dj))
         if not spair:
             if self.want_syzygies and source:
                 self.syzygies.append(self._normalize_trace(source))
             return
-        rem, quotients = self._divide(spair)
+        rem, quotients, scale = self._divide(spair)
         if not rem:
             if self.want_syzygies:
-                trace = self._combine_cofactor(source, quotients, Fraction(1))
+                trace, _ = self._combine_cofactor(source, sden, quotients, scale)
                 if trace:
                     self.syzygies.append(self._normalize_trace(trace))
             return
-        self._insert(rem, source, quotients, sugar)
+        self._insert(rem, source, sden, quotients, scale, sugar)
 
     def _emit_koszul(self, i: int, j: int) -> None:
         """Trivial syzygy g_j*eps_i - g_i*eps_j for a product-criterion skip."""
-        gi, gj = self.basis[i], self.basis[j]
-        trace: Dict[int, PolyDict] = {}
-        for inp, p in self.cofactors[i].items():
-            slot = trace.setdefault(inp, {})
-            for mm, c in gj.items():
-                _poly_dict_add(slot, _poly_dict_mul_mono(p, mm[1], Fraction(c)), Fraction(1))
-        for inp, p in self.cofactors[j].items():
-            slot = trace.setdefault(inp, {})
-            for mm, c in gi.items():
-                _poly_dict_add(slot, _poly_dict_mul_mono(p, mm[1], Fraction(c)), Fraction(-1))
-        trace = {inp: p for inp, p in trace.items() if p}
+        di, dj = self.cof_dens[i], self.cof_dens[j]
+        common = lcm(di, dj)
+        trace: MVec = {}
+        for (_, m), c in self.basis[j].items():
+            _add_shifted(trace, self.cofactors[i], m, c * (common // di))
+        for (_, m), c in self.basis[i].items():
+            _add_shifted(trace, self.cofactors[j], m, -c * (common // dj))
         if trace:
             self.syzygies.append(self._normalize_trace(trace))
 
@@ -442,7 +458,7 @@ class BuchbergerEngine(Reducer):
         for idx in range(len(self.basis)):
             own = self.basis[idx]
             self.by_pos[self.leads[idx][0]].remove(idx)
-            rem, quotients = self._divide(own)
+            rem, quotients, scale = self._divide(own)
             if not rem:
                 # lead divisible by another element's lead: redundant in the
                 # completed basis (possible only for non-homogeneous runs)
@@ -455,14 +471,13 @@ class BuchbergerEngine(Reducer):
             lead = max(rem, key=self.keyfn)
             # tail reduction of a completed basis cannot move the lead
             assert lead == self.leads[idx], "interreduction changed a lead term"
-            ints, (den, g) = primitive(rem, lead)
+            ints, (_, g2) = primitive(rem, lead)
             self.basis[idx] = ints
             self.lead_coeffs[idx] = ints[lead]
             if self.track:
-                source = {
-                    inp: dict(p) for inp, p in self.cofactors[idx].items()
-                }
-                self.cofactors[idx] = self._combine_cofactor(source, quotients, Fraction(den, g))
+                self.cofactors[idx], self.cof_dens[idx] = self._combine_cofactor(
+                    self.cofactors[idx], self.cof_dens[idx], quotients, scale, g2
+                )
         if removed:
             keep = [i for i in range(len(self.basis)) if i not in removed]
             self.basis = [self.basis[i] for i in keep]
@@ -470,6 +485,7 @@ class BuchbergerEngine(Reducer):
             self.lead_coeffs = [self.lead_coeffs[i] for i in keep]
             self.sugars = [self.sugars[i] for i in keep]
             self.cofactors = [self.cofactors[i] for i in keep]
+            self.cof_dens = [self.cof_dens[i] for i in keep]
             self.by_pos = {}
             for new_idx, lead in enumerate(self.leads):
                 self.by_pos.setdefault(lead[0], []).append(new_idx)
@@ -485,7 +501,7 @@ def base_keyfn(ring: GradedRing, order: MonomialOrder = WEIGHTED) -> Callable[[M
     return lambda mm: base(mm[1])
 
 
-def _poly_to_mvec(p: Polynomial) -> MVec:
+def _poly_to_mvec(p: Polynomial) -> Dict[ModMono, Fraction]:
     return {(0, m): c for m, c in p.terms.items()}
 
 
@@ -527,15 +543,20 @@ def normal_form(
             raise RingMismatchError("reducers from a different ring")
         if g.is_zero():
             raise ValueError("zero reducer")
+    # divide by primitive integer multiples r_i = g_i * d_i / h_i; then
+    # p * den / g = sum(q_i * r_i) + rem
     reducer = Reducer(ring, [0], base_keyfn(ring, order))
+    scales = []
     for g in reducers:
-        reducer.add(_poly_to_mvec(g))
-    rem, quotients = reducer._divide(_poly_to_mvec(p))
-    remainder = Polynomial._raw(ring, {mm[1]: c for mm, c in rem.items()})
+        ints, sc = primitive(_poly_to_mvec(g))
+        reducer.add(ints)
+        scales.append(sc)
+    rem, quotients, (den, g0) = reducer._divide(_poly_to_mvec(p))
+    remainder = Polynomial._raw(ring, {mm[1]: Fraction(c * g0, den) for mm, c in rem.items()})
     cofs = []
-    for i in range(len(reducers)):
+    for i, (d, h) in enumerate(scales):
         q = quotients.get(i, {})
-        cofs.append(Polynomial._raw(ring, dict(q)))
+        cofs.append(Polynomial._raw(ring, {m: Fraction(c * d * g0, h * den) for m, c in q.items()}))
     return remainder, cofs
 
 
@@ -561,11 +582,11 @@ def buchberger(
     elements = [_mvec_to_poly(ring, vec) for vec in engine.basis]
     cof_rows: List[List[Polynomial]] = []
     if track_cofactors:
-        for cof in engine.cofactors:
-            row = []
-            for i in range(len(inputs)):
-                row.append(Polynomial._raw(ring, dict(cof.get(i, {}))))
-            cof_rows.append(row)
+        for cof, den in zip(engine.cofactors, engine.cof_dens):
+            row: List[Dict[Exponent, Fraction]] = [{} for _ in inputs]
+            for (i, m), c in cof.items():
+                row[i][m] = Fraction(c, den)
+            cof_rows.append([Polynomial._raw(ring, terms) for terms in row])
     return GroebnerBasis(ring, order, elements, cof_rows, inputs)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul, neg
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .linalg import primitive
@@ -79,7 +80,7 @@ def weighted_degree(m: Exponent, ring: GradedRing) -> int:
 
 
 def monomial_mul(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 def monomial_div(a: Exponent, b: Exponent) -> Optional[Exponent]:
     """a / b as a monomial, or None when b does not divide a."""
@@ -123,10 +124,7 @@ class MonomialOrder:
             return lambda m: m
         if self.kind == "weighted":
             def key(m: Exponent) -> tuple:
-                d = 0
-                for e, we in zip(m, w):
-                    d += e * we
-                return (d,) + tuple(-e for e in reversed(m))
+                return (sum(map(mul, m, w)),) + tuple(map(neg, reversed(m)))
             return key
         k = self.block
         if k >= ring.nvars:

@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from operator import add
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .groebner import (
@@ -113,17 +114,49 @@ class BettiTable:
 # module orders
 # ---------------------------------------------------------------------------
 
-def schreyer_keyfn(
-    prev_keyfn: Callable[[ModMono], tuple], tags: Sequence[ModMono]
-) -> Callable[[ModMono], tuple]:
-    """Order induced by the previous level's leading terms, position tie-break."""
+class SchreyerKey:
+    """Module order flattened to F_0: key(pos, m) = base(prods[pos] * m) + ties[pos].
 
-    def key(mm: ModMono) -> tuple:
+    base is the ring order's key on exponents.  prods[pos] is the product of
+    the tag monomials met on the way from position pos down to F_0, and
+    ties[pos] the position tie-breaks collected on that way, lowest level
+    first.
+    """
+
+    __slots__ = ("base", "prods", "ties")
+
+    def __init__(
+        self,
+        base: Callable[[Exponent], tuple],
+        prods: Sequence[Exponent],
+        ties: Sequence[tuple],
+    ) -> None:
+        self.base = base
+        self.prods = prods
+        self.ties = ties
+
+    @classmethod
+    def rank_one(cls, ring: GradedRing, order: MonomialOrder = WEIGHTED) -> "SchreyerKey":
+        """The ring order on F_0 = R, where every resolution starts."""
+        return cls(order.key_function(ring), (ring.zero_exponent(),), ((),))
+
+    def __call__(self, mm: ModMono) -> tuple:
         pos, m = mm
-        tpos, tmono = tags[pos]
-        return prev_keyfn((tpos, monomial_mul(tmono, m))) + (-pos,)
+        return self.base(tuple(map(add, self.prods[pos], m))) + self.ties[pos]
 
-    return key
+
+def schreyer_keyfn(prev: SchreyerKey, tags: Sequence[ModMono]) -> SchreyerKey:
+    """Order induced by the previous level's leading terms, position tie-break.
+
+    The same total order as the composition
+    key(pos, m) = prev((tpos, tmono * m)) + (-pos,) with (tpos, tmono) = tags[pos],
+    precomputed per position so that a key costs one monomial product.
+    """
+    return SchreyerKey(
+        prev.base,
+        tuple(monomial_mul(prev.prods[tpos], tmono) for tpos, tmono in tags),
+        tuple(prev.ties[tpos] + (-pos,) for pos, (tpos, _) in enumerate(tags)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +190,7 @@ def resolve(I: Ideal, *, minimalize_levels: bool = True) -> Resolution:
     for g in gens:
         inputs.append(primitive(_poly_to_mvec(g), (0, g.leading_monomial()))[0])
         input_degrees.append(g.weighted_degree())
-    keyfn = base_keyfn(ring)
+    keyfn = SchreyerKey.rank_one(ring)
     level = 1
     while inputs:
         if level > ring.nvars + 1:
@@ -199,15 +232,12 @@ def resolve(I: Ideal, *, minimalize_levels: bool = True) -> Resolution:
         next_degrees: List[int] = []
         tagged: List[Tuple[int, Dict[ModMono, int]]] = []
         for t in traces:
-            vec: Dict[ModMono, int] = {}
-            for idx, p in t.items():
-                if idx not in pos_of_input:
-                    # trace touching a dropped input: only possible in raw
-                    # mode, where nothing is dropped
-                    raise AssertionError("syzygy references a dropped generator")
-                pos = pos_of_input[idx]
-                for m, c in p.items():
-                    vec[(pos, m)] = c
+            try:
+                vec = {(pos_of_input[idx], m): c for (idx, m), c in t.items()}
+            except KeyError:
+                # trace touching a dropped input: only possible in raw mode,
+                # where nothing is dropped
+                raise AssertionError("syzygy references a dropped generator") from None
             if not vec:
                 continue
             deg = _mvec_degree(ring, module, vec)
@@ -389,7 +419,7 @@ class _NormalFormTable:
         for g in gb.elements:
             lead = (0, g.leading_monomial(gb.order))
             self._reducer.add(primitive(_poly_to_mvec(g), lead)[0])
-        self._nf_cache: Dict[Exponent, Dict[int, Fraction]] = {}
+        self._nf_cache: Dict[Exponent, Dict[int, object]] = {}
 
     def standard(self, degree: int) -> List[Exponent]:
         got = self.std.get(degree)
@@ -400,8 +430,12 @@ class _NormalFormTable:
             self.index[degree] = {m: i for i, m in enumerate(got)}
         return got
 
-    def nf_vector(self, mono: Exponent) -> Dict[int, Fraction]:
-        """NF(mono) as {standard-monomial index: coefficient} in its degree."""
+    def nf_vector(self, mono: Exponent) -> Dict[int, object]:
+        """NF(mono) as {standard-monomial index: coefficient} in its degree.
+
+        Coefficients are ints; a Fraction appears only for a normal form
+        that is not integral.
+        """
         got = self._nf_cache.get(mono)
         if got is not None:
             return got
@@ -409,10 +443,14 @@ class _NormalFormTable:
         self.standard(degree)
         idx = self.index[degree]
         if mono in idx:
-            out = {idx[mono]: Fraction(1)}
+            out = {idx[mono]: 1}
         else:
-            rem, _ = self._reducer._divide({(0, mono): 1})
-            out = {idx[mm[1]]: c for mm, c in rem.items()}
+            # mono * den / g == sum(q * basis) + rem
+            rem, _, (den, g) = self._reducer._divide({(0, mono): 1})
+            out = {
+                idx[mm[1]]: c * g if den == 1 else Fraction(c * g, den)
+                for mm, c in rem.items()
+            }
         self._nf_cache[mono] = out
         return out
 
@@ -472,7 +510,7 @@ def koszul_betti(
         idx = base_index[(i - 1, j)]
         ech = Echelon()
         for (S, u) in dom:
-            colvec: Dict[int, Fraction] = {}
+            colvec: Dict[int, object] = {}
             for k, t in enumerate(S):
                 S2 = S[:k] + S[k + 1:]
                 mono = tuple(
@@ -486,7 +524,7 @@ def koszul_betti(
                 sign = -1 if k % 2 else 1
                 for pos, c in nf.items():
                     tgt = idx[(S2, std2[pos])]
-                    s = colvec.get(tgt, Fraction(0)) + sign * c
+                    s = colvec.get(tgt, 0) + sign * c
                     if s:
                         colvec[tgt] = s
                     else:
@@ -575,19 +613,22 @@ def verify_complex(res: Resolution, e_cap: int) -> ComplexReport:
                         f"entry ({r},{c}) of d_{i} is not homogeneous of the right degree",
                         ("degree", i, -1),
                     )
-    # degreewise exactness at F_i, i >= 1
+    # degreewise exactness at F_i, i >= 1; the ranks of d_{i+1} found at
+    # level i are those of level i + 1
+    degrees = range(e_cap + 1)
+    ranks = [_strand_rank(res, 1, e) for e in degrees]
     for i in range(1, res.length + 1):
-        for e in range(e_cap + 1):
-            rank_i = _strand_rank(res, i, e)
-            dim_i = _strand_dim(res, i, e)
-            ker = dim_i - rank_i
-            im_next = _strand_rank(res, i + 1, e) if i + 1 <= res.length else 0
+        ranks_next = [_strand_rank(res, i + 1, e) for e in degrees]
+        for e in degrees:
+            ker = _strand_dim(res, i, e) - ranks[e]
+            im_next = ranks_next[e]
             if ker != im_next:
                 return ComplexReport(
                     False,
                     f"homology at F_{i} in degree {e}: ker {ker} != im {im_next}",
                     ("exactness", i, e),
                 )
+        ranks = ranks_next
     return ComplexReport(True, f"d o d = 0, homogeneous, exact for degrees <= {e_cap}")
 
 
@@ -622,17 +663,12 @@ def _strand_rank(res: Resolution, i: int, e: int) -> int:
         s_c = hi.shifts[c]
         if e - s_c < 0:
             continue
+        # the column as coprime integers: scaling does not change the rank
+        col, _ = primitive(
+            {(r, m): coef for r, p in d[c].items() for m, coef in p.terms.items()}
+        )
         for mult in monomials_of_degree(ring, e - s_c):
-            vec: Dict[int, Fraction] = {}
-            for r, p in d[c].items():
-                for m, coef in p.terms.items():
-                    key = (r, monomial_mul(m, mult))
-                    rid = row_id(key)
-                    s = vec.get(rid, Fraction(0)) + coef
-                    if s:
-                        vec[rid] = s
-                    else:
-                        vec.pop(rid, None)
+            vec = {row_id((r, monomial_mul(m, mult))): coef for (r, m), coef in col.items()}
             if vec:
-                ech.add(primitive(vec)[0])
+                ech.add(vec)
     return ech.rank

@@ -141,6 +141,18 @@ class TestResolveCommand:
         assert code == 0
         assert dump.read_bytes() == (data / "resolve_1112.dump").read_bytes()
 
+    def test_five_level_matches_recorded_outputs(self, tmp_path, capsys):
+        # 4V2 resolves in five levels, so the Schreyer order is composed
+        # four times
+        data = Path(__file__).parent / "data"
+        code = run(["resolve", "2,2,2,2", "--format", "json"])
+        assert code == 0
+        assert capsys.readouterr().out == (data / "resolve_2222.json").read_text()
+        dump = tmp_path / "dump.txt"
+        code = run(["resolve", "2,2,2,2", "--dump", str(dump)])
+        assert code == 0
+        assert dump.read_bytes() == (data / "resolve_2222.dump").read_bytes()
+
     @pytest.mark.parametrize("command", ["invariants", "kernel"])
     def test_front_half_matches_recorded_outputs(self, command, capsys):
         # these outputs pass through Polynomial.normalize in the invariant

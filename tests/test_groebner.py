@@ -8,6 +8,8 @@ import pytest
 from sl2betti.groebner import (
     Ideal,
     RationalSeries,
+    Reducer,
+    base_keyfn,
     buchberger,
     hilbert_series_quotient,
     ideals_equal,
@@ -74,6 +76,57 @@ class TestNormalForm:
                 for g in reducers:
                     lg = g.leading_monomial(WEIGHTED)
                     assert any(a < b for a, b in zip(m, lg))
+
+
+class TestReducer:
+    def test_integer_division_identity_random(self):
+        # rational dividends, integer divisors with non-unit and negative
+        # leads, over a rank-3 module: vec*den/g == sum(q*b) + rem in
+        # integers, and no remainder term is divisible by a lead in its
+        # position
+        rng = random.Random(11)
+        R = GradedRing(("x", "y", "z"), (1, 1, 1))
+        ring_key = base_keyfn(R)
+        keyfn = lambda mm: ring_key(mm) + (mm[0],)
+        negative_leads = scaled = 0
+        for _ in range(40):
+            reducer = Reducer(R, [0, 0, 0], keyfn)
+            for _ in range(rng.randint(1, 4)):
+                b = _random_mvec(rng, R, lambda: rng.choice([-6, -4, -3, -2, 2, 3, 5]))
+                if b:
+                    reducer.add(b)
+            negative_leads += sum(a < 0 for a in reducer.lead_coeffs)
+            vec = _random_mvec(rng, R, lambda: Fraction(rng.randint(-7, 7), rng.randint(1, 6)))
+            rem, quotients, (den, g) = reducer._divide(vec)
+            scaled += den != primitive(vec)[1][0]
+            assert all(type(c) is int for c in rem.values())
+            acc = dict(rem)
+            for k, q in quotients.items():
+                for qm, qc in q.items():
+                    assert type(qc) is int
+                    for (pos, e), c in reducer.basis[k].items():
+                        key = (pos, monomial_mul(e, qm))
+                        acc[key] = acc.get(key, 0) + qc * c
+            assert {mm: c for mm, c in acc.items() if c} == {
+                mm: c * den / g for mm, c in vec.items() if c
+            }
+            for pos, e in rem:
+                for lpos, le in reducer.leads:
+                    assert lpos != pos or any(a < b for a, b in zip(e, le))
+        # the run met negative leads and leads that do not divide a term
+        assert negative_leads and scaled
+
+
+def _random_mvec(rng, ring, coeff, rank=3, deg=3, terms=5):
+    out = {}
+    for _ in range(rng.randint(1, terms)):
+        mono = [0] * ring.nvars
+        for _ in range(rng.randint(0, deg)):
+            mono[rng.randrange(ring.nvars)] += 1
+        c = coeff()
+        if c:
+            out[(rng.randrange(rank), tuple(mono))] = c
+    return out
 
 
 def _random_poly(ring, rng, deg=3, terms=4):

@@ -10,6 +10,7 @@ from sl2betti.poly import GradedRing
 from sl2betti.presentation import (
     AlgebraMap,
     algebra_map_from_generators,
+    default_horizon,
     kernel,
     kernel_by_degrees,
     present,
@@ -129,7 +130,9 @@ class TestKernelByDegrees:
                 Ideal(amap.source, lin.generators),
                 Ideal(amap.source, elim.generators),
             )
-            assert info.verified
+            # the certificate: quotient dimensions equal the invariant count
+            hs = hilbert_series_quotient(lin, amap.source)
+            assert hs.coefficients(info.horizon) == cs_total_dims(spec, 14)
 
     def test_incomplete_generators_detected(self):
         spec = ProblemSpec((1, 1, 1), 2)
@@ -149,18 +152,18 @@ class TestPresent:
         amap, ker, info = present(spec)
         assert sorted(Counter(amap.source.weights).items()) == [(2, 4), (3, 6)]
         assert sorted(info.relation_degrees) == [5, 5, 5, 6, 6, 6, 6, 6, 6]
-        assert info.verified
+        assert info.horizon == default_horizon(info.relation_degrees, amap.source.weights)
 
     def test_two_cubics(self):
         amap, ker, info = present(ProblemSpec((3, 3), 6))
         assert sorted(info.relation_degrees) == [8, 12]
-        assert info.verified
+        assert info.horizon == default_horizon(info.relation_degrees, amap.source.weights)
 
     def test_free_case(self):
         amap, ker, info = present(ProblemSpec((2,), 2))
         assert ker.generators == []
         assert amap.source.weights == (2,)
-        assert info.verified
+        assert info.horizon == default_horizon([], amap.source.weights)
 
     def test_elimination_route_matches(self):
         # the degree-certified kernel and the elimination kernel agree

@@ -14,15 +14,17 @@ from sl2betti.groebner import (
     minimal_generators,
     monomials_of_degree,
 )
-from sl2betti.poly import GradedRing, Polynomial
+from sl2betti.poly import GradedRing, Polynomial, monomial_mul
 from sl2betti.resolution import (
     FreeModule,
     Resolution,
+    SchreyerKey,
     betti,
     format_resolution,
     koszul_betti,
     minimize,
     resolve,
+    schreyer_keyfn,
     verify_complex,
 )
 from conftest import WORKED_BETTI
@@ -110,6 +112,44 @@ class TestSyzygies:
         I = Ideal(R, [x * x - y * z, x * y, z * z - x * x])
         assert verify_complex(resolve(I), 8).ok
         assert verify_complex(resolve(I, minimalize_levels=False), 8).ok
+
+
+def _nested_schreyer_key(prev_keyfn, tags):
+    """Reference Schreyer order: one composition with the previous level's key."""
+
+    def key(mm):
+        pos, m = mm
+        tpos, tmono = tags[pos]
+        return prev_keyfn((tpos, monomial_mul(tmono, m))) + (-pos,)
+
+    return key
+
+
+class TestSchreyerKey:
+    def test_flat_key_matches_nested_composition(self, paper_ring, paper_J):
+        # every level of the worked example's resolution: the flat key gives
+        # the nested composition's tuples, hence its order, on the columns'
+        # monomials and on their products with every variable
+        R = paper_ring
+        res = resolve(minimal_ideal(R, paper_J))
+        assert res.length == 4
+        flat = SchreyerKey.rank_one(R)
+        nested = base_keyfn(R)
+        variables = [tuple(int(k == v) for k in range(R.nvars)) for v in range(R.nvars)]
+        for i in range(1, res.length + 1):
+            columns = [
+                {(r, m): c for r, p in col.items() for m, c in p.terms.items()}
+                for _, col in sorted(res.differential(i).items())
+            ]
+            monos = {mm for col in columns for mm in col}
+            monos |= {(pos, monomial_mul(m, v)) for pos, m in monos for v in variables}
+            monos = sorted(monos)
+            assert [flat(mm) for mm in monos] == [nested(mm) for mm in monos]
+            assert sorted(monos, key=flat) == sorted(monos, key=nested)
+            tags = [max(col, key=flat) for col in columns]
+            assert tags == [max(col, key=nested) for col in columns]
+            flat = schreyer_keyfn(flat, tags)
+            nested = _nested_schreyer_key(nested, tags)
 
 
 class TestResolve:
