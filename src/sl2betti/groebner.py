@@ -192,6 +192,9 @@ class BuchbergerEngine(Reducer):
     """Degree-synchronized Buchberger over a free module.
 
     inputs:   integer module elements as {(pos, exponent): coefficient}.
+              `_divide` makes each one primitive before it is used, so
+              rational inputs give the same basis; their scale ends up in
+              the cofactors.
     is_ideal: rank-one input, where the product criterion applies.
 
     Basis element k is cofactors[k] / cof_dens[k] over the inputs: an
@@ -569,9 +572,11 @@ def buchberger(
     """Reduced Groebner basis with exact cofactor rows over the inputs."""
     ring = gens.ring
     inputs = gens.nonzero_generators()
+    # the engine runs on r_i = inputs[i] * d_i / h_i
+    prim = [primitive(_poly_to_mvec(p)) for p in inputs]
     engine = BuchbergerEngine(
         ring,
-        [_poly_to_mvec(p) for p in inputs],
+        [ints for ints, _ in prim],
         [0],
         base_keyfn(ring, order),
         track_cofactors=track_cofactors,
@@ -585,7 +590,8 @@ def buchberger(
         for cof, den in zip(engine.cofactors, engine.cof_dens):
             row: List[Dict[Exponent, Fraction]] = [{} for _ in inputs]
             for (i, m), c in cof.items():
-                row[i][m] = Fraction(c, den)
+                d, h = prim[i][1]
+                row[i][m] = Fraction(c * d, den * h)
             cof_rows.append([Polynomial._raw(ring, terms) for terms in row])
     return GroebnerBasis(ring, order, elements, cof_rows, inputs)
 

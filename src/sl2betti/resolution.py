@@ -136,9 +136,9 @@ class SchreyerKey:
         self.ties = ties
 
     @classmethod
-    def rank_one(cls, ring: GradedRing, order: MonomialOrder = WEIGHTED) -> "SchreyerKey":
+    def rank_one(cls, ring: GradedRing) -> "SchreyerKey":
         """The ring order on F_0 = R, where every resolution starts."""
-        return cls(order.key_function(ring), (ring.zero_exponent(),), ((),))
+        return cls(WEIGHTED.key_function(ring), (ring.zero_exponent(),), ((),))
 
     def __call__(self, mm: ModMono) -> tuple:
         pos, m = mm
