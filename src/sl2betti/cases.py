@@ -126,8 +126,8 @@ CASES: List[CaseRecord] = [
             }
         ),
         stretch=True,
-        note="runs in roughly ten minutes, dominated by the degree 16..20 "
-        "image products in the nine-variable coefficient ring",
+        note="runs in about four minutes, most of it the Groebner bases the "
+        "degree-certified kernel rebuilds after each relation degree",
     ),
     CaseRecord(
         label="5V1",

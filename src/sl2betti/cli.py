@@ -596,6 +596,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        # the certificates raise AssertionError naming the check that failed
+        print(f"check failed: {exc}", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

@@ -197,27 +197,28 @@ def monomials_of_multidegree_weight(
     return out
 
 
+def _weight_counts(weights: Sequence[int], upto: int) -> List[Dict[int, int]]:
+    """acc[e][w]: monomials of degree e and total weight w in variables of
+    the given weights, for e <= upto; one unbounded-knapsack pass."""
+    acc: List[Dict[int, int]] = [{0: 1}] + [{} for _ in range(upto)]
+    for w in weights:
+        # ascending e: acc[e - 1] already counts this variable's powers
+        for e in range(1, upto + 1):
+            tgt = acc[e]
+            for wt, c in acc[e - 1].items():
+                tgt[wt + w] = tgt.get(wt + w, 0) + c
+    return acc
+
+
 @lru_cache(maxsize=None)
+def _form_table(d: int, upto: int) -> List[Dict[int, int]]:
+    return _weight_counts(range(d, -d - 1, -2), upto)
+
+
 def _form_weight_counts(d: int, m: int) -> Dict[int, int]:
     """Weight distribution of degree-m monomials in the d+1 coefficients of V_d."""
-    table: Dict[Tuple[int, int], Dict[int, int]] = {}
-
-    def rec(k: int, rem: int) -> Dict[int, int]:
-        if k == d:
-            return {rem * (d - 2 * k): 1}
-        key = (k, rem)
-        got = table.get(key)
-        if got is not None:
-            return got
-        acc: Dict[int, int] = {}
-        for e in range(rem + 1):
-            base = e * (d - 2 * k)
-            for w, c in rec(k + 1, rem - e).items():
-                acc[base + w] = acc.get(base + w, 0) + c
-        table[key] = acc
-        return acc
-
-    return rec(0, m)
+    # tables grow by doubling, so a degree is rebuilt O(log m) times at most
+    return _form_table(d, 1 << m.bit_length())[m]
 
 
 def weight_multiplicity(
@@ -247,20 +248,8 @@ def cayley_sylvester_dim(spec: ProblemSpec, multidegree: Sequence[int]) -> int:
 def cs_total_dims(spec: ProblemSpec, upto: int) -> List[int]:
     """Sum of cayley_sylvester_dim over all multidegrees, per total degree."""
     # acc[e] = weight distribution of the degree-e piece of the whole ring
-    acc: List[Dict[int, int]] = [{0: 1}] + [dict() for _ in range(upto)]
-    for d in spec.degrees:
-        nxt: List[Dict[int, int]] = [dict() for _ in range(upto + 1)]
-        for e1 in range(upto + 1):
-            if not acc[e1]:
-                continue
-            for m in range(upto + 1 - e1):
-                fw = _form_weight_counts(d, m)
-                tgt = nxt[e1 + m]
-                for w1, c1 in acc[e1].items():
-                    for w2, c2 in fw.items():
-                        w = w1 + w2
-                        tgt[w] = tgt.get(w, 0) + c1 * c2
-        acc = nxt
+    weights = [d - 2 * k for d in spec.degrees for k in range(d + 1)]
+    acc = _weight_counts(weights, upto)
     return [acc[e].get(0, 0) - acc[e].get(2, 0) for e in range(upto + 1)]
 
 
@@ -295,9 +284,9 @@ def invariant_basis(
 ) -> List[Polynomial]:
     """Basis of the invariants of one multidegree piece.
 
-    Kernel of the raising operator on the weight-0 subspace, by fraction-free
-    elimination; deterministic and normalized.  Empty when the total weight
-    sum(m_i * d_i) is odd.
+    Kernel of the raising operator on the weight-0 subspace, by the modular
+    nullspace with its exact certificate; deterministic and normalized.
+    Empty when the total weight sum(m_i * d_i) is odd.
     """
     cring = CoefficientRing(spec.degrees)
     if sum(m * d for m, d in zip(multidegree, spec.degrees)) % 2:
@@ -307,7 +296,6 @@ def invariant_basis(
         return []
     keyfn = WEIGHTED.key_function(cring.ring)
     cols.sort(key=keyfn, reverse=True)
-    col_index = {m: i for i, m in enumerate(cols)}
     moves = _operator_moves(cring, "raising")
     rows: Dict[Exponent, Dict[int, int]] = {}
     for j, m in enumerate(cols):

@@ -158,22 +158,20 @@ def substitute(amap: AlgebraMap, p: Polynomial, cache: Optional[_ImageCache] = N
     if p.ring != amap.source:
         raise ValueError("polynomial is not in the source ring of the map")
     cache = cache or _ImageCache(amap)
-    tgt = amap.target_ring
-    acc: Dict[int, Fraction] = {}
-    for alpha, c in p.terms.items():
-        scale = c * cache.factor(alpha)
+    # phi(p) = sum c * factor(alpha) * image(alpha): fold the rational
+    # scalars into integers over one denominator, accumulate in integers
+    ints, (den, g) = primitive(
+        {alpha: c * cache.factor(alpha) for alpha, c in p.terms.items()}
+    )
+    acc: Dict[int, int] = {}
+    get = acc.get
+    for alpha, s in ints.items():
         for m, v in cache.image(alpha).items():
-            s = acc.get(m)
-            add = scale * v
-            if s is None:
-                acc[m] = add
-            else:
-                s = s + add
-                if s:
-                    acc[m] = s
-                else:
-                    del acc[m]
-    return Polynomial._raw(tgt, {cache.unpack(m): c for m, c in acc.items()})
+            acc[m] = get(m, 0) + s * v
+    return Polynomial._raw(
+        amap.target_ring,
+        {cache.unpack(m): Fraction(c * g, den) for m, c in acc.items() if c},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +254,6 @@ def kernel_by_degrees(
     src = amap.source
     cs = cs_total_dims(spec, horizon)
     cache = _ImageCache(amap)
-    tgt = amap.target_ring
     keyfn = WEIGHTED.key_function(src)
     gens: List[Polynomial] = []
     gb: Optional[GroebnerBasis] = None

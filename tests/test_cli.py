@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from sl2betti import presentation
 from sl2betti.cli import run
 from conftest import J_TEXT
 
@@ -161,6 +162,31 @@ class TestResolveCommand:
         code = run([command, "1,1,1,2", "--format", "json"])
         assert code == 0
         assert capsys.readouterr().out == (data / f"{command}_1112.json").read_text()
+
+    def test_quintic_invariants_match_recorded_output(self, capsys):
+        # the degree-18 invariant of V5 comes out of a 967-column modular
+        # nullspace; the recorded output is the fraction-free one
+        data = Path(__file__).parent / "data"
+        code = run(["invariants", "5", "--format", "json"])
+        assert code == 0
+        assert capsys.readouterr().out == (data / "invariants_5.json").read_text()
+
+    def test_failed_certificate_exits_one_and_names_it(self, monkeypatch, capsys):
+        # an invariant count one short at degree 4 makes the degree-4 kernel
+        # search return a vector that the substitution check rejects
+        true_dims = presentation.cs_total_dims
+
+        def short(spec, upto):
+            dims = true_dims(spec, upto)
+            dims[4] -= 1
+            return dims
+
+        monkeypatch.setattr(presentation, "cs_total_dims", short)
+        code = run(["kernel", "1,1,2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "check failed: degree 4: kernel vector not in the kernel\n"
+        assert "Traceback" not in captured.err
 
 
 class TestKernelCommand:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from sl2betti.invariants import (
+    _form_weight_counts,
     CoefficientRing,
     ProblemSpec,
     apply_operator,
@@ -86,6 +87,57 @@ class TestCayleySylvester:
             )
             assert totals[e] == by_cell
         assert totals[:4] == [1, 0, 4, 6]
+
+
+def reference_form_weight_counts(d, m):
+    """Weight distribution of degree-m monomials in the coefficients of V_d,
+    by the recursion over the coefficients that the knapsack replaced."""
+
+    table = {}
+
+    def rec(k, rem):
+        if k == d:
+            return {rem * (d - 2 * k): 1}
+        if (k, rem) not in table:
+            acc = table[k, rem] = {}
+            for e in range(rem + 1):
+                for w, c in rec(k + 1, rem - e).items():
+                    acc[e * (d - 2 * k) + w] = acc.get(e * (d - 2 * k) + w, 0) + c
+        return table[k, rem]
+
+    return rec(0, m)
+
+
+def reference_cs_total_dims(degrees, upto):
+    """The two-level convolution the knapsack replaced: per form, every
+    split of the total degree, each form's table rebuilt per degree."""
+    acc = [{0: 1}] + [{} for _ in range(upto)]
+    for d in degrees:
+        nxt = [{} for _ in range(upto + 1)]
+        tables = [reference_form_weight_counts(d, m) for m in range(upto + 1)]
+        for e1 in range(upto + 1):
+            for m in range(upto + 1 - e1):
+                tgt = nxt[e1 + m]
+                for w1, c1 in acc[e1].items():
+                    for w2, c2 in tables[m].items():
+                        tgt[w1 + w2] = tgt.get(w1 + w2, 0) + c1 * c2
+        acc = nxt
+    return [acc[e].get(0, 0) - acc[e].get(2, 0) for e in range(upto + 1)]
+
+
+class TestWeightCountDP:
+    @pytest.mark.parametrize(
+        "degrees, upto", [((5,), 72), ((1, 1, 1, 2), 24), ((1, 1, 3), 24), ((2, 3), 20)]
+    )
+    def test_total_dims_match_convolution(self, degrees, upto):
+        assert cs_total_dims(ProblemSpec(degrees), upto) == reference_cs_total_dims(
+            degrees, upto
+        )
+
+    def test_form_counts_match_recursion(self):
+        # degrees out of order, so the doubling tables are extended and reused
+        for d, m in [(5, 3), (5, 17), (5, 0), (5, 8), (2, 9), (8, 12), (1, 1)]:
+            assert _form_weight_counts(d, m) == reference_form_weight_counts(d, m)
 
 
 class TestInvariantBasis:

@@ -4,10 +4,52 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sl2betti import linalg
 from sl2betti.linalg import Echelon, nullspace, primitive
+
+P0 = (1 << 61) - 1  # the first modulus of the modular nullspace
+
+
+def reference_nullspace(rows, columns, stop_rank=None):
+    """The fraction-free nullspace the modular one replaced: Echelon rows,
+    back-substitution in Fractions, one vector per free column."""
+    ech = Echelon()
+    for r in rows:
+        ech.add(r)
+        if stop_rank is not None and ech.rank >= stop_rank:
+            break
+    pivots = ech.pivot_columns()
+    basis = []
+    for f in columns:
+        if f in ech.rows:
+            continue
+        x = {f: Fraction(1)}
+        for p in reversed(pivots):
+            row = ech.rows[p]
+            s = sum((c * x[k] for k, c in row.items() if k != p and k in x), Fraction(0))
+            if s:
+                x[p] = -s / row[p]
+        basis.append(primitive(x, min(x))[0])
+    return basis
+
+
+@pytest.fixture()
+def primes_used(monkeypatch):
+    """The moduli of every modular elimination, with its rows read."""
+    calls = []
+    kernel_mod = linalg._kernel_mod
+
+    def spy(rows, columns, stop_rank, p):
+        out = kernel_mod(rows, columns, stop_rank, p)
+        calls.append((p, out[2]))
+        return out
+
+    monkeypatch.setattr(linalg, "_kernel_mod", spy)
+    return calls
 
 
 def test_primitive_clears_denominators():
@@ -97,6 +139,7 @@ def test_random_nullspace_annihilates():
             }
             rows.append({k: v for k, v in row.items() if v})
         basis = nullspace(rows, range(ncols))
+        assert basis == reference_nullspace(rows, range(ncols))
         ech = Echelon()
         for r in rows:
             ech.add(r)
@@ -105,3 +148,74 @@ def test_random_nullspace_annihilates():
             for r in rows:
                 assert sum(r.get(j, 0) * v.get(j, 0) for j in set(r) | set(v)) == 0
 
+
+def _random_rows(rng, nrows, ncols, bits, rank):
+    """nrows integer rows spanned by `rank` random rows (so of that rank for
+    these seeds), entries of about `bits` bits, shuffled."""
+    base = [
+        {j: rng.randint(-(1 << bits), 1 << bits) for j in range(ncols) if rng.random() < 0.8}
+        for _ in range(rank)
+    ]
+    rows = list(base)
+    while len(rows) < nrows:
+        a, b = rng.sample(base, 2)
+        u, v = rng.randint(-9, 9), rng.randint(-9, 9)
+        row = {j: u * a.get(j, 0) + v * b.get(j, 0) for j in set(a) | set(b)}
+        rows.append({j: c for j, c in row.items() if c})
+    rng.shuffle(rows)
+    return [r for r in rows if r]
+
+
+def test_large_entries_need_several_primes(primes_used):
+    rng = random.Random(5)
+    for _ in range(6):
+        rank = rng.randint(2, 4)
+        ncols = rank + rng.randint(1, 3)
+        rows = _random_rows(rng, rank + 2, ncols, 200, rank)
+        got = nullspace(rows, range(ncols))
+        assert got == reference_nullspace(rows, range(ncols))
+        # kernel entries are rank x rank minors, far beyond one 61-bit prime
+        assert len(primes_used) > 2
+        assert max(abs(c) for v in got for c in v.values()).bit_length() > 200
+        primes_used.clear()
+
+
+def test_singular_modulo_first_prime_retries(primes_used):
+    # det = P0: full rank over Q, rank 1 modulo the first prime
+    rows = [{0: 1, 1: 1}, {0: 1, 1: 1 + P0}]
+    assert nullspace(rows, range(2)) == []
+    assert [p for p, _ in primes_used][:1] == [P0] and len(primes_used) == 2
+    primes_used.clear()
+    # the first prime moves the pivot from column 0 to column 1
+    rows = [{0: P0, 1: 1, 2: 3}, {1: 2, 2: 5}]
+    got = nullspace(rows, range(3))
+    assert got == reference_nullspace(rows, range(3))
+    assert got == [{0: 1, 1: 5 * P0, 2: -2 * P0}]
+    assert len(primes_used) > 1
+
+
+@pytest.mark.parametrize("reached", [True, False])
+def test_stop_rank(reached, primes_used):
+    rng = random.Random(7 + reached)
+    for _ in range(5):
+        rank, ncols = 3, 6
+        rows = _random_rows(rng, 8, ncols, 30, rank)
+        stop = rank if reached else rank + 1
+        got = nullspace(rows, range(ncols), stop_rank=stop)
+        assert got == reference_nullspace(rows, range(ncols))
+        assert got == reference_nullspace(rows, range(ncols), stop_rank=stop)
+        # the rows read stop at the bound, or run out without reaching it
+        assert all((used < len(rows)) == reached for _, used in primes_used)
+        primes_used.clear()
+
+
+def test_primes_are_the_primes_from_2_61():
+    gen = linalg._primes()
+    got = [next(gen) for _ in range(4)]
+    assert got == [P0, P0 + 16, P0 + 22, P0 + 58]
+    assert [n for n in range(1, 60) if linalg._is_prime(n)] == [
+        2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
+    ]
+    # strong pseudoprimes to several small bases
+    assert not linalg._is_prime(3215031751)
+    assert not linalg._is_prime(3825123056546413051)
