@@ -83,10 +83,6 @@ class CoefficientRing:
         return tuple(md)
 
 
-def coefficient_ring(spec: ProblemSpec) -> CoefficientRing:
-    return CoefficientRing(spec.degrees)
-
-
 # ---------------------------------------------------------------------------
 # sl2 action
 # ---------------------------------------------------------------------------

@@ -82,15 +82,6 @@ def weighted_degree(m: Exponent, ring: GradedRing) -> int:
 def monomial_mul(a: Exponent, b: Exponent) -> Exponent:
     return tuple(map(add, a, b))
 
-def monomial_div(a: Exponent, b: Exponent) -> Optional[Exponent]:
-    """a / b as a monomial, or None when b does not divide a."""
-    out = []
-    for x, y in zip(a, b):
-        if x < y:
-            return None
-        out.append(x - y)
-    return tuple(out)
-
 def monomial_divides(b: Exponent, a: Exponent) -> bool:
     return all(y <= x for x, y in zip(a, b))
 

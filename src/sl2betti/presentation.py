@@ -6,6 +6,16 @@ provided: `kernel` eliminates the coefficient variables from the ideal
 explicit generator list; `present` drives the full pipeline and finds the
 kernel degree by degree with exact linear algebra, certified against the
 combinatorial dimension count up to a stated horizon.
+
+The degree-by-degree route works on the slice a0 = 1, a1 = 0 of the first
+form.  A polynomial G in SL2-invariants is itself invariant, and on the
+dense set a0 != 0 the unipotent x -> x + s*y sets a1 to 0 and the torus
+then scales a0 to 1 (the Tschirnhaus reduction; Olver, Classical Invariant
+Theory, 1999).  So every orbit there meets the slice, and G = 0 exactly
+when G vanishes on the slice.  Products restricted to the slice have far
+fewer terms.  The argument needs invariant images, so `kernel_by_degrees`
+checks them first; `kernel` and `substitute` without a cache, which take
+arbitrary images, keep the full products.
 """
 
 from __future__ import annotations
@@ -23,8 +33,10 @@ from .groebner import (
     standard_monomials,
 )
 from .invariants import (
+    CoefficientRing,
     GeneratorSet,
     ProblemSpec,
+    apply_operator,
     cs_total_dims,
     minimal_invariant_generators,
 )
@@ -73,11 +85,15 @@ class _ImageCache:
 
     Target-ring exponents are bit-packed into single integers so that the
     product inner loop is integer addition; `unpack` restores tuples.
+
+    With `on_slice`, every normalized image is first restricted to the slice
+    a0 = 1, a1 = 0 (see `_on_slice`), so the cache holds the restrictions of
+    the products.  Only invariant images may be restricted.
     """
 
     PACK_BITS = MAX_EXPONENT.bit_length()
 
-    def __init__(self, amap: AlgebraMap):
+    def __init__(self, amap: AlgebraMap, on_slice: bool = False):
         self.amap = amap
         self.nvars_t = amap.target_ring.nvars
         self.images: List[Dict[int, int]] = []
@@ -85,10 +101,12 @@ class _ImageCache:
         # per image, the largest exponent of any variable in any term
         self.max_exps: List[int] = []
         for f in amap.images:
-            top = max(max(m, default=0) for m in f.terms)
+            ints, (den, g) = primitive(f.terms, f.leading_monomial())
+            if on_slice:
+                ints = _on_slice(ints)
+            top = max(max(m, default=0) for m in ints)
             self._guard(top)
             self.max_exps.append(top)
-            ints, (den, g) = primitive(f.terms, f.leading_monomial())
             self.image_factors.append(Fraction(g, den))
             self.images.append({self._pack(m): c for m, c in ints.items()})
         self.cache: Dict[Exponent, Dict[int, int]] = {}
@@ -153,8 +171,36 @@ class _ImageCache:
         return out
 
 
+def _on_slice(terms: Dict[Exponent, int]) -> Dict[Exponent, int]:
+    """Restriction to a0 = 1, a1 = 0, target variables 0 and 1: terms with
+    a1 > 0 are dropped and the exponent of a0 is set to 0.  This is a ring
+    homomorphism, so it commutes with the products of the cache, and it
+    never raises an exponent, so the exponent guard stays sound."""
+    out: Dict[Exponent, int] = {}
+    for m, c in terms.items():
+        if not m[1]:
+            key = (0,) + m[1:]
+            out[key] = out.get(key, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def _check_invariant(amap: AlgebraMap, spec: ProblemSpec) -> None:
+    """Raise ValueError unless every image is an SL2-invariant of the forms
+    of spec: a polynomial of the coefficient ring whose terms all have
+    sl2-weight 0 and which the raising operator kills.  Such an image spans
+    a trivial sl2-module, so it is invariant under the connected group SL2."""
+    cring = CoefficientRing(spec.degrees)
+    for i, f in enumerate(amap.images, 1):
+        if f.ring != cring.ring:
+            raise ValueError(f"image {i} is not in the coefficient ring of {spec.degrees}")
+        if any(map(cring.sl2_weight, f.terms)) or not apply_operator(
+            "raising", f, cring
+        ).is_zero():
+            raise ValueError(f"image {i} is not an SL2-invariant")
+
+
 def substitute(amap: AlgebraMap, p: Polynomial, cache: Optional[_ImageCache] = None) -> Polynomial:
-    """phi(p), exact."""
+    """phi(p), exact; with a cache built on the slice, its restriction there."""
     if p.ring != amap.source:
         raise ValueError("polynomial is not in the source ring of the map")
     cache = cache or _ImageCache(amap)
@@ -250,10 +296,19 @@ def kernel_by_degrees(
     e <= horizon, which certifies completeness through that range.  A degree
     whose dimensions cannot be matched raises, so a returned result is
     always certified.
+
+    The images must be SL2-invariants of the forms of spec; this is checked
+    first, and a ValueError is raised otherwise.  That makes the slice
+    argument of the module docstring apply: the degree-e matrices and the
+    exact substitution check use the images restricted to a0 = 1, a1 = 0,
+    and a combination of products vanishes on the slice exactly when it
+    vanishes.  So each matrix has the kernel of the full one, and the
+    normalized relations are the same polynomials.
     """
     src = amap.source
     cs = cs_total_dims(spec, horizon)
-    cache = _ImageCache(amap)
+    _check_invariant(amap, spec)
+    cache = _ImageCache(amap, on_slice=True)
     keyfn = WEIGHTED.key_function(src)
     gens: List[Polynomial] = []
     gb: Optional[GroebnerBasis] = None

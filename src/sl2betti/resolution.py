@@ -499,17 +499,21 @@ def koszul_betti(
         base_index[key] = {b: k for k, b in enumerate(out)}
         return out
 
-    def differential_rank(i: int, j: int) -> int:
-        """Rank of the strand map (K_i (x) R/I)_j -> (K_{i-1} (x) R/I)_j."""
-        if i < 1 or i > m:
-            return 0
+    def differential_rank(i: int, j: int, bound: int) -> int:
+        """Rank of the strand map (K_i (x) R/I)_j -> (K_{i-1} (x) R/I)_j.
+
+        `bound` is dim K_{i-1,j} - rank d_{i-1,j}, the dimension of the
+        kernel of d_{i-1}, which contains the image of d_i; once the rank
+        reaches it, the remaining columns cannot add to it.
+        """
         dom = strand_basis(i, j)
         if not dom:
             return 0
-        strand_basis(i - 1, j)
         idx = base_index[(i - 1, j)]
         ech = Echelon()
         for (S, u) in dom:
+            if ech.rank == bound:
+                break
             colvec: Dict[int, object] = {}
             for k, t in enumerate(S):
                 S2 = S[:k] + S[k + 1:]
@@ -536,10 +540,9 @@ def koszul_betti(
     entries: Dict[Tuple[int, int], int] = {}
     for j in range(j_cap + 1):
         ranks: Dict[int, int] = {}
-        for i in range(m + 1):
-            if i == 0:
-                continue
-            ranks[i] = differential_rank(i, j)
+        for i in range(1, m + 1):
+            bound = len(strand_basis(i - 1, j)) - ranks.get(i - 1, 0)
+            ranks[i] = differential_rank(i, j, bound)
         ranks[m + 1] = 0
         for i in range(m + 1):
             dim = len(strand_basis(i, j))

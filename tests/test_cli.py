@@ -163,6 +163,16 @@ class TestResolveCommand:
         assert code == 0
         assert capsys.readouterr().out == (data / f"{command}_1112.json").read_text()
 
+    @pytest.mark.parametrize("degrees, name", [("5", "5"), ("4,4", "44")])
+    def test_sliced_kernel_matches_recorded_outputs(self, degrees, name, capsys):
+        # the degree-certified kernel runs on the slice a0 = 1, a1 = 0 of the
+        # first form; V5 has the degree-36 relation, and for V4+V4 the slice
+        # fixes only the first of the two forms
+        data = Path(__file__).parent / "data"
+        code = run(["kernel", degrees, "--format", "json"])
+        assert code == 0
+        assert capsys.readouterr().out == (data / f"kernel_{name}.json").read_text()
+
     def test_quintic_invariants_match_recorded_output(self, capsys):
         # the degree-18 invariant of V5 comes out of a 967-column modular
         # nullspace; the recorded output is the fraction-free one

@@ -5,7 +5,12 @@ from collections import Counter
 import pytest
 
 from sl2betti.groebner import Ideal, hilbert_series_quotient, ideals_equal, minimal_generators
-from sl2betti.invariants import ProblemSpec, cs_total_dims, minimal_invariant_generators
+from sl2betti.invariants import (
+    CoefficientRing,
+    ProblemSpec,
+    cs_total_dims,
+    minimal_invariant_generators,
+)
 from sl2betti.poly import GradedRing
 from sl2betti.presentation import (
     AlgebraMap,
@@ -39,6 +44,15 @@ class TestAlgebraMap:
         t = cring.variable(0)
         assert substitute(amap, y * y - x * x * x).is_zero()
         assert substitute(amap, x * y) == t ** 5
+
+    def test_substitute_keeps_full_images(self):
+        # without a cache the images are not restricted to the slice
+        # a0 = 1, a1 = 0, where the discriminant of V2 leaves only x2
+        gs = minimal_invariant_generators(ProblemSpec((2,), 2))
+        amap = algebra_map_from_generators(gs)
+        f = amap.source.variable(0)
+        assert substitute(amap, f * f) == gs.generators[0] ** 2
+        assert len(substitute(amap, f).terms) == 2
 
     def test_exponent_limit_guarded(self):
         # exponents above 4095 would carry into the neighbouring packed field
@@ -144,6 +158,26 @@ class TestKernelByDegrees:
         amap = algebra_map_from_generators(crippled)
         with pytest.raises(ValueError):
             kernel_by_degrees(amap, spec, 8)
+
+    def test_non_invariant_images_refused(self):
+        # the kernel runs on the slice a0 = 1, a1 = 0, which is exact only
+        # for invariants; x0 and x1 have sl2-weights 2 and 0 and restrict to
+        # 1 and 0 there
+        spec = ProblemSpec((2,), 2)
+        cring = CoefficientRing(spec.degrees)
+        x0, x1, x2 = (cring.ring.variable(i) for i in range(3))
+        amap = AlgebraMap(GradedRing(("f1", "f2"), (1, 1)), [x0, x1])
+        with pytest.raises(ValueError, match="not an SL2-invariant"):
+            kernel_by_degrees(amap, spec, 4)
+        # sl2-weight 0, but the raising operator maps x0*x2 to 2*x0*x1;
+        # unchecked, the slice would certify it as the invariant of V2
+        amap = AlgebraMap(GradedRing(("f1",), (2,)), [x0 * x2])
+        with pytest.raises(ValueError, match="not an SL2-invariant"):
+            kernel_by_degrees(amap, spec, 4)
+        # images outside the coefficient ring of V2
+        amap, _ = twisted_cubic_map()
+        with pytest.raises(ValueError, match="coefficient ring"):
+            kernel_by_degrees(amap, spec, 6)
 
 
 class TestPresent:
