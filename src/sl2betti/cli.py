@@ -37,7 +37,6 @@ from .poly import (
 )
 from .presentation import (
     AlgebraMap,
-    _free_hilbert_coefficients,
     kernel,
     present,
 )
@@ -54,6 +53,7 @@ from .resolution import (
     betti,
     format_resolution,
     koszul_betti,
+    regular_variables,
     resolve,
     verify_complex,
 )
@@ -137,10 +137,13 @@ def _poly_in_z(coeffs: Sequence[int]) -> str:
 def auto_koszul_cap(
     ring: GradedRing, hf: Sequence[int], j_star: int, budget: int = 2_000_000_000
 ) -> int:
-    """Largest shift cap whose estimated strand-elimination work fits the budget."""
-    m = ring.nvars
-    from math import comb
+    """Largest shift cap whose estimated strand-elimination work fits the budget.
 
+    ring and hf are the ring and the Hilbert function of the quotient the
+    strands are built over: for `koszul_betti`, the ideal modulo its
+    `regular_variables`.
+    """
+    m = ring.nvars
     # wsub[i][d] = number of i-subsets of the variables with weight sum d
     max_w = sum(ring.weights)
     wsub = [[0] * (max_w + 1) for _ in range(m + 1)]
@@ -167,8 +170,15 @@ def auto_koszul_cap(
     return cap
 
 
-def auto_exactness_cap(res: Resolution, e_star: int, budget: int = 60_000_000) -> int:
-    counts = _free_hilbert_coefficients(res.ring, e_star)
+def auto_exactness_cap(
+    ring: GradedRing, res: Resolution, e_star: int, budget: int = 60_000_000
+) -> int:
+    """Largest degree cap whose estimated exactness-check work fits the budget.
+
+    ring is the ring the strands are counted in: for `verify_complex`, the
+    ring of the variables that `regular_variables` does not keep.
+    """
+    counts = RationalSeries({0: 1}, ring.weights).coefficients(e_star)
     total = 0
     cap = 0
     for e in range(e_star + 1):
@@ -297,7 +307,10 @@ def verify_case(
     verdict = check_palindromy(table)
     say(CheckResult("palindromy", verdict.holds, str(verdict)))
 
-    e_cap = ecap if ecap is not None else auto_exactness_cap(res, table.j_star)
+    # both certificates run modulo the variables that are regular on R/I;
+    # their caps estimate that smaller work
+    reduced_ring = regular_variables(ideal)[1].ring
+    e_cap = ecap if ecap is not None else auto_exactness_cap(reduced_ring, res, table.j_star)
     comp = verify_complex(res, e_cap)
     say(
         CheckResult(
@@ -309,8 +322,9 @@ def verify_case(
     )
 
     if m:
-        hf = series_q.coefficients(table.j_star)
-        cap = jcap if jcap is not None else auto_koszul_cap(amap.source, hf, table.j_star)
+        # setting regular variables to 0 keeps the numerator of the series
+        hf = RationalSeries(series_q.numerator, reduced_ring.weights).coefficients(table.j_star)
+        cap = jcap if jcap is not None else auto_koszul_cap(reduced_ring, hf, table.j_star)
         kt = koszul_betti(ideal, cap)
         want = {k: v for k, v in rec.betti.items() if k[1] <= cap}
         say(

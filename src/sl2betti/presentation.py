@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .groebner import (
     GroebnerBasis,
     Ideal,
+    RationalSeries,
     buchberger,
     hilbert_series_quotient,
     monomials_of_degree,
@@ -312,7 +313,7 @@ def kernel_by_degrees(
     keyfn = WEIGHTED.key_function(src)
     gens: List[Polynomial] = []
     gb: Optional[GroebnerBasis] = None
-    hf: List[int] = _free_hilbert_coefficients(src, horizon)
+    hf: List[int] = RationalSeries({0: 1}, src.weights).coefficients(horizon)
     relation_degrees: List[int] = []
     for e in range(1, horizon + 1):
         need = hf[e] - cs[e]
@@ -365,15 +366,6 @@ def kernel_by_degrees(
         message=f"quotient dimensions match the invariant count for all degrees <= {horizon}",
     )
     return Ideal(src, gens), info
-
-
-def _free_hilbert_coefficients(ring: GradedRing, upto: int) -> List[int]:
-    c = [0] * (upto + 1)
-    c[0] = 1
-    for w in ring.weights:
-        for i in range(w, upto + 1):
-            c[i] += c[i - w]
-    return c
 
 
 def default_horizon(relation_degrees: Sequence[int], weights: Sequence[int]) -> int:

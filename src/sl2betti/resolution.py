@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from operator import add
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -24,10 +25,12 @@ from .groebner import (
     GroebnerBasis,
     Ideal,
     ModMono,
+    RationalSeries,
     Reducer,
     _poly_to_mvec,
     base_keyfn,
     buchberger,
+    hilbert_series_quotient,
     monomials_of_degree,
     standard_monomials,
 )
@@ -402,6 +405,73 @@ def betti(res: Resolution) -> BettiTable:
 
 
 # ---------------------------------------------------------------------------
+# regular sequences of variables
+# ---------------------------------------------------------------------------
+
+def _set_to_zero(p: Polynomial, target: GradedRing, rest: Sequence[int]) -> Polynomial:
+    """p with the variables outside `rest` set to 0, as an element of `target`,
+    the ring of the variables in `rest`."""
+    terms: Dict[Exponent, Fraction] = {}
+    for m, c in p.terms.items():
+        if sum(m) == sum(m[v] for v in rest):
+            terms[tuple(m[v] for v in rest)] = c
+    return Polynomial._raw(target, terms)
+
+
+def _without(ring: GradedRing, dropped: Sequence[int]) -> Tuple[GradedRing, List[int]]:
+    rest = [v for v in range(ring.nvars) if v not in dropped]
+    return (
+        GradedRing(tuple(ring.names[v] for v in rest), tuple(ring.weights[v] for v in rest)),
+        rest,
+    )
+
+
+def regular_variables(I: Ideal) -> Tuple[Tuple[int, ...], Ideal]:
+    """Variables that form a regular sequence on R/I, and I modulo them.
+
+    The variables are tried in index order.  x_v is kept when, with J the
+    ideal I plus the variables kept so far,
+    HS(R/(J + x_v)) = (1 - t^w_v) HS(R/J), an exact identity of rational
+    series.  By the exact sequence
+    0 -> (0:x)(-w) -> M(-w) -> M -> M/xM -> 0 for M = R/J it holds iff x_v is
+    a nonzerodivisor on M.  Setting the kept variables to 0 gives the second
+    result, an ideal of the ring of the other variables (same names and
+    weights).  Its graded Betti numbers over that ring are those of R/I over
+    R (Bruns-Herzog, Cohen-Macaulay Rings, 1993, section 1.1).
+    """
+    kept, ring, gens = _regular_variables(
+        I.ring, tuple(frozenset(g.terms.items()) for g in I.generators)
+    )
+    return kept, Ideal(ring, [Polynomial._raw(ring, dict(g)) for g in gens])
+
+
+# `cli.verify_case` asks for the same ideal three times: for the caps, for
+# the oracle and for the exactness check (as the image of d_1)
+@lru_cache(maxsize=4)
+def _regular_variables(
+    ring: GradedRing, gens: Tuple[frozenset, ...]
+) -> Tuple[Tuple[int, ...], GradedRing, Tuple[frozenset, ...]]:
+    I = Ideal(ring, [Polynomial._raw(ring, dict(g)) for g in gens])
+    kept: List[int] = []
+    reduced = I
+    series = hilbert_series_quotient(I)
+    for v in range(ring.nvars):
+        target, rest = _without(ring, kept + [v])
+        trial = Ideal(target, [_set_to_zero(g, target, rest) for g in I.generators])
+        got = hilbert_series_quotient(trial)
+        # (1 - t^w_v) HS(R/J): the numerator of HS(R/J) over the
+        # denominator of the smaller ring
+        if got.equals(RationalSeries(series.numerator, target.weights)):
+            kept.append(v)
+            reduced, series = trial, got
+    return (
+        tuple(kept),
+        reduced.ring,
+        tuple(frozenset(g.terms.items()) for g in reduced.generators),
+    )
+
+
+# ---------------------------------------------------------------------------
 # Koszul homology oracle
 # ---------------------------------------------------------------------------
 
@@ -455,21 +525,19 @@ class _NormalFormTable:
         return out
 
 
-def koszul_betti(
-    I: Ideal,
-    j_cap: int,
-    ring: Optional[GradedRing] = None,
-    order: MonomialOrder = WEIGHTED,
-) -> BettiTable:
+def koszul_betti(I: Ideal, j_cap: int, order: MonomialOrder = WEIGHTED) -> BettiTable:
     """Betti numbers up to shift j_cap via Koszul strand homology.
 
     beta_{i,j} = dim of the degree-j strand homology of K(x_1..x_m) (x) R/I,
     computed degreewise by exact linear algebra; independent of any
-    resolution.  Cost grows quickly with j_cap, which the caller bounds.
+    resolution.  The strands are built over I modulo its `regular_variables`,
+    which has the same Betti numbers in fewer variables.  Cost grows quickly
+    with j_cap, which the caller bounds.
     """
-    ring = ring or I.ring
     if not I.is_homogeneous():
         raise ValueError("koszul_betti requires a homogeneous ideal")
+    _, I = regular_variables(I)
+    ring = I.ring
     gb = buchberger(I, order, track_cofactors=False)
     table = _NormalFormTable(gb)
     m = ring.nvars
@@ -616,14 +684,24 @@ def verify_complex(res: Resolution, e_cap: int) -> ComplexReport:
                         f"entry ({r},{c}) of d_{i} is not homogeneous of the right degree",
                         ("degree", i, -1),
                     )
-    # degreewise exactness at F_i, i >= 1; the ranks of d_{i+1} found at
-    # level i are those of level i + 1
+    # degreewise exactness at F_i, i >= 1, on F (x) R/(x_v : v kept) with
+    # the variables kept by `regular_variables` on the image of d_1 (F_0 = R).
+    # H_i(F/xF)_e = 0 for e <= e_cap forces H_i(F)_e = x H_i(F)_{e-w} = 0 for
+    # any x of positive degree (graded Nakayama, induction on e), and the
+    # kept variables are regular on H_0 = R/I, so F/xF is exact in those
+    # degrees whenever F is.  The ranks of d_{i+1} found at level i are
+    # those of level i + 1.
+    image = [p for d1 in res.differentials[:1] for col in d1.values() for p in col.values()]
+    kept, _ = regular_variables(Ideal(ring, image))
+    red = _modulo_variables(res, kept)
+    counts = RationalSeries({0: 1}, red.ring.weights).coefficients(e_cap)
+    monos: Dict[int, List[Exponent]] = {}
     degrees = range(e_cap + 1)
-    ranks = [_strand_rank(res, 1, e) for e in degrees]
+    ranks = [_strand_rank(red, 1, e, monos) for e in degrees]
     for i in range(1, res.length + 1):
-        ranks_next = [_strand_rank(res, i + 1, e) for e in degrees]
+        ranks_next = [_strand_rank(red, i + 1, e, monos) for e in degrees]
         for e in degrees:
-            ker = _strand_dim(res, i, e) - ranks[e]
+            ker = _strand_dim(red, i, e, counts) - ranks[e]
             im_next = ranks_next[e]
             if ker != im_next:
                 return ComplexReport(
@@ -635,22 +713,34 @@ def verify_complex(res: Resolution, e_cap: int) -> ComplexReport:
     return ComplexReport(True, f"d o d = 0, homogeneous, exact for degrees <= {e_cap}")
 
 
-def _strand_dim(res: Resolution, i: int, e: int) -> int:
-    mod = res.modules[i]
-    total = 0
-    for s in mod.shifts:
-        if e - s >= 0:
-            total += len(monomials_of_degree(res.ring, e - s))
-    return total
+def _modulo_variables(res: Resolution, dropped: Sequence[int]) -> Resolution:
+    """F (x) R/(x_v : v in dropped), over the ring of the other variables."""
+    ring, rest = _without(res.ring, dropped)
+    diffs: List[Matrix] = []
+    for d in res.differentials:
+        out: Matrix = {}
+        for c, rows in d.items():
+            col = {r: _set_to_zero(p, ring, rest) for r, p in rows.items()}
+            out[c] = {r: p for r, p in col.items() if not p.is_zero()}
+        diffs.append(out)
+    return Resolution(ring, list(res.modules), diffs)
 
 
-def _strand_rank(res: Resolution, i: int, e: int) -> int:
-    """Rank of (d_i)_e by exact elimination."""
+def _strand_dim(res: Resolution, i: int, e: int, counts: Sequence[int]) -> int:
+    """dim (F_i)_e, with counts[d] the number of monomials of degree d."""
+    return sum(counts[e - s] for s in res.modules[i].shifts if e - s >= 0)
+
+
+def _strand_rank(
+    res: Resolution, i: int, e: int, monos: Dict[int, List[Exponent]]
+) -> int:
+    """Rank of (d_i)_e by exact elimination; `monos` caches the monomials
+    of each degree."""
     if i < 1 or i > res.length:
         return 0
     ring = res.ring
     d = res.differential(i)
-    hi, lo = res.modules[i], res.modules[i - 1]
+    hi = res.modules[i]
     # row coordinates: (target gen, monomial)
     row_index: Dict[Tuple[int, Exponent], int] = {}
 
@@ -663,14 +753,17 @@ def _strand_rank(res: Resolution, i: int, e: int) -> int:
 
     ech = Echelon()
     for c in sorted(d):
-        s_c = hi.shifts[c]
-        if e - s_c < 0:
+        deg = e - hi.shifts[c]
+        if deg < 0:
             continue
+        mults = monos.get(deg)
+        if mults is None:
+            mults = monos[deg] = monomials_of_degree(ring, deg)
         # the column as coprime integers: scaling does not change the rank
         col, _ = primitive(
             {(r, m): coef for r, p in d[c].items() for m, coef in p.terms.items()}
         )
-        for mult in monomials_of_degree(ring, e - s_c):
+        for mult in mults:
             vec = {row_id((r, monomial_mul(m, mult))): coef for (r, m), coef in col.items()}
             if vec:
                 ech.add(vec)

@@ -1,12 +1,11 @@
 """Acceptance suite: the nine exit criteria, one printed line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines.  Every tolerance is exact (integer equality); the only relaxations
-are the two documented infeasibility caps in criterion 5 (V1+3V2 and 4V2
-cannot run the Koszul oracle at full j* at desk scale; the oracle runs to
-a stated cap there) and the two documented exclusions in criterion 8 (V1
-and V2 have positive-dimensional generic stabilizers, so the dimension
-count behind the length formula does not apply to them).
+lines.  Every tolerance is exact (integer equality); the Koszul oracle of
+criterion 5 runs to full j* on every case, and the only relaxations are
+the two documented exclusions in criterion 8 (V1 and V2 have
+positive-dimensional generic stabilizers, so the dimension count behind
+the length formula does not apply to them).
 """
 
 import random
@@ -41,6 +40,7 @@ from sl2betti.resolution import (
     betti,
     koszul_betti,
     minimize,
+    regular_variables,
     resolve,
     verify_complex,
 )
@@ -174,11 +174,6 @@ def test_criterion_4_hd_2_to_5(pipelines):
     _announce(4, ok, "; ".join(details))
 
 
-# documented infeasibility: full-j* Koszul strand elimination for these two
-# costs ~2e13 exact row operations (days); the oracle runs to the stated cap
-KOSZUL_SHORTFALL = {"V1+3V2", "4V2"}
-
-
 def test_criterion_5_oracle_equivalence(pipelines, paper_ring, paper_J):
     ok = True
     details = []
@@ -187,19 +182,15 @@ def test_criterion_5_oracle_equivalence(pipelines, paper_ring, paper_J):
         table = data["table"]
         if not data["genset"].generators:
             continue
-        source = data["amap"].source
-        hs = hilbert_series_quotient(data["ideal"], source)
-        cap = auto_koszul_cap(source, hs.coefficients(table.j_star), table.j_star)
-        if rec.label in KOSZUL_SHORTFALL:
-            assert cap < table.j_star
-            details.append(f"{rec.label} capped at {cap} of j*={table.j_star}")
-        else:
-            assert cap >= table.j_star, f"{rec.label} unexpectedly capped at {cap}"
-            cap = table.j_star
-            details.append(f"{rec.label} full")
-        kt = koszul_betti(data["ideal"], cap)
-        want = {k: v for k, v in table.entries.items() if k[1] <= cap}
-        ok = ok and kt.entries == want
+        # the budget is estimated on the ideal modulo its regular variables,
+        # the quotient the oracle builds its strands over
+        reduced = regular_variables(data["ideal"])[1]
+        hs = hilbert_series_quotient(reduced)
+        cap = auto_koszul_cap(reduced.ring, hs.coefficients(table.j_star), table.j_star)
+        assert cap >= table.j_star, f"{rec.label} capped at {cap} of j*={table.j_star}"
+        details.append(f"{rec.label} full")
+        kt = koszul_betti(data["ideal"], table.j_star)
+        ok = ok and kt.entries == table.entries
     # 50 random homogeneous ideals, <= 4 vars, <= 4 gens, degree <= 3
     rng = random.Random(2024)
     done = 0
@@ -306,7 +297,7 @@ class TestCriterion9Properties:
         ok = True
         for label in ("3V1+V2", "V3+V3", "5V1"):
             data = pipelines.get(label)
-            rep = verify_complex(data["res"], min(data["table"].j_star, 14))
+            rep = verify_complex(data["res"], data["table"].j_star)
             ok = ok and rep.ok
         _announce("9b", ok, "d o d = 0 and differential homogeneity on three cases")
 

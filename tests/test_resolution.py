@@ -24,6 +24,7 @@ from sl2betti.resolution import (
     format_resolution,
     koszul_betti,
     minimize,
+    regular_variables,
     resolve,
     schreyer_keyfn,
     verify_complex,
@@ -308,15 +309,18 @@ class TestKoszulOracle:
         assert t.entries == {(0, 0): 1, (1, 2): 2, (2, 3): 1}
 
     def test_worked_case_full_range(self, paper_ring, paper_J, worked_resolution, monkeypatch):
-        # a strand rank stops growing at dim ker d_{i-1}; the loop that
-        # stops there adds fewer than the 144,218 columns of the full loop,
-        # and the table is unchanged
+        # the strands are built modulo x1, x2, x7, x8, a regular sequence on
+        # R/J, and a strand rank stops growing at dim ker d_{i-1}: 4,016
+        # columns against the 144,218 of the full loop over all ten
+        # variables, and the table is unchanged
+        I = Ideal(paper_ring, paper_J)
+        assert regular_variables(I)[0] == (0, 1, 6, 7)
         adds = []
         add = Echelon.add
         monkeypatch.setattr(Echelon, "add", lambda self, vec: adds.append(1) or add(self, vec))
-        t = koszul_betti(Ideal(paper_ring, paper_J), 17)
+        t = koszul_betti(I, 17)
         assert t.entries == WORKED_BETTI
-        assert len(adds) < 144218
+        assert len(adds) <= 4016
 
     def test_oracle_equivalence_random(self):
         rng = random.Random(41)
@@ -343,6 +347,64 @@ class TestKoszulOracle:
             t = betti(minimize(resolve(I)))
             k = koszul_betti(I_raw, t.j_star)
             assert t.entries == k.entries, (trial, [str(g) for g in gens])
+
+
+class TestRegularVariables:
+    def test_product_keeps_no_variable(self):
+        R = GradedRing(("x", "y"), (1, 1))
+        x, y = R.variable(0), R.variable(1)
+        kept, reduced = regular_variables(Ideal(R, [x * y]))
+        assert kept == () and reduced.ring == R
+
+    def test_product_keeps_free_variable(self):
+        R = GradedRing(("x", "y", "z"), (1, 1, 1))
+        x, y = R.variable(0), R.variable(1)
+        kept, reduced = regular_variables(Ideal(R, [x * y]))
+        assert kept == (2,)
+        assert reduced.ring == GradedRing(("x", "y"), (1, 1))
+
+    def test_square_keeps_other_variable(self):
+        R = GradedRing(("x", "y"), (1, 1))
+        x = R.variable(0)
+        kept, reduced = regular_variables(Ideal(R, [x * x]))
+        assert kept == (1,)
+        assert [str(g) for g in reduced.generators] == ["x^2"]
+
+    def test_padded_random_ideals(self):
+        # variables the generators do not use are regular on R/I wherever
+        # they sit, and the oracle over the reduced ideal still gives the
+        # table of resolve
+        rng = random.Random(77)
+        done = 0
+        while done < 12:
+            n = rng.randint(2, 4)
+            width = n + rng.randint(1, 2)
+            used = sorted(rng.sample(range(width), n))
+            R = GradedRing(
+                tuple(f"x{v}" for v in range(width)),
+                tuple(1 if v in used else rng.randint(1, 3) for v in range(width)),
+            )
+            small = GradedRing(tuple(f"x{v}" for v in used), (1,) * n)
+            gens = []
+            for _ in range(rng.randint(1, 3)):
+                terms = {}
+                for m in monomials_of_degree(small, rng.randint(1, 3)):
+                    if rng.random() < 0.4:
+                        e = [0] * width
+                        for v, k in zip(used, m):
+                            e[v] = k
+                        terms[tuple(e)] = Fraction(rng.randint(-3, 3))
+                p = Polynomial(R, terms)
+                if not p.is_zero():
+                    gens.append(p)
+            if not gens:
+                continue
+            I = minimal_ideal(R, gens)
+            kept, _ = regular_variables(I)
+            assert set(range(width)) - set(used) <= set(kept), (kept, used)
+            t = betti(minimize(resolve(I)))
+            assert koszul_betti(I, t.j_star).entries == t.entries
+            done += 1
 
 
 class TestResolutionDump:
@@ -381,6 +443,19 @@ class TestVerifyComplex:
         )
         rep = verify_complex(bad, 10)
         assert not rep.ok and rep.failure[0] == "dd"
+
+    @pytest.mark.parametrize("level, failure", [
+        (1, ("exactness", 1, 8)),
+        (2, ("exactness", 2, 11)),
+        (3, ("exactness", 3, 17)),
+    ])
+    def test_truncated_resolution_not_exact(self, paper_ring, paper_J, level, failure):
+        # the paper's J resolved and cut after d_level: the first homology
+        # sits at F_level in the degree of the first dropped syzygy
+        res = resolve(Ideal(paper_ring, paper_J))
+        cut = Resolution(paper_ring, res.modules[: level + 1], res.differentials[:level])
+        rep = verify_complex(cut, 17)
+        assert not rep.ok and rep.failure == failure
 
     def test_trivial_complex(self):
         R = GradedRing(("x",), (1,))
