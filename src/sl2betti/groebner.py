@@ -7,7 +7,8 @@ criteria, and every treated pair that reduces to zero leaves a syzygy trace
 expressed over the original inputs.  Those traces are what the resolution
 module consumes.  `Reducer` is the division step on its own; the engine
 extends it, and `normal_form` and the Koszul oracle's normal-form table
-use it directly.
+use it directly.  Inside them a module monomial is one int, its
+`ModuleKey` value; exponent tuples are decoded only at the edges.
 """
 
 from __future__ import annotations
@@ -16,14 +17,17 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, neg, sub
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from operator import add, mul, sub
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .linalg import Echelon, primitive
 from .poly import (
+    FIELD_BITS,
+    MAX_EXPONENT,
     Exponent,
     GradedRing,
     MonomialOrder,
+    PackedKey,
     Polynomial,
     RingMismatchError,
     WEIGHTED,
@@ -34,6 +38,7 @@ from .poly import (
 
 ModMono = Tuple[int, Exponent]          # (position, exponent)
 MVec = Dict[ModMono, int]               # integer module element
+KVec = Dict[int, int]                   # the same, keyed by ModuleKey values
 
 
 @dataclass
@@ -56,6 +61,110 @@ class Ideal:
 
 
 # ---------------------------------------------------------------------------
+# module orders as integers
+# ---------------------------------------------------------------------------
+
+def exponent_overflow() -> ValueError:
+    return ValueError(f"an exponent exceeds the supported maximum {MAX_EXPONENT}")
+
+
+class ModuleKey:
+    """A module order as one int: key(pos, m) = base(prods[pos] * m) << tie_bits | ties[pos].
+
+    base is the ring order's `PackedKey`, so the key is affine in m:
+    key(pos, m * q) = key(pos, m) + key(pos, q) - key(pos, 1).  prods[pos]
+    is the monomial position pos stands for in the ring (1 in a free
+    module, the product of the Schreyer tags in a resolution), and
+    ties[pos] < 2**tie_bits the position tie-break, whose lowest pos_bits
+    bits are rank - 1 - pos.  So the lowest tie_bits + nvars*FIELD_BITS
+    bits of a key hold the position and MAX_EXPONENT - e[i] for the
+    exponent e of prods[pos] * m, with every guard bit clear.
+
+    `ModuleKey(base)` is the ring order on the rank-one module R, where
+    every resolution starts; `induced` builds the Schreyer order of the
+    next module.
+    """
+
+    __slots__ = ("base", "prods", "ties", "tie_bits", "pos_mask", "top", "consts",
+                 "coeffs", "low", "guard", "value", "_shifts", "_monos")
+
+    def __init__(self, base: PackedKey) -> None:
+        self._layout(base, [(0,) * base.nvars], [0], 0, 0)
+
+    def induced(self, tags: Sequence[ModMono]) -> "ModuleKey":
+        """Order induced by the leading terms tags, position tie-break.
+
+        The same total order as the composition
+        key(pos, m) = (self((tpos, tmono * m)), -pos) with (tpos, tmono) = tags[pos]:
+        position pos stands for prods[tpos] * tmono, and its tie is
+        ties[tpos] << b | (rank - 1 - pos), the lowest level most
+        significant, with b the bits of rank - 1.
+        """
+        rank = len(tags)
+        bits = max(rank - 1, 0).bit_length()
+        key = ModuleKey.__new__(ModuleKey)
+        key._layout(
+            self.base,
+            [monomial_mul(self.prods[tpos], tmono) for tpos, tmono in tags],
+            [self.ties[tpos] << bits | (rank - 1 - pos) for pos, (tpos, _) in enumerate(tags)],
+            self.tie_bits + bits,
+            bits,
+        )
+        return key
+
+    def _layout(
+        self,
+        base: PackedKey,
+        prods: Sequence[Exponent],
+        ties: Sequence[int],
+        tie_bits: int,
+        pos_bits: int,
+    ) -> None:
+        self.base = base
+        self.prods = tuple(prods)
+        self.ties = tuple(ties)
+        self.tie_bits = tie_bits
+        self.pos_mask = (1 << pos_bits) - 1
+        self.top = len(self.ties) - 1
+        # key(pos, m) = consts[pos] + sum(m[i] * coeffs[i])
+        self.consts = tuple(base(p) << tie_bits | t for p, t in zip(self.prods, self.ties))
+        self.coeffs = tuple(q << tie_bits for q in base.coeffs)
+        n, f = base.nvars, FIELD_BITS
+        self.low = (1 << (tie_bits + n * f)) - 1
+        self.guard = sum(1 << (tie_bits + f * i + f - 1) for i in range(n))
+        self.value = self.low ^ self.guard ^ ((1 << tie_bits) - 1)
+        self._shifts = tuple(tie_bits + f * i for i in range(n))
+        self._monos: Dict[int, Exponent] = {}
+
+    def __call__(self, mm: ModMono) -> int:
+        pos, m = mm
+        if max(map(add, self.prods[pos], m), default=0) > MAX_EXPONENT:
+            raise exponent_overflow()
+        return self.consts[pos] + sum(map(mul, m, self.coeffs))
+
+    def decode(self, key: int) -> ModMono:
+        pos = self.top - (key & self.pos_mask)
+        full = self.base.decode(key >> self.tie_bits)
+        return pos, tuple(map(sub, full, self.prods[pos]))
+
+    def monomial(self, code: int) -> Exponent:
+        """The exponent whose fields `code` holds at the key's field
+        positions with guard and tie bits clear: for a divisor's lead l and
+        a term t it divides, (masks entry - t) & value holds t / l."""
+        got = self._monos.get(code)
+        if got is None:
+            mask = (1 << FIELD_BITS) - 1
+            got = self._monos[code] = tuple((code >> s) & mask for s in self._shifts)
+        return got
+
+    def encode(self, vec: MVec) -> KVec:
+        return {self(mm): c for mm, c in vec.items()}
+
+    def decode_vec(self, vec: KVec) -> MVec:
+        return {self.decode(k): c for k, c in vec.items()}
+
+
+# ---------------------------------------------------------------------------
 # integer term-map helpers
 # ---------------------------------------------------------------------------
 
@@ -70,13 +179,30 @@ def _add_shifted(acc: MVec, vec: MVec, mono: Exponent, scale: int) -> None:
             del acc[key]
 
 
+def _add_offset(acc: KVec, vec: KVec, offset: int, scale: int, guard: int) -> None:
+    """acc += scale * vec shifted by a monomial whose key difference is offset.
+
+    The shifted exponents stay below 2 * MAX_EXPONENT, so an exponent past
+    MAX_EXPONENT sets the guard bit of its field.
+    """
+    for k, c in vec.items():
+        k += offset
+        if k & guard:
+            raise exponent_overflow()
+        v = acc.get(k, 0) + scale * c
+        if v:
+            acc[k] = v
+        else:
+            del acc[k]
+
+
 # ---------------------------------------------------------------------------
 # the engine
 # ---------------------------------------------------------------------------
 
 @dataclass
 class EngineResult:
-    basis: List[MVec]
+    basis: List[KVec]
     redundant_inputs: Set[int]
     syzygies: List[MVec]        # traces: module elements over the input indices
     input_traces: List[Tuple[int, MVec]]
@@ -86,120 +212,131 @@ class Reducer:
     """Full division of integer module elements by a growing list of divisors.
 
     shifts:   weighted-degree shift per position.
-    keyfn:    fixed-length sort key on module monomials; bigger = larger.
+    keyfn:    the `ModuleKey` of the module order.
 
-    Divisors are integer vectors; their lead coefficients may be any
-    nonzero integer.  Division runs on integers only (see `_divide`).
+    Module elements are KVecs, {keyfn((pos, m)): coefficient}, and
+    keyfn.encode / keyfn.decode_vec convert MVecs.  The key is an int that
+    is affine in m, so shifting a divisor by a monomial adds one integer to
+    each of its keys, and the lead of a divisor divides a term of the same
+    position iff subtracting the term's key from the divisor's `masks`
+    entry (its lowest key bits with every guard bit set) leaves every guard
+    bit set.  Divisors are stored once, keyed; their lead coefficients may
+    be any nonzero integer.  Division runs on integers only (see `_divide`).
     """
 
     def __init__(
         self,
         ring: GradedRing,
         shifts: Sequence[int],
-        keyfn: Callable[[ModMono], tuple],
+        keyfn: ModuleKey,
     ) -> None:
         self.ring = ring
         self.shifts = list(shifts)
         self.keyfn = keyfn
-        self.basis: List[MVec] = []
+        self.basis: List[KVec] = []
         self.leads: List[ModMono] = []
+        self.lead_keys: List[int] = []
         self.lead_coeffs: List[int] = []
+        self.masks: List[int] = []
         self.by_pos: Dict[int, List[int]] = {}
 
-    def add(self, vec: MVec) -> int:
+    def add(self, vec: KVec) -> int:
         """Append a nonzero integer divisor; returns its index."""
-        lead = max(vec, key=self.keyfn)
+        lead = max(vec)
         idx = len(self.basis)
         self.basis.append(vec)
-        self.leads.append(lead)
+        self.leads.append(self.keyfn.decode(lead))
+        self.lead_keys.append(lead)
         self.lead_coeffs.append(vec[lead])
-        self.by_pos.setdefault(lead[0], []).append(idx)
+        self.masks.append(lead & self.keyfn.low | self.keyfn.guard)
+        self.by_pos.setdefault(self.leads[idx][0], []).append(idx)
         return idx
 
-    def _find_reducer(self, mm: ModMono) -> Optional[int]:
-        pos, e = mm
-        for idx in self.by_pos.get(pos, ()):
-            le = self.leads[idx][1]
-            ok = True
-            for a, b in zip(le, e):
-                if a > b:
-                    ok = False
-                    break
-            if ok:
-                return idx
-        return None
-
-    def _divide(self, vec: MVec) -> Tuple[MVec, Dict[int, Dict[Exponent, int]], Tuple[int, int]]:
+    def _divide(self, vec: KVec) -> Tuple[KVec, Dict[int, Dict[Exponent, int]], Tuple[int, int]]:
         """Full normal form in integers: (rem, quotients, (den, g)) with
         vec * den / g == sum(quotients[k] * basis[k]) + rem.
 
         vec may carry int or Fraction coefficients; it is made primitive
         once, with scale (den, g).  When a lead coefficient a does not divide
         the current term c, the whole state (work, remainder and quotients)
-        is multiplied by |a| / gcd(c, a), and den keeps that factor.
+        is multiplied by |a| / gcd(c, a), and den keeps that factor.  Terms
+        are treated in decreasing key order, which is also the order of rem
+        and of each quotient.
         """
         work, (den, g) = primitive(vec)
         if work is vec:
             work = dict(vec)
-        keyfn = self.keyfn
-        leads, lead_coeffs, basis = self.leads, self.lead_coeffs, self.basis
-        heap: List[tuple] = [(tuple(map(neg, keyfn(m))), m) for m in work]
+        key = self.keyfn
+        top, pos_mask, guard, value = key.top, key.pos_mask, key.guard, key.value
+        lead_keys, lead_coeffs, masks = self.lead_keys, self.lead_coeffs, self.masks
+        basis, by_pos = self.basis, self.by_pos
+        heap = [-k for k in work]
         heapq.heapify(heap)
-        rem: MVec = {}
+        pop, push = heapq.heappop, heapq.heappush
+        rem: KVec = {}
         quotients: Dict[int, Dict[Exponent, int]] = {}
         while heap:
-            mm = heapq.heappop(heap)[1]
-            c = work.get(mm)
+            k = -pop(heap)
+            c = work.get(k)
             if c is None:
                 continue
-            idx = self._find_reducer(mm)
-            if idx is None:
-                rem[mm] = c
-                del work[mm]
+            for idx in by_pos.get(top - (k & pos_mask), ()):
+                d = masks[idx] - k
+                if d & guard == guard:
+                    break
+            else:
+                rem[k] = c
+                del work[k]
                 continue
             a = lead_coeffs[idx]
             f, r = divmod(c, a)
             if r:
                 s = abs(a) // gcd(c, a)
                 den *= s
-                for k in work:
-                    work[k] *= s
-                for k in rem:
-                    rem[k] *= s
+                for t in work:
+                    work[t] *= s
+                for t in rem:
+                    rem[t] *= s
                 for q in quotients.values():
-                    for k in q:
-                        q[k] *= s
+                    for t in q:
+                        q[t] *= s
                 f = c * s // a
             # each term is reduced at most once: later terms are smaller
-            delta = tuple(map(sub, mm[1], leads[idx][1]))
-            quotients.setdefault(idx, {})[delta] = f
-            for (bpos, be), bc in basis[idx].items():
-                tm = (bpos, tuple(map(add, be, delta)))
-                old = work.get(tm)
+            quotients.setdefault(idx, {})[key.monomial(d & value)] = f
+            offset = k - lead_keys[idx]
+            for t, bc in basis[idx].items():
+                t += offset
+                old = work.get(t)
                 if old is None:
-                    work[tm] = -f * bc
-                    heapq.heappush(heap, (tuple(map(neg, keyfn(tm))), tm))
+                    # a key with a guard bit set belongs to no valid monomial,
+                    # so an overflowing term is always a new one
+                    if t & guard:
+                        raise exponent_overflow()
+                    work[t] = -f * bc
+                    push(heap, -t)
                 else:
                     nv = old - f * bc
                     if nv:
-                        work[tm] = nv
+                        work[t] = nv
                     else:
-                        del work[tm]
+                        del work[t]
         return rem, quotients, (den, g)
 
 
 class BuchbergerEngine(Reducer):
     """Degree-synchronized Buchberger over a free module.
 
-    inputs:   integer module elements as {(pos, exponent): coefficient}.
-              `_divide` makes each one primitive before it is used, so
-              rational inputs give the same basis; their scale ends up in
-              the cofactors.
+    inputs:   integer module elements as {(pos, exponent): coefficient},
+              MVecs; the engine keys them by `keyfn` once, into
+              `keyed_inputs`.  `_divide` makes each one primitive before it
+              is used, so rational inputs give the same basis; their scale
+              ends up in the cofactors.
     is_ideal: rank-one input, where the product criterion applies.
 
-    Basis element k is cofactors[k] / cof_dens[k] over the inputs: an
-    integer module element keyed by (input index, exponent) and one positive
-    denominator, so no per-term rational arithmetic is needed.
+    The basis holds KVecs (see `Reducer`).  Basis element k is
+    cofactors[k] / cof_dens[k] over the inputs: an integer MVec keyed by
+    (input index, exponent) and one positive denominator, so no per-term
+    rational arithmetic is needed.
     """
 
     def __init__(
@@ -207,7 +344,7 @@ class BuchbergerEngine(Reducer):
         ring: GradedRing,
         inputs: Sequence[MVec],
         shifts: Sequence[int],
-        keyfn: Callable[[ModMono], tuple],
+        keyfn: ModuleKey,
         *,
         track_cofactors: bool = True,
         want_syzygies: bool = False,
@@ -231,8 +368,8 @@ class BuchbergerEngine(Reducer):
         self.pairs: Set[Tuple[int, int]] = set()
         self._tasks: List[tuple] = []
         self._seq = 0
-        self._inputs = [dict(v) for v in inputs]
-        for idx, vec in enumerate(self._inputs):
+        self.keyed_inputs = [keyfn.encode(v) for v in inputs]
+        for idx, vec in enumerate(inputs):
             if not vec:
                 self.redundant.add(idx)
                 continue
@@ -364,7 +501,7 @@ class BuchbergerEngine(Reducer):
         sugar: int,
     ) -> None:
         """Add a nonzero remainder, scaled to coprime integers with positive lead."""
-        ints, (_, g2) = primitive(rem, max(rem, key=self.keyfn))
+        ints, (_, g2) = primitive(rem, max(rem))
         cof, den = (
             self._combine_cofactor(source, sden, quotients, scale, g2)
             if self.track else ({}, 1)
@@ -398,7 +535,7 @@ class BuchbergerEngine(Reducer):
         )
 
     def _process_input(self, idx: int, sugar: int) -> None:
-        vec = self._inputs[idx]
+        vec = self.keyed_inputs[idx]
         rem, quotients, scale = self._divide(vec)
         source = {(idx, self.ring.zero_exponent()): 1} if self.track else {}
         if not rem:
@@ -416,9 +553,11 @@ class BuchbergerEngine(Reducer):
         mi = tuple(map(sub, lcm_ij, li[1]))
         mj = tuple(map(sub, lcm_ij, lj[1]))
         ci, cj = self.lead_coeffs[i], self.lead_coeffs[j]
-        spair: MVec = {}
-        _add_shifted(spair, self.basis[i], mi, cj)
-        _add_shifted(spair, self.basis[j], mj, -ci)
+        lcm_key = self.keyfn((li[0], lcm_ij))
+        guard = self.keyfn.guard
+        spair: KVec = {}
+        _add_offset(spair, self.basis[i], lcm_key - self.lead_keys[i], cj, guard)
+        _add_offset(spair, self.basis[j], lcm_key - self.lead_keys[j], -ci, guard)
         # spair = source / sden over the inputs
         source: MVec = {}
         sden = 1
@@ -445,9 +584,9 @@ class BuchbergerEngine(Reducer):
         di, dj = self.cof_dens[i], self.cof_dens[j]
         common = lcm(di, dj)
         trace: MVec = {}
-        for (_, m), c in self.basis[j].items():
+        for (_, m), c in self.keyfn.decode_vec(self.basis[j]).items():
             _add_shifted(trace, self.cofactors[i], m, c * (common // di))
-        for (_, m), c in self.basis[i].items():
+        for (_, m), c in self.keyfn.decode_vec(self.basis[i]).items():
             _add_shifted(trace, self.cofactors[j], m, -c * (common // dj))
         if trace:
             self.syzygies.append(self._normalize_trace(trace))
@@ -471,9 +610,9 @@ class BuchbergerEngine(Reducer):
             self.by_pos[self.leads[idx][0]].sort()
             if not quotients:
                 continue
-            lead = max(rem, key=self.keyfn)
+            lead = max(rem)
             # tail reduction of a completed basis cannot move the lead
-            assert lead == self.leads[idx], "interreduction changed a lead term"
+            assert lead == self.lead_keys[idx], "interreduction changed a lead term"
             ints, (_, g2) = primitive(rem, lead)
             self.basis[idx] = ints
             self.lead_coeffs[idx] = ints[lead]
@@ -485,7 +624,9 @@ class BuchbergerEngine(Reducer):
             keep = [i for i in range(len(self.basis)) if i not in removed]
             self.basis = [self.basis[i] for i in keep]
             self.leads = [self.leads[i] for i in keep]
+            self.lead_keys = [self.lead_keys[i] for i in keep]
             self.lead_coeffs = [self.lead_coeffs[i] for i in keep]
+            self.masks = [self.masks[i] for i in keep]
             self.sugars = [self.sugars[i] for i in keep]
             self.cofactors = [self.cofactors[i] for i in keep]
             self.cof_dens = [self.cof_dens[i] for i in keep]
@@ -498,17 +639,16 @@ class BuchbergerEngine(Reducer):
 # public ideal-level operations
 # ---------------------------------------------------------------------------
 
-def base_keyfn(ring: GradedRing, order: MonomialOrder = WEIGHTED) -> Callable[[ModMono], tuple]:
+def base_keyfn(ring: GradedRing, order: MonomialOrder = WEIGHTED) -> ModuleKey:
     """Key on rank-one module monomials: the ring order."""
-    base = order.key_function(ring)
-    return lambda mm: base(mm[1])
+    return ModuleKey(order.key_function(ring))
 
 
 def _poly_to_mvec(p: Polynomial) -> Dict[ModMono, Fraction]:
     return {(0, m): c for m, c in p.terms.items()}
 
 
-def _mvec_to_poly(ring: GradedRing, vec: Dict[ModMono, int]) -> Polynomial:
+def _mvec_to_poly(ring: GradedRing, vec: MVec) -> Polynomial:
     return Polynomial._raw(ring, {mm[1]: Fraction(c) for mm, c in vec.items()})
 
 
@@ -548,14 +688,17 @@ def normal_form(
             raise ValueError("zero reducer")
     # divide by primitive integer multiples r_i = g_i * d_i / h_i; then
     # p * den / g = sum(q_i * r_i) + rem
-    reducer = Reducer(ring, [0], base_keyfn(ring, order))
+    key = base_keyfn(ring, order)
+    reducer = Reducer(ring, [0], key)
     scales = []
     for g in reducers:
-        ints, sc = primitive(_poly_to_mvec(g))
+        ints, sc = primitive(key.encode(_poly_to_mvec(g)))
         reducer.add(ints)
         scales.append(sc)
-    rem, quotients, (den, g0) = reducer._divide(_poly_to_mvec(p))
-    remainder = Polynomial._raw(ring, {mm[1]: Fraction(c * g0, den) for mm, c in rem.items()})
+    rem, quotients, (den, g0) = reducer._divide(key.encode(_poly_to_mvec(p)))
+    remainder = Polynomial._raw(
+        ring, {mm[1]: Fraction(c * g0, den) for mm, c in key.decode_vec(rem).items()}
+    )
     cofs = []
     for i, (d, h) in enumerate(scales):
         q = quotients.get(i, {})
@@ -572,6 +715,8 @@ def buchberger(
     """Reduced Groebner basis with exact cofactor rows over the inputs."""
     ring = gens.ring
     inputs = gens.nonzero_generators()
+    if not inputs:
+        return GroebnerBasis(ring, order, [], [], [])
     # the engine runs on r_i = inputs[i] * d_i / h_i
     prim = [primitive(_poly_to_mvec(p)) for p in inputs]
     engine = BuchbergerEngine(
@@ -584,7 +729,7 @@ def buchberger(
     )
     engine.run()
     engine._interreduce()
-    elements = [_mvec_to_poly(ring, vec) for vec in engine.basis]
+    elements = [_mvec_to_poly(ring, engine.keyfn.decode_vec(vec)) for vec in engine.basis]
     cof_rows: List[List[Polynomial]] = []
     if track_cofactors:
         for cof, den in zip(engine.cofactors, engine.cof_dens):

@@ -11,15 +11,17 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul, neg
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from functools import lru_cache
+from operator import add, mul
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .linalg import primitive
 
 Exponent = Tuple[int, ...]
 
 # largest exponent of one variable that any input or product may carry; it
-# fills the 12-bit field in which presentation packs exponents
+# fills the 12-bit field in which presentation packs exponents, and the
+# fields of the packed order keys (`PackedKey`) add a guard bit to it
 MAX_EXPONENT = 4095
 
 
@@ -108,25 +110,75 @@ class MonomialOrder:
         if self.kind == "block" and self.block < 1:
             raise ValueError("block order needs a positive front block size")
 
-    def key_function(self, ring: GradedRing) -> Callable[[Exponent], tuple]:
-        """Sort key: bigger key = bigger monomial."""
-        w = ring.weights
-        if self.kind == "lex":
-            return lambda m: m
-        if self.kind == "weighted":
-            def key(m: Exponent) -> tuple:
-                return (sum(map(mul, m, w)),) + tuple(map(neg, reversed(m)))
-            return key
-        k = self.block
-        if k >= ring.nvars:
-            raise RingMismatchError("front block exceeds ring size")
-        wf, wb = w[:k], w[k:]
-        def bkey(m: Exponent) -> tuple:
-            f, b = m[:k], m[k:]
-            df = sum(e * we for e, we in zip(f, wf))
-            db = sum(e * we for e, we in zip(b, wb))
-            return (df,) + tuple(-e for e in reversed(f)) + (db,) + tuple(-e for e in reversed(b))
-        return bkey
+    def key_function(self, ring: GradedRing) -> "PackedKey":
+        """Sort key: bigger key = bigger monomial (see `PackedKey`)."""
+        return _packed_key(self, ring)
+
+
+# bits per exponent field of a packed key: MAX_EXPONENT and one guard bit
+FIELD_BITS = MAX_EXPONENT.bit_length() + 1
+
+
+class PackedKey:
+    """A monomial order as one non-negative int, affine in the exponent.
+
+    key(m) = const + sum(m[i] * coeffs[i]) for exponents up to MAX_EXPONENT.
+    The lowest nvars fields of FIELD_BITS bits hold MAX_EXPONENT - m[i],
+    variable 0 lowest, with the top (guard) bit of each field clear; they
+    are the reverse-lexicographic tie-break of the weighted order and let
+    `decode` read the exponent back.  Above them, the head decides the
+    order: the weighted degree, the lex exponents, or the front block's
+    degree and reverse-lexicographic fields then the back block's degree.
+    Keys of monomials with equal heads compare by the tail, which never
+    changes an order the head already fixes.
+    """
+
+    __slots__ = ("nvars", "const", "coeffs", "_shifts")
+
+    def __init__(self, nvars: int, head: Sequence[Tuple[int, int, Sequence[int]]]) -> None:
+        """head: fields (bits, constant, per-variable coefficients), least
+        significant first; the last field's width is never used."""
+        f = FIELD_BITS
+        tail = [
+            (f, MAX_EXPONENT, [-int(v == i) for v in range(nvars)])
+            for i in range(nvars)
+        ]
+        const, coeffs, shift = 0, [0] * nvars, 0
+        for bits, c, q in tail + list(head):
+            const += c << shift
+            coeffs = [a + (b << shift) for a, b in zip(coeffs, q)]
+            shift += bits
+        self.nvars = nvars
+        self.const = const
+        self.coeffs = tuple(coeffs)
+        self._shifts = tuple(f * i for i in range(nvars))
+
+    def __call__(self, m: Exponent) -> int:
+        if max(m, default=0) > MAX_EXPONENT:
+            raise ValueError(f"exponent {max(m)} exceeds the supported maximum {MAX_EXPONENT}")
+        return self.const + sum(map(mul, m, self.coeffs))
+
+    def decode(self, key: int) -> Exponent:
+        mask = (1 << FIELD_BITS) - 1
+        return tuple(MAX_EXPONENT - ((key >> s) & mask) for s in self._shifts)
+
+
+@lru_cache(maxsize=64)
+def _packed_key(order: MonomialOrder, ring: GradedRing) -> PackedKey:
+    n, w = ring.nvars, ring.weights
+    units = [[int(v == i) for v in range(n)] for i in range(n)]
+    if order.kind == "weighted":
+        return PackedKey(n, [(0, 0, w)])
+    if order.kind == "lex":
+        return PackedKey(n, [(FIELD_BITS, 0, units[i]) for i in reversed(range(n))])
+    k = order.block
+    if k >= n:
+        raise RingMismatchError("front block exceeds ring size")
+    back = (0,) * k + w[k:]
+    head = [((sum(back) * MAX_EXPONENT).bit_length(), 0, back)]
+    head += [(FIELD_BITS, MAX_EXPONENT, [-e for e in units[i]]) for i in range(k)]
+    head.append((0, 0, w[:k] + (0,) * (n - k)))
+    return PackedKey(n, head)
 
 
 def compare(order: MonomialOrder, ring: GradedRing, a: Exponent, b: Exponent) -> int:

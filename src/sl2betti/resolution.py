@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from operator import add
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .groebner import (
     BuchbergerEngine,
@@ -38,9 +37,7 @@ from .linalg import Echelon, primitive
 from .poly import (
     Exponent,
     GradedRing,
-    MonomialOrder,
     Polynomial,
-    WEIGHTED,
     monomial_mul,
 )
 
@@ -114,55 +111,6 @@ class BettiTable:
 
 
 # ---------------------------------------------------------------------------
-# module orders
-# ---------------------------------------------------------------------------
-
-class SchreyerKey:
-    """Module order flattened to F_0: key(pos, m) = base(prods[pos] * m) + ties[pos].
-
-    base is the ring order's key on exponents.  prods[pos] is the product of
-    the tag monomials met on the way from position pos down to F_0, and
-    ties[pos] the position tie-breaks collected on that way, lowest level
-    first.
-    """
-
-    __slots__ = ("base", "prods", "ties")
-
-    def __init__(
-        self,
-        base: Callable[[Exponent], tuple],
-        prods: Sequence[Exponent],
-        ties: Sequence[tuple],
-    ) -> None:
-        self.base = base
-        self.prods = prods
-        self.ties = ties
-
-    @classmethod
-    def rank_one(cls, ring: GradedRing) -> "SchreyerKey":
-        """The ring order on F_0 = R, where every resolution starts."""
-        return cls(WEIGHTED.key_function(ring), (ring.zero_exponent(),), ((),))
-
-    def __call__(self, mm: ModMono) -> tuple:
-        pos, m = mm
-        return self.base(tuple(map(add, self.prods[pos], m))) + self.ties[pos]
-
-
-def schreyer_keyfn(prev: SchreyerKey, tags: Sequence[ModMono]) -> SchreyerKey:
-    """Order induced by the previous level's leading terms, position tie-break.
-
-    The same total order as the composition
-    key(pos, m) = prev((tpos, tmono * m)) + (-pos,) with (tpos, tmono) = tags[pos],
-    precomputed per position so that a key costs one monomial product.
-    """
-    return SchreyerKey(
-        prev.base,
-        tuple(monomial_mul(prev.prods[tpos], tmono) for tpos, tmono in tags),
-        tuple(prev.ties[tpos] + (-pos,) for pos, (tpos, _) in enumerate(tags)),
-    )
-
-
-# ---------------------------------------------------------------------------
 # resolutions
 # ---------------------------------------------------------------------------
 
@@ -193,7 +141,7 @@ def resolve(I: Ideal, *, minimalize_levels: bool = True) -> Resolution:
     for g in gens:
         inputs.append(primitive(_poly_to_mvec(g), (0, g.leading_monomial()))[0])
         input_degrees.append(g.weighted_degree())
-    keyfn = SchreyerKey.rank_one(ring)
+    keyfn = base_keyfn(ring)
     level = 1
     while inputs:
         if level > ring.nvars + 1:
@@ -250,8 +198,8 @@ def resolve(I: Ideal, *, minimalize_levels: bool = True) -> Resolution:
             next_inputs.append(vec)
             next_degrees.append(deg)
         # Schreyer order induced by the kept inputs' leading terms
-        tags = [max(inputs[idx], key=keyfn) for idx in kept]
-        keyfn = schreyer_keyfn(keyfn, tags)
+        tags = [keyfn.decode(max(engine.keyed_inputs[idx])) for idx in kept]
+        keyfn = keyfn.induced(tags)
         inputs = next_inputs
         input_degrees = next_degrees
         level += 1
@@ -439,35 +387,46 @@ def regular_variables(I: Ideal) -> Tuple[Tuple[int, ...], Ideal]:
     weights).  Its graded Betti numbers over that ring are those of R/I over
     R (Bruns-Herzog, Cohen-Macaulay Rings, 1993, section 1.1).
     """
-    kept, ring, gens = _regular_variables(
-        I.ring, tuple(frozenset(g.terms.items()) for g in I.generators)
-    )
+    kept, ring, gens, _ = _regular_variables(I)
     return kept, Ideal(ring, [Polynomial._raw(ring, dict(g)) for g in gens])
+
+
+def _regular_variables(
+    I: Ideal,
+) -> Tuple[Tuple[int, ...], GradedRing, Tuple[frozenset, ...], GroebnerBasis]:
+    """`regular_variables` with the reduced ideal's generators as term sets,
+    plus its reduced Groebner basis in the weighted order, which the Koszul
+    oracle reuses and which no caller changes."""
+    return _regular_variables_of(I.ring, tuple(frozenset(g.terms.items()) for g in I.generators))
 
 
 # `cli.verify_case` asks for the same ideal three times: for the caps, for
 # the oracle and for the exactness check (as the image of d_1)
 @lru_cache(maxsize=4)
-def _regular_variables(
+def _regular_variables_of(
     ring: GradedRing, gens: Tuple[frozenset, ...]
-) -> Tuple[Tuple[int, ...], GradedRing, Tuple[frozenset, ...]]:
+) -> Tuple[Tuple[int, ...], GradedRing, Tuple[frozenset, ...], GroebnerBasis]:
     I = Ideal(ring, [Polynomial._raw(ring, dict(g)) for g in gens])
+    if not I.is_homogeneous():
+        raise ValueError("hilbert_series_quotient requires a homogeneous ideal")
     kept: List[int] = []
-    reduced = I
-    series = hilbert_series_quotient(I)
+    reduced, gb = I, buchberger(I, track_cofactors=False)
+    series = hilbert_series_quotient(I, gb=gb)
     for v in range(ring.nvars):
         target, rest = _without(ring, kept + [v])
         trial = Ideal(target, [_set_to_zero(g, target, rest) for g in I.generators])
-        got = hilbert_series_quotient(trial)
+        trial_gb = buchberger(trial, track_cofactors=False)
+        got = hilbert_series_quotient(trial, gb=trial_gb)
         # (1 - t^w_v) HS(R/J): the numerator of HS(R/J) over the
         # denominator of the smaller ring
         if got.equals(RationalSeries(series.numerator, target.weights)):
             kept.append(v)
-            reduced, series = trial, got
+            reduced, gb, series = trial, trial_gb, got
     return (
         tuple(kept),
         reduced.ring,
         tuple(frozenset(g.terms.items()) for g in reduced.generators),
+        gb,
     )
 
 
@@ -487,8 +446,8 @@ class _NormalFormTable:
         self.index: Dict[int, Dict[Exponent, int]] = {}
         self._reducer = Reducer(self.ring, [0], base_keyfn(self.ring, gb.order))
         for g in gb.elements:
-            lead = (0, g.leading_monomial(gb.order))
-            self._reducer.add(primitive(_poly_to_mvec(g), lead)[0])
+            vec = self._reducer.keyfn.encode(_poly_to_mvec(g))
+            self._reducer.add(primitive(vec, max(vec))[0])
         self._nf_cache: Dict[Exponent, Dict[int, object]] = {}
 
     def standard(self, degree: int) -> List[Exponent]:
@@ -516,16 +475,16 @@ class _NormalFormTable:
             out = {idx[mono]: 1}
         else:
             # mono * den / g == sum(q * basis) + rem
-            rem, _, (den, g) = self._reducer._divide({(0, mono): 1})
+            rem, _, (den, g) = self._reducer._divide({self._reducer.keyfn((0, mono)): 1})
             out = {
                 idx[mm[1]]: c * g if den == 1 else Fraction(c * g, den)
-                for mm, c in rem.items()
+                for mm, c in self._reducer.keyfn.decode_vec(rem).items()
             }
         self._nf_cache[mono] = out
         return out
 
 
-def koszul_betti(I: Ideal, j_cap: int, order: MonomialOrder = WEIGHTED) -> BettiTable:
+def koszul_betti(I: Ideal, j_cap: int) -> BettiTable:
     """Betti numbers up to shift j_cap via Koszul strand homology.
 
     beta_{i,j} = dim of the degree-j strand homology of K(x_1..x_m) (x) R/I,
@@ -536,9 +495,7 @@ def koszul_betti(I: Ideal, j_cap: int, order: MonomialOrder = WEIGHTED) -> Betti
     """
     if not I.is_homogeneous():
         raise ValueError("koszul_betti requires a homogeneous ideal")
-    _, I = regular_variables(I)
-    ring = I.ring
-    gb = buchberger(I, order, track_cofactors=False)
+    _, ring, _, gb = _regular_variables(I)
     table = _NormalFormTable(gb)
     m = ring.nvars
     weights = ring.weights

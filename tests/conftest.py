@@ -6,6 +6,12 @@ from sl2betti.poly import GradedRing, parse_polynomial
 
 PAPER_WEIGHTS = (3, 3, 2, 3, 2, 3, 3, 2, 2, 3)
 
+
+def tuple_weighted_key(weights):
+    """Reference for the weighted order as tuples: weighted degree, then
+    reverse lexicographic."""
+    return lambda m: (sum(e * w for e, w in zip(m, weights)),) + tuple(-e for e in reversed(m))
+
 # ten relation generators of the worked 3V1+V2 example, in x1..x10
 J_TEXT = [
     "-x5*x7 + x6*x8 + x9*x10",

@@ -95,6 +95,15 @@ class TestBettiCommand:
         assert run(["betti", "--gens", str(path)]) == 2
         assert "error: exponent of x exceeds 4095" in capsys.readouterr().err
 
+    def test_exponent_overflow_in_engine_is_input_error(self, tmp_path, capsys):
+        # every input exponent is at most 4095, but dividing x^4094*y^4095 by
+        # x^2 - y^2 would reach y^4097
+        path = tmp_path / "big.txt"
+        path.write_text("ring x y ;\nx^2 - y^2\nx^4094*y^4095\n")
+        assert run(["betti", "--gens", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "4095" in err
+
 
 class TestResolveCommand:
     def test_two_cubics(self, capsys):
@@ -294,6 +303,26 @@ class TestDeterminism:
             assert proc.returncode == 0
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_matches_run(self, capsys):
+        import os
+        import subprocess
+        import sys
+
+        import sl2betti
+
+        src = str(Path(sl2betti.__file__).resolve().parent.parent)
+        path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+        proc = subprocess.run(
+            [sys.executable, "-m", "sl2betti", "resolve", "1,1,1,2", "--format", "json"],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0
+        assert run(["resolve", "1,1,1,2", "--format", "json"]) == 0
+        assert proc.stdout == capsys.readouterr().out.encode()
 
 
 class TestVerifyFailurePath:

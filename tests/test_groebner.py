@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sl2betti.groebner import (
     Ideal,
@@ -20,12 +22,15 @@ from sl2betti.groebner import (
 )
 from sl2betti.linalg import Echelon, primitive
 from sl2betti.poly import (
+    LEX,
+    MAX_EXPONENT,
     GradedRing,
     Polynomial,
     WEIGHTED,
     elimination_order,
     monomial_mul,
 )
+from conftest import tuple_weighted_key
 
 
 def spoly(f, g, order=WEIGHTED):
@@ -86,25 +91,25 @@ class TestReducer:
         # position
         rng = random.Random(11)
         R = GradedRing(("x", "y", "z"), (1, 1, 1))
-        ring_key = base_keyfn(R)
-        keyfn = lambda mm: ring_key(mm) + (mm[0],)
+        keyfn = base_keyfn(R).induced([(0, R.zero_exponent())] * 3)
         negative_leads = scaled = 0
         for _ in range(40):
             reducer = Reducer(R, [0, 0, 0], keyfn)
             for _ in range(rng.randint(1, 4)):
                 b = _random_mvec(rng, R, lambda: rng.choice([-6, -5, -4, -3, -2, 2, 3, 4, 5, 6]))
                 if b:
-                    reducer.add(b)
+                    reducer.add(keyfn.encode(b))
             negative_leads += sum(a < 0 for a in reducer.lead_coeffs)
             vec = _random_mvec(rng, R, lambda: Fraction(rng.randint(-7, 7), rng.randint(1, 6)))
-            rem, quotients, (den, g) = reducer._divide(vec)
+            rem, quotients, (den, g) = reducer._divide(keyfn.encode(vec))
+            rem = keyfn.decode_vec(rem)
             scaled += den != primitive(vec)[1][0]
             assert all(type(c) is int for c in rem.values())
             acc = dict(rem)
             for k, q in quotients.items():
                 for qm, qc in q.items():
                     assert type(qc) is int
-                    for (pos, e), c in reducer.basis[k].items():
+                    for (pos, e), c in keyfn.decode_vec(reducer.basis[k]).items():
                         key = (pos, monomial_mul(e, qm))
                         acc[key] = acc.get(key, 0) + qc * c
             assert {mm: c for mm, c in acc.items() if c} == {
@@ -115,6 +120,87 @@ class TestReducer:
                     assert lpos != pos or any(a < b for a, b in zip(e, le))
         # the run met negative leads and leads that do not divide a term
         assert negative_leads and scaled
+
+
+def _tuple_block(weights, k):
+    front, back = tuple_weighted_key(weights[:k]), tuple_weighted_key(weights[k:])
+    return lambda m: front(m[:k]) + back(m[k:])
+
+
+class TestPackedKeys:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_int_keys_order_like_tuple_keys(self, data):
+        # the weighted, lex and block orders and a two-level Schreyer chain:
+        # the int key is injective, decodes back, and sorts like the tuple key
+        # small values as well as wide ones, so that heads tie often
+        weight = st.one_of(st.integers(1, 3), st.integers(1, 3000))
+        weights = data.draw(st.lists(weight, min_size=1, max_size=5))
+        n = len(weights)
+        R = GradedRing(tuple(f"x{i}" for i in range(n)), weights)
+        exponent = st.one_of(st.sampled_from([0, 1, MAX_EXPONENT]), st.integers(0, MAX_EXPONENT))
+        expo = st.tuples(*(exponent for _ in range(n)))
+        monos = data.draw(st.lists(expo, min_size=2, max_size=12, unique=True))
+        orders = [(WEIGHTED, tuple_weighted_key(weights)), (LEX, lambda m: m)]
+        if n > 1:
+            k = data.draw(st.integers(1, n - 1))
+            orders.append((elimination_order(k), _tuple_block(weights, k)))
+        for order, ref in orders:
+            key = order.key_function(R)
+            assert sorted(monos, key=key) == sorted(monos, key=ref)
+            assert [key.decode(key(m)) for m in monos] == monos
+            assert all(key(m) >= 0 for m in monos)
+
+        # Schreyer chain F_2 -> F_1 -> F_0 = R over the weighted order
+        small = st.tuples(*(st.integers(0, MAX_EXPONENT // 4) for _ in range(n)))
+        tags1 = [(0, t) for t in data.draw(st.lists(small, min_size=1, max_size=4))]
+        r1 = len(tags1)
+        tags2 = data.draw(
+            st.lists(st.tuples(st.integers(0, r1 - 1), small), min_size=1, max_size=5)
+        )
+        flat1 = base_keyfn(R).induced(tags1)
+        flat2 = flat1.induced(tags2)
+        ring_ref = tuple_weighted_key(weights)
+        ref1 = lambda mm: ring_ref(monomial_mul(tags1[mm[0]][1], mm[1])) + (-mm[0],)
+        ref2 = lambda mm: ref1((tags2[mm[0]][0], monomial_mul(tags2[mm[0]][1], mm[1]))) + (-mm[0],)
+        # module monomials whose products with the tags reach MAX_EXPONENT
+        terms = set()
+        for pos in data.draw(st.lists(st.integers(0, len(tags2) - 1), min_size=2, max_size=12)):
+            prod = flat2.prods[pos]
+            full = data.draw(st.tuples(*(st.integers(p, MAX_EXPONENT) for p in prod)))
+            terms.add((pos, tuple(f - p for f, p in zip(full, prod))))
+        terms = sorted(terms)
+        assert sorted(terms, key=flat2) == sorted(terms, key=ref2)
+        assert [flat2.decode(flat2(mm)) for mm in terms] == terms
+
+
+class TestExponentGuard:
+    # an exponent past MAX_EXPONENT would carry out of its packed key field
+    R = GradedRing(("x", "y"), (1, 1))
+
+    def test_normal_form_step(self):
+        x, y = self.R.variable(0), self.R.variable(1)
+        # x^2 -> y^2 turns x^4094*y^4095 into x^4092*y^4097
+        with pytest.raises(ValueError, match="4095"):
+            normal_form(x ** 4094 * y ** 4095, [x * x - y * y])
+        # reaching MAX_EXPONENT itself is fine
+        r, _ = normal_form(x * x * y ** 4093, [x * x - y * y])
+        assert r == y ** 4095
+
+    def test_engine_reduction_and_s_pair(self):
+        x, y = self.R.variable(0), self.R.variable(1)
+        with pytest.raises(ValueError, match="4095"):
+            buchberger(Ideal(self.R, [x * x - y * y, x ** 4094 * y ** 4095]))
+        # the S-pair of x^2 - y^2 and x*y^4095 holds y^4097
+        with pytest.raises(ValueError, match="4095"):
+            buchberger(Ideal(self.R, [x * x - y * y, x * y ** 4095]))
+
+    def test_input_exponent(self):
+        x = self.R.variable(0)
+        with pytest.raises(ValueError, match="4095"):
+            buchberger(Ideal(self.R, [x ** 4096]))
+        with pytest.raises(ValueError, match="4095"):
+            normal_form(x ** 5000, [x])
 
 
 def _random_mvec(rng, ring, coeff, rank=3, deg=3, terms=5):

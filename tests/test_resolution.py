@@ -19,17 +19,15 @@ from sl2betti.poly import GradedRing, Polynomial, monomial_mul
 from sl2betti.resolution import (
     FreeModule,
     Resolution,
-    SchreyerKey,
     betti,
     format_resolution,
     koszul_betti,
     minimize,
     regular_variables,
     resolve,
-    schreyer_keyfn,
     verify_complex,
 )
-from conftest import WORKED_BETTI
+from conftest import WORKED_BETTI, tuple_weighted_key
 
 
 def minimal_ideal(ring, gens):
@@ -61,18 +59,18 @@ class TestModuleGroebner:
         basis = engine.run().basis
         ideal_gb = buchberger(Ideal(R, gens))
         assert sorted(
-            str(Polynomial(R, {mm[1]: c for mm, c in vec.items()})) for vec in basis
+            str(Polynomial(R, {mm[1]: c for mm, c in engine.keyfn.decode_vec(vec).items()}))
+            for vec in basis
         ) == sorted(str(g) for g in ideal_gb.elements)
 
     def test_unit_vectors_no_pairs(self):
         # leads in different positions never form an S-pair
         R = GradedRing(("x",), (1,))
-        ring_key = base_keyfn(R)
         engine = BuchbergerEngine(
             R,
             [{(0, (0,)): 1}, {(1, (0,)): 1}],
             [0, 0],
-            lambda mm: (-mm[0],) + ring_key(mm),
+            base_keyfn(R).induced([(0, R.zero_exponent())] * 2),
             want_syzygies=True,
         )
         result = engine.run()
@@ -129,14 +127,16 @@ def _nested_schreyer_key(prev_keyfn, tags):
 
 class TestSchreyerKey:
     def test_flat_key_matches_nested_composition(self, paper_ring, paper_J):
-        # every level of the worked example's resolution: the flat key gives
-        # the nested composition's tuples, hence its order, on the columns'
-        # monomials and on their products with every variable
+        # every level of the worked example's resolution: the flat int key is
+        # injective and sorts exactly like the nested composition of tuple
+        # keys, on the columns' monomials and on their products with every
+        # variable
         R = paper_ring
         res = resolve(minimal_ideal(R, paper_J))
         assert res.length == 4
-        flat = SchreyerKey.rank_one(R)
-        nested = base_keyfn(R)
+        flat = base_keyfn(R)
+        ring_key = tuple_weighted_key(R.weights)
+        nested = lambda mm: ring_key(mm[1])
         variables = [tuple(int(k == v) for k in range(R.nvars)) for v in range(R.nvars)]
         for i in range(1, res.length + 1):
             columns = [
@@ -146,11 +146,12 @@ class TestSchreyerKey:
             monos = {mm for col in columns for mm in col}
             monos |= {(pos, monomial_mul(m, v)) for pos, m in monos for v in variables}
             monos = sorted(monos)
-            assert [flat(mm) for mm in monos] == [nested(mm) for mm in monos]
+            assert len({flat(mm) for mm in monos}) == len(monos)
+            assert all(flat.decode(flat(mm)) == mm for mm in monos)
             assert sorted(monos, key=flat) == sorted(monos, key=nested)
             tags = [max(col, key=flat) for col in columns]
             assert tags == [max(col, key=nested) for col in columns]
-            flat = schreyer_keyfn(flat, tags)
+            flat = flat.induced(tags)
             nested = _nested_schreyer_key(nested, tags)
 
 
@@ -369,6 +370,16 @@ class TestRegularVariables:
         kept, reduced = regular_variables(Ideal(R, [x * x]))
         assert kept == (1,)
         assert [str(g) for g in reduced.generators] == ["x^2"]
+
+    def test_non_homogeneous_rejected_before_any_basis(self, monkeypatch):
+        def no_basis(*args, **kwargs):
+            raise AssertionError("a Groebner basis was computed")
+
+        monkeypatch.setattr("sl2betti.resolution.buchberger", no_basis)
+        R = GradedRing(("x", "y"), (1, 1))
+        x, y = R.variable(0), R.variable(1)
+        with pytest.raises(ValueError, match="homogeneous"):
+            regular_variables(Ideal(R, [x + x * y]))
 
     def test_padded_random_ideals(self):
         # variables the generators do not use are regular on R/I wherever
