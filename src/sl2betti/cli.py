@@ -79,19 +79,15 @@ def _spec_for(degrees: Tuple[int, ...], bound: Optional[int]) -> ProblemSpec:
     return ProblemSpec(degrees, bound)
 
 
-def _pipeline(
-    degrees: Tuple[int, ...],
-    bound: Optional[int],
-    horizon: Optional[int] = None,
-):
+def _pipeline(degrees: Tuple[int, ...], bound: Optional[int]):
+    """Generators and certified kernel; a catalog case uses its horizon."""
     spec = _spec_for(degrees, bound)
     genset = minimal_invariant_generators(spec)
-    if horizon is None:
-        rec = case_for_degrees(degrees)
-        if rec is not None:
-            horizon = rec.horizon
-    amap, ideal, info = present(spec, genset=genset, horizon=horizon)
-    return spec, genset, amap, ideal, info
+    rec = case_for_degrees(degrees)
+    _, ideal, info = present(
+        spec, genset=genset, horizon=rec.horizon if rec is not None else None
+    )
+    return genset, ideal, info
 
 
 def _resolution_of(ideal: Ideal) -> Tuple[Resolution, BettiTable]:
@@ -134,9 +130,12 @@ def _poly_in_z(coeffs: Sequence[int]) -> str:
 # budget heuristics for the expensive verifiers
 # ---------------------------------------------------------------------------
 
-def auto_koszul_cap(
-    ring: GradedRing, hf: Sequence[int], j_star: int, budget: int = 2_000_000_000
-) -> int:
+# estimated exact row operations each verifier may spend
+KOSZUL_BUDGET = 2_000_000_000
+EXACTNESS_BUDGET = 60_000_000
+
+
+def auto_koszul_cap(ring: GradedRing, hf: Sequence[int], j_star: int) -> int:
     """Largest shift cap whose estimated strand-elimination work fits the budget.
 
     ring and hf are the ring and the Hilbert function of the quotient the
@@ -164,15 +163,13 @@ def auto_koszul_cap(
             dims.append(dim)
         work = sum(dims[i] * dims[i - 1] for i in range(1, m + 1))
         total += work
-        if total > budget:
+        if total > KOSZUL_BUDGET:
             break
         cap = j
     return cap
 
 
-def auto_exactness_cap(
-    ring: GradedRing, res: Resolution, e_star: int, budget: int = 60_000_000
-) -> int:
+def auto_exactness_cap(ring: GradedRing, res: Resolution, e_star: int) -> int:
     """Largest degree cap whose estimated exactness-check work fits the budget.
 
     ring is the ring the strands are counted in: for `verify_complex`, the
@@ -187,7 +184,7 @@ def auto_exactness_cap(
             dims.append(sum(counts[e - s] for s in mod.shifts if e - s >= 0))
         work = sum(d * d for d in dims)
         total += work
-        if total > budget:
+        if total > EXACTNESS_BUDGET:
             break
         cap = e
     return cap
@@ -235,7 +232,7 @@ def verify_case(
             f"degree multiset {got_w}",
         )
     )
-    amap, ideal, info = present(spec, genset=genset, horizon=rec.horizon)
+    _, ideal, info = present(spec, genset=genset, horizon=rec.horizon)
     rel = sorted(info.relation_degrees)
     say(
         CheckResult(
@@ -292,7 +289,7 @@ def verify_case(
     # equals the quotient series, equals the weight-counting series.
     weights = tuple(genset.degrees)
     series_b = poincare_from_betti(table, weights)
-    series_q = hilbert_series_quotient(ideal, amap.source) if m else RationalSeries({0: 1}, ())
+    series_q = hilbert_series_quotient(ideal) if m else RationalSeries({0: 1}, ())
     depth = max(table.j_star, info.horizon)
     cs = cs_total_dims(spec, depth)
     ok_h = series_b.equals(series_q) and series_b.coefficients(depth) == cs
@@ -352,8 +349,6 @@ def _cmd_invariants(args) -> int:
     genset = minimal_invariant_generators(spec)
     ring = genset.cring.ring
     if args.format == "json":
-        from .poly import format_polynomial
-
         print(json.dumps({
             "degrees": list(degrees),
             "bound": spec.degree_bound,
@@ -391,36 +386,39 @@ def _load_generator_file(path: str, weights_arg: Optional[str]):
     return ring, polys
 
 
+def _kernel_of_file(path: str, weights_arg: Optional[str]) -> Tuple[Ideal, List[int]]:
+    """Minimal generators and their degrees of the kernel of x_i -> f_i for
+    the images f_i in a generator file; weights_arg, when given, must list
+    the image degrees."""
+    _, images = _load_generator_file(path, None)
+    for f in images:
+        if f.is_zero() or not f.is_homogeneous():
+            raise UsageError("generator file entries must be nonzero homogeneous")
+    weights = tuple(f.weighted_degree() for f in images)
+    if weights_arg:
+        declared = parse_degree_list(weights_arg)
+        if tuple(declared) != weights:
+            raise UsageError(
+                f"--weights {declared} disagree with image degrees {weights}"
+            )
+    source = GradedRing(tuple(f"f{i+1}" for i in range(len(images))), weights)
+    ker = kernel(AlgebraMap(source, list(images)))
+    mins = minimal_generators(ker) if ker.generators else []
+    return Ideal(source, [g for g, _ in mins]), [d for _, d in mins]
+
+
 def _cmd_kernel(args) -> int:
     if args.gens:
-        cring_ring, images = _load_generator_file(args.gens, None)
-        for f in images:
-            if f.is_zero() or not f.is_homogeneous():
-                raise UsageError("generator file entries must be nonzero homogeneous")
-        weights = tuple(f.weighted_degree() for f in images)
-        if args.weights:
-            declared = parse_degree_list(args.weights)
-            if tuple(declared) != weights:
-                raise UsageError(
-                    f"--weights {declared} disagree with image degrees {weights}"
-                )
-        source = GradedRing(tuple(f"f{i+1}" for i in range(len(images))), weights)
-        amap = AlgebraMap(source, list(images))
-        ker = kernel(amap)
-        mins = minimal_generators(ker) if ker.generators else []
-        ideal = Ideal(source, [g for g, _ in mins])
-        degs = [d for _, d in mins]
+        ideal, degs = _kernel_of_file(args.gens, args.weights)
     else:
         if not args.degrees:
             raise UsageError("kernel needs a degree list or --gens FILE")
         degrees = parse_degree_list(args.degrees)
-        _, _, amap, ideal, info = _pipeline(degrees, args.bound)
+        _, ideal, info = _pipeline(degrees, args.bound)
         degs = info.relation_degrees
         if args.format == "table":
             print(f"# completeness: certified to degree {info.horizon}")
     if args.format == "json":
-        from .poly import format_polynomial
-
         print(json.dumps({
             "source_weights": list(ideal.ring.weights),
             "relation_degrees": list(degs),
@@ -433,32 +431,23 @@ def _cmd_kernel(args) -> int:
     return 0
 
 
-def _cmd_resolve(args) -> int:
-    if args.gens:
-        ring, images = _load_generator_file(args.gens, None)
-        weights = tuple(f.weighted_degree() for f in images)
-        source = GradedRing(tuple(f"f{i+1}" for i in range(len(images))), weights)
-        amap = AlgebraMap(source, list(images))
-        ker = kernel(amap)
-        mins = minimal_generators(ker) if ker.generators else []
-        ideal = Ideal(source, [g for g, _ in mins])
-        degrees = None
-        gen_weights = weights
-    else:
-        if not args.degrees:
-            raise UsageError("resolve needs a degree list or --gens FILE")
-        degrees = parse_degree_list(args.degrees)
-        _, genset, amap, ideal, _ = _pipeline(degrees, args.bound)
-        gen_weights = tuple(genset.degrees)
+def _print_resolution(
+    args,
+    ideal: Ideal,
+    weights: Sequence[int],
+    degrees: Optional[Sequence[int]],
+    header: Optional[str],
+) -> int:
+    """Resolve the ideal and print it as a table (after the header line) or
+    as JSON; with --dump, also write the differentials to that file."""
     res, table = _resolution_of(ideal)
-    verdict = check_palindromy(table)
-    series = poincare_from_betti(table, gen_weights)
     if args.format == "json":
-        print(report_json(table, gen_weights, degrees))
+        print(report_json(table, weights, degrees))
     else:
-        if degrees is not None:
-            print(f"# d = {','.join(map(str, degrees))}; "
-                  f"generator weights {' '.join(map(str, gen_weights))}")
+        verdict = check_palindromy(table)
+        series = poincare_from_betti(table, weights)
+        if header is not None:
+            print(header)
         print("resolution:", _shape(res))
         print()
         print(render_betti(table))
@@ -471,6 +460,20 @@ def _cmd_resolve(args) -> int:
             fh.write(format_resolution(res))
         print(f"# resolution dump written to {args.dump}", file=sys.stderr)
     return 0
+
+
+def _cmd_resolve(args) -> int:
+    if args.gens:
+        ideal, _ = _kernel_of_file(args.gens, None)
+        return _print_resolution(args, ideal, ideal.ring.weights, None, None)
+    if not args.degrees:
+        raise UsageError("resolve needs a degree list or --gens FILE")
+    degrees = parse_degree_list(args.degrees)
+    genset, ideal, _ = _pipeline(degrees, args.bound)
+    weights = tuple(genset.degrees)
+    header = (f"# d = {','.join(map(str, degrees))}; "
+              f"generator weights {' '.join(map(str, weights))}")
+    return _print_resolution(args, ideal, weights, degrees, header)
 
 
 def _cmd_betti(args) -> int:
@@ -478,33 +481,16 @@ def _cmd_betti(args) -> int:
     for g in gens:
         if not g.is_homogeneous():
             raise UsageError(f"inhomogeneous generator: {format_polynomial(g)}")
-    ideal_in = Ideal(ring, gens)
-    mins = minimal_generators(ideal_in) if gens else []
-    ideal = Ideal(ring, [g for g, _ in mins])
-    res, table = _resolution_of(ideal)
-    verdict = check_palindromy(table)
-    series = poincare_from_betti(table, ring.weights)
-    if args.format == "json":
-        print(report_json(table, ring.weights, None))
-    else:
-        print(f"# minimal generators: {len(ideal.generators)} of "
-              f"{len(ideal_in.generators)} given; degrees "
+    mins = minimal_generators(Ideal(ring, gens)) if gens else []
+    header = (f"# minimal generators: {len(mins)} of {len(gens)} given; degrees "
               f"{' '.join(str(d) for _, d in mins) or '(none)'}")
-        print("resolution:", _shape(res))
-        print()
-        print(render_betti(table))
-        print()
-        print(f"poincare numerator: {_poly_in_z(series.numerator_coefficients())}")
-        print(f"palindromic: {'true' if verdict.holds else 'false'}"
-              + ("" if verdict.holds else f"  (witness beta_{verdict.witness})"))
-    if args.dump:
-        with open(args.dump, "w") as fh:
-            fh.write(format_resolution(res))
-        print(f"# resolution dump written to {args.dump}", file=sys.stderr)
-    return 0
+    return _print_resolution(args, Ideal(ring, [g for g, _ in mins]), ring.weights, None, header)
 
 
 def _cmd_verify(args) -> int:
+    for flag, cap in (("--jcap", args.jcap), ("--ecap", args.ecap)):
+        if cap is not None and cap < 0:
+            raise UsageError(f"{flag} must be a non-negative integer, got {cap}")
     if args.case == "all":
         records = [c for c in CASES if args.include_stretch or not c.stretch]
     else:

@@ -1,14 +1,14 @@
-"""Buchberger engine with cofactor tracking, minimalization and Hilbert series.
+"""Buchberger engine with syzygy traces, minimalization and Hilbert series.
 
 The engine works uniformly over free-module monomials (position, exponent);
 an ideal is the rank-1 case.  Inputs are processed in ascending (sugar)
 degree with FIFO tie-breaking, S-pairs are pruned by the Gebauer-Moeller
-criteria, and every treated pair that reduces to zero leaves a syzygy trace
-expressed over the original inputs.  Those traces are what the resolution
-module consumes.  `Reducer` is the division step on its own; the engine
-extends it, and `normal_form` and the Koszul oracle's normal-form table
-use it directly.  Inside them a module monomial is one int, its
-`ModuleKey` value; exponent tuples are decoded only at the edges.
+criteria, and, when asked, every treated pair that reduces to zero leaves
+a syzygy trace expressed over the original inputs.  Those traces are what
+the resolution module consumes.  `Reducer` is the division step on its
+own; the engine extends it, and `normal_form` and the Koszul oracle's
+normal-form table use it directly.  Inside them a module monomial is one
+int, its `ModuleKey` value; exponent tuples are decoded only at the edges.
 """
 
 from __future__ import annotations
@@ -326,17 +326,19 @@ class Reducer:
 class BuchbergerEngine(Reducer):
     """Degree-synchronized Buchberger over a free module.
 
-    inputs:   integer module elements as {(pos, exponent): coefficient},
-              MVecs; the engine keys them by `keyfn` once, into
-              `keyed_inputs`.  `_divide` makes each one primitive before it
-              is used, so rational inputs give the same basis; their scale
-              ends up in the cofactors.
-    is_ideal: rank-one input, where the product criterion applies.
+    inputs:        module elements as {(pos, exponent): coefficient}, MVecs
+                   with int or Fraction coefficients; the engine keys them by
+                   `keyfn` once, into `keyed_inputs`.  `_divide` makes each
+                   one primitive before it is used, so rational inputs give
+                   the same basis; their scale ends up in the cofactors.
+    want_syzygies: record the syzygy and input traces.  They are built from
+                   the cofactors, so cofactors are tracked exactly then.
 
-    The basis holds KVecs (see `Reducer`).  Basis element k is
-    cofactors[k] / cof_dens[k] over the inputs: an integer MVec keyed by
-    (input index, exponent) and one positive denominator, so no per-term
-    rational arithmetic is needed.
+    The basis holds KVecs (see `Reducer`).  With want_syzygies, basis
+    element k is cofactors[k] / cof_dens[k] over the inputs: an integer MVec
+    keyed by (input index, exponent) and one positive denominator, so no
+    per-term rational arithmetic is needed.  The product criterion applies
+    when the module has rank one, where the order is a ring order.
     """
 
     def __init__(
@@ -346,15 +348,11 @@ class BuchbergerEngine(Reducer):
         shifts: Sequence[int],
         keyfn: ModuleKey,
         *,
-        track_cofactors: bool = True,
         want_syzygies: bool = False,
-        is_ideal: bool = False,
     ) -> None:
         super().__init__(ring, shifts, keyfn)
         self.weights = ring.weights
-        self.track = track_cofactors or want_syzygies
         self.want_syzygies = want_syzygies
-        self.is_ideal = is_ideal
 
         self.sugars: List[int] = []
         self.cofactors: List[MVec] = []
@@ -472,7 +470,7 @@ class BuchbergerEngine(Reducer):
                 i for i in group
                 if monomial_mul(self.leads[i][1], lead_new[1]) == L
             ]
-            if self.is_ideal and coprime:
+            if coprime and len(self.shifts) == 1:
                 # product criterion
                 for i in coprime:
                     self._koszul_pairs.append((i, new_idx))
@@ -504,7 +502,7 @@ class BuchbergerEngine(Reducer):
         ints, (_, g2) = primitive(rem, max(rem))
         cof, den = (
             self._combine_cofactor(source, sden, quotients, scale, g2)
-            if self.track else ({}, 1)
+            if self.want_syzygies else ({}, 1)
         )
         idx = self.add(ints)
         self.sugars.append(sugar)
@@ -537,7 +535,7 @@ class BuchbergerEngine(Reducer):
     def _process_input(self, idx: int, sugar: int) -> None:
         vec = self.keyed_inputs[idx]
         rem, quotients, scale = self._divide(vec)
-        source = {(idx, self.ring.zero_exponent()): 1} if self.track else {}
+        source = {(idx, self.ring.zero_exponent()): 1} if self.want_syzygies else {}
         if not rem:
             self.redundant.add(idx)
             if self.want_syzygies:
@@ -561,13 +559,13 @@ class BuchbergerEngine(Reducer):
         # spair = source / sden over the inputs
         source: MVec = {}
         sden = 1
-        if self.track:
+        if self.want_syzygies:
             di, dj = self.cof_dens[i], self.cof_dens[j]
             sden = lcm(di, dj)
             _add_shifted(source, self.cofactors[i], mi, cj * (sden // di))
             _add_shifted(source, self.cofactors[j], mj, -ci * (sden // dj))
         if not spair:
-            if self.want_syzygies and source:
+            if source:
                 self.syzygies.append(self._normalize_trace(source))
             return
         rem, quotients, scale = self._divide(spair)
@@ -592,7 +590,8 @@ class BuchbergerEngine(Reducer):
             self.syzygies.append(self._normalize_trace(trace))
 
     def _interreduce(self) -> None:
-        """Tail-reduce the completed basis; `buchberger` calls this after `run`.
+        """Tail-reduce the completed basis; `buchberger` calls this after `run`,
+        on an engine without syzygies, so no cofactors are updated.
 
         Resolution levels read only syzygies and traces and skip it.
         """
@@ -600,7 +599,7 @@ class BuchbergerEngine(Reducer):
         for idx in range(len(self.basis)):
             own = self.basis[idx]
             self.by_pos[self.leads[idx][0]].remove(idx)
-            rem, quotients, scale = self._divide(own)
+            rem, quotients, _ = self._divide(own)
             if not rem:
                 # lead divisible by another element's lead: redundant in the
                 # completed basis (possible only for non-homogeneous runs)
@@ -613,13 +612,9 @@ class BuchbergerEngine(Reducer):
             lead = max(rem)
             # tail reduction of a completed basis cannot move the lead
             assert lead == self.lead_keys[idx], "interreduction changed a lead term"
-            ints, (_, g2) = primitive(rem, lead)
+            ints, _ = primitive(rem, lead)
             self.basis[idx] = ints
             self.lead_coeffs[idx] = ints[lead]
-            if self.track:
-                self.cofactors[idx], self.cof_dens[idx] = self._combine_cofactor(
-                    self.cofactors[idx], self.cof_dens[idx], quotients, scale, g2
-                )
         if removed:
             keep = [i for i in range(len(self.basis)) if i not in removed]
             self.basis = [self.basis[i] for i in keep]
@@ -628,8 +623,6 @@ class BuchbergerEngine(Reducer):
             self.lead_coeffs = [self.lead_coeffs[i] for i in keep]
             self.masks = [self.masks[i] for i in keep]
             self.sugars = [self.sugars[i] for i in keep]
-            self.cofactors = [self.cofactors[i] for i in keep]
-            self.cof_dens = [self.cof_dens[i] for i in keep]
             self.by_pos = {}
             for new_idx, lead in enumerate(self.leads):
                 self.by_pos.setdefault(lead[0], []).append(new_idx)
@@ -657,8 +650,6 @@ class GroebnerBasis:
     ring: GradedRing
     order: MonomialOrder
     elements: List[Polynomial]
-    cofactors: List[List[Polynomial]]   # row i expresses elements[i] over the inputs
-    inputs: List[Polynomial]
 
     def leading_monomials(self) -> List[Exponent]:
         return [g.leading_monomial(self.order) for g in self.elements]
@@ -706,45 +697,27 @@ def normal_form(
     return remainder, cofs
 
 
-def buchberger(
-    gens: Ideal,
-    order: MonomialOrder = WEIGHTED,
-    *,
-    track_cofactors: bool = True,
-) -> GroebnerBasis:
-    """Reduced Groebner basis with exact cofactor rows over the inputs."""
+def buchberger(gens: Ideal, order: MonomialOrder = WEIGHTED) -> GroebnerBasis:
+    """Reduced Groebner basis, each element scaled to coprime integers with a
+    positive lead coefficient.  The engine tracks no cofactors and keeps no
+    syzygies."""
     ring = gens.ring
     inputs = gens.nonzero_generators()
     if not inputs:
-        return GroebnerBasis(ring, order, [], [], [])
-    # the engine runs on r_i = inputs[i] * d_i / h_i
-    prim = [primitive(_poly_to_mvec(p)) for p in inputs]
+        return GroebnerBasis(ring, order, [])
     engine = BuchbergerEngine(
-        ring,
-        [ints for ints, _ in prim],
-        [0],
-        base_keyfn(ring, order),
-        track_cofactors=track_cofactors,
-        is_ideal=True,
+        ring, [_poly_to_mvec(p) for p in inputs], [0], base_keyfn(ring, order)
     )
     engine.run()
     engine._interreduce()
     elements = [_mvec_to_poly(ring, engine.keyfn.decode_vec(vec)) for vec in engine.basis]
-    cof_rows: List[List[Polynomial]] = []
-    if track_cofactors:
-        for cof, den in zip(engine.cofactors, engine.cof_dens):
-            row: List[Dict[Exponent, Fraction]] = [{} for _ in inputs]
-            for (i, m), c in cof.items():
-                d, h = prim[i][1]
-                row[i][m] = Fraction(c * d, den * h)
-            cof_rows.append([Polynomial._raw(ring, terms) for terms in row])
-    return GroebnerBasis(ring, order, elements, cof_rows, inputs)
+    return GroebnerBasis(ring, order, elements)
 
 
 def ideals_equal(a: Ideal, b: Ideal, order: MonomialOrder = WEIGHTED) -> bool:
     """Mutual reduction to zero of generators against the other's basis."""
-    gb_a = buchberger(a, order, track_cofactors=False)
-    gb_b = buchberger(b, order, track_cofactors=False)
+    gb_a = buchberger(a, order)
+    gb_b = buchberger(b, order)
     return all(gb_a.contains(g) for g in b.generators) and all(
         gb_b.contains(g) for g in a.generators
     )
@@ -776,11 +749,7 @@ def monomials_of_degree(ring: GradedRing, degree: int) -> List[Exponent]:
     return out
 
 
-def minimal_generators(
-    I: Ideal,
-    order: MonomialOrder = WEIGHTED,
-    gb: Optional[GroebnerBasis] = None,
-) -> List[Tuple[Polynomial, int]]:
+def minimal_generators(I: Ideal) -> List[Tuple[Polynomial, int]]:
     """Minimal homogeneous generating set with degrees, ascending.
 
     Per weighted degree, the span of monomial multiples of lower-degree
@@ -794,12 +763,11 @@ def minimal_generators(
         return []
     if not I.is_homogeneous():
         raise ValueError("minimal_generators requires a homogeneous ideal")
-    if gb is None:
-        gb = buchberger(I, order, track_cofactors=False)
+    gb = buchberger(I)
     degrees = sorted({g.weighted_degree() for g in gens})
     max_deg = degrees[-1]
     min_deg = degrees[0]
-    keyfn = order.key_function(ring)
+    keyfn = WEIGHTED.key_function(ring)
     chosen: List[Tuple[Polynomial, int]] = []
     for e in range(min_deg, max_deg + 1):
         monos = monomials_of_degree(ring, e)
@@ -824,7 +792,7 @@ def minimal_generators(
                     new_rows.append(rem)
         for row in new_rows:
             terms = {monos[i]: Fraction(c) for i, c in row.items()}
-            chosen.append((Polynomial._raw(ring, terms).normalize(order), e))
+            chosen.append((Polynomial._raw(ring, terms).normalize(WEIGHTED), e))
     return chosen
 
 
@@ -938,21 +906,17 @@ def hilbert_numerator_monomial(
     return rec(list(lead_terms))
 
 
-def hilbert_series_quotient(
-    I: Ideal,
-    ring: Optional[GradedRing] = None,
-    order: MonomialOrder = WEIGHTED,
-    gb: Optional[GroebnerBasis] = None,
-) -> RationalSeries:
-    """Hilbert-Poincare series of R/I over prod(1 - z^w_i)."""
-    ring = ring or I.ring
+def hilbert_series_quotient(I: Ideal, gb: Optional[GroebnerBasis] = None) -> RationalSeries:
+    """Hilbert-Poincare series of R/I over prod(1 - z^w_i); gb, when given, is
+    a Groebner basis of I in any order."""
+    ring = I.ring
     if not I.is_homogeneous():
         raise ValueError("hilbert_series_quotient requires a homogeneous ideal")
     gens = I.nonzero_generators()
     if not gens:
         return RationalSeries({0: 1}, ring.weights)
     if gb is None:
-        gb = buchberger(I, order, track_cofactors=False)
+        gb = buchberger(I)
     leads = gb.leading_monomials()
     return RationalSeries(hilbert_numerator_monomial(leads, ring), ring.weights)
 

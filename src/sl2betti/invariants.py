@@ -14,8 +14,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import Echelon, nullspace
-from .poly import Exponent, GradedRing, Polynomial, WEIGHTED
+from .linalg import Echelon, nullspace, primitive
+from .poly import MAX_EXPONENT, Exponent, GradedRing, Polynomial, WEIGHTED
 
 _FORM_PREFIXES = ("x", "y", "u", "v", "w", "s", "t", "p", "q", "r")
 
@@ -340,68 +340,151 @@ class GeneratorSet:
         return len(self.generators)
 
 
-class _ProductSpan:
-    """Products of known generators, cached as integer term maps."""
+class _ImageCache:
+    """Memoized products of polynomials f_1, ..., f_m of one ring, held as
+    integer products of the normalized f_i together with the exact rational
+    factor relating them to the true ones:
+    f^alpha = factor(alpha) * image(alpha).
 
-    def __init__(self, cring: CoefficientRing):
-        self.cring = cring
-        self.cache: Dict[Tuple[int, ...], Dict[Exponent, int]] = {}
-        self.gen_terms: List[Dict[Exponent, int]] = []
-        self.gen_multidegrees: List[Tuple[int, ...]] = []
+    Exponents are bit-packed into single integers (`pack`) so that the
+    product inner loop is integer addition; `unpack` restores tuples.  `add`
+    appends a polynomial; products cached before keep their keys, because
+    alpha is read without its trailing zeros.
 
-    def add_generator(self, g: Polynomial, multidegree: Tuple[int, ...]) -> None:
-        terms = {m: int(c) for m, c in g.terms.items()}
-        self.gen_terms.append(terms)
-        self.gen_multidegrees.append(multidegree)
+    With `on_slice`, every normalized f_i is first restricted to the slice
+    a0 = 1, a1 = 0 (see `_on_slice`), so the cache holds the restrictions of
+    the products.  Only invariants may be restricted.
+    """
 
-    def product(self, exponents: Tuple[int, ...]) -> Dict[Exponent, int]:
-        got = self.cache.get(exponents)
+    PACK_BITS = MAX_EXPONENT.bit_length()
+
+    def __init__(
+        self, ring: GradedRing, images: Sequence[Polynomial] = (), on_slice: bool = False
+    ):
+        self.nvars = ring.nvars
+        self.on_slice = on_slice
+        self.images: List[Dict[int, int]] = []
+        self.image_factors: List[Fraction] = []
+        # per image, the largest exponent of any variable in any term
+        self.max_exps: List[int] = []
+        self.cache: Dict[Exponent, Dict[int, int]] = {}
+        for f in images:
+            self.add(f)
+
+    def add(self, f: Polynomial) -> None:
+        ints, (den, g) = primitive(f.terms, f.leading_monomial())
+        if self.on_slice:
+            ints = _on_slice(ints)
+        top = max((max(m, default=0) for m in ints), default=0)
+        self._guard(top)
+        self.max_exps.append(top)
+        self.image_factors.append(Fraction(g, den))
+        self.images.append({self.pack(m): c for m, c in ints.items()})
+
+    @staticmethod
+    def _guard(bound: int) -> None:
+        """Refuse exponents that could carry out of a packed field."""
+        if bound > MAX_EXPONENT:
+            raise ValueError(
+                f"exponents up to {bound} exceed the supported maximum {MAX_EXPONENT}"
+            )
+
+    def pack(self, m: Exponent) -> int:
+        out = 0
+        for e in m:
+            out = (out << self.PACK_BITS) | e
+        return out
+
+    def unpack(self, code: int) -> Exponent:
+        mask = (1 << self.PACK_BITS) - 1
+        out = [0] * self.nvars
+        for i in range(self.nvars - 1, -1, -1):
+            out[i] = code & mask
+            code >>= self.PACK_BITS
+        return tuple(out)
+
+    def factor(self, alpha: Exponent) -> Fraction:
+        out = Fraction(1)
+        for fac, e in zip(self.image_factors, alpha):
+            if e:
+                out *= fac ** e
+        return out
+
+    def image(self, alpha: Exponent) -> Dict[int, int]:
+        """f^alpha / factor(alpha), keyed by packed exponents."""
+        n = len(alpha)
+        while n and not alpha[n - 1]:
+            n -= 1
+        if not n:
+            return {0: 1}
+        if n < len(alpha):
+            alpha = alpha[:n]
+        got = self.cache.get(alpha)
         if got is not None:
             return got
-        j = max(i for i, e in enumerate(exponents) if e)
-        prev = list(exponents)
-        prev[j] -= 1
-        prev_t = tuple(prev)
-        if any(prev):
-            base = self.product(prev_t)
-        else:
-            base = {(0,) * self.cring.nvars: 1}
-        out: Dict[Exponent, int] = {}
+        self._guard(sum(a * e for a, e in zip(alpha, self.max_exps)))
+        # peel off the factor with the fewest terms for the cheapest product
+        best = min(
+            (i for i, e in enumerate(alpha) if e),
+            key=lambda i: len(self.images[i]),
+        )
+        prev = list(alpha)
+        prev[best] -= 1
+        base = self.image(tuple(prev))
+        f = self.images[best]
+        out: Dict[int, int] = {}
+        get = out.get
         for m1, c1 in base.items():
-            for m2, c2 in self.gen_terms[j].items():
-                key = tuple(a + b for a, b in zip(m1, m2))
-                s = out.get(key, 0) + c1 * c2
+            for m2, c2 in f.items():
+                key = m1 + m2
+                s = get(key, 0) + c1 * c2
                 if s:
                     out[key] = s
                 else:
                     del out[key]
-        self.cache[exponents] = out
+        self.cache[alpha] = out
         return out
 
-    def exponent_tuples(self, multidegree: Tuple[int, ...]) -> List[Tuple[int, ...]]:
-        """All generator multisets whose multidegrees sum to the target."""
-        n = len(self.gen_terms)
-        out: List[Tuple[int, ...]] = []
-        expo = [0] * n
 
-        def rec(i: int, remaining: Tuple[int, ...]) -> None:
-            if not any(remaining):
-                if any(expo):
-                    out.append(tuple(expo))
-                return
-            if i == n:
-                return
-            md = self.gen_multidegrees[i]
-            cap = min(
-                (r // m) for r, m in zip(remaining, md) if m
-            ) if any(md) else 0
-            for e in range(cap + 1):
-                expo[i] = e
-                rec(i + 1, tuple(r - e * m for r, m in zip(remaining, md)))
-            expo[i] = 0
+def _on_slice(terms: Dict[Exponent, int]) -> Dict[Exponent, int]:
+    """Restriction to a0 = 1, a1 = 0, ring variables 0 and 1: terms with
+    a1 > 0 are dropped and the exponent of a0 is set to 0.  This is a ring
+    homomorphism, so it commutes with the products of the cache, and it
+    never raises an exponent, so the exponent guard stays sound."""
+    out: Dict[Exponent, int] = {}
+    for m, c in terms.items():
+        if not m[1]:
+            key = (0,) + m[1:]
+            out[key] = out.get(key, 0) + c
+    return {m: c for m, c in out.items() if c}
 
-        rec(0, tuple(multidegree))
-        return out
+
+def exponent_tuples(
+    multidegrees: Sequence[Tuple[int, ...]], target: Tuple[int, ...]
+) -> List[Tuple[int, ...]]:
+    """All exponent vectors alpha != 0 with sum(alpha[i] * multidegrees[i]) == target."""
+    n = len(multidegrees)
+    out: List[Tuple[int, ...]] = []
+    expo = [0] * n
+
+    def rec(i: int, remaining: Tuple[int, ...]) -> None:
+        if not any(remaining):
+            if any(expo):
+                out.append(tuple(expo))
+            return
+        if i == n:
+            return
+        md = multidegrees[i]
+        cap = min(
+            (r // m) for r, m in zip(remaining, md) if m
+        ) if any(md) else 0
+        for e in range(cap + 1):
+            expo[i] = e
+            rec(i + 1, tuple(r - e * m for r, m in zip(remaining, md)))
+        expo[i] = 0
+
+    rec(0, tuple(target))
+    return out
 
 
 def minimal_invariant_generators(spec: ProblemSpec) -> GeneratorSet:
@@ -410,7 +493,7 @@ def minimal_invariant_generators(spec: ProblemSpec) -> GeneratorSet:
     of previously found generators.  Deterministic, degrees ascending."""
     cring = CoefficientRing(spec.degrees)
     keyfn = WEIGHTED.key_function(cring.ring)
-    span = _ProductSpan(cring)
+    span = _ImageCache(cring.ring)
     gens: List[Polynomial] = []
     degs: List[int] = []
     mdegs: List[Tuple[int, ...]] = []
@@ -423,17 +506,16 @@ def minimal_invariant_generators(spec: ProblemSpec) -> GeneratorSet:
                 continue
             cols = monomials_of_multidegree_weight(cring, md, 0)
             cols.sort(key=keyfn, reverse=True)
-            col_index = {m: i for i, m in enumerate(cols)}
+            col_index = {span.pack(m): i for i, m in enumerate(cols)}
             ech = Echelon()
-            for expo in span.exponent_tuples(md):
+            for expo in exponent_tuples(mdegs, md):
                 if ech.rank == dim_inv:
                     break
-                prod = span.product(expo)
-                ech.add({col_index[m]: c for m, c in prod.items()})
+                ech.add({col_index[m]: c for m, c in span.image(expo).items()})
             if ech.rank == dim_inv:
                 continue
             for b in invariant_basis(spec, md):
-                vec = {col_index[m]: int(c) for m, c in b.terms.items()}
+                vec = {col_index[span.pack(m)]: int(c) for m, c in b.terms.items()}
                 rem = ech.add(vec)
                 if rem is None:
                     continue
@@ -443,7 +525,7 @@ def minimal_invariant_generators(spec: ProblemSpec) -> GeneratorSet:
                 gens.append(g)
                 degs.append(e)
                 mdegs.append(md)
-                span.add_generator(g, md)
+                span.add(g)
                 if ech.rank == dim_inv:
                     break
     return GeneratorSet(cring, spec, gens, degs, mdegs, spec.degree_bound)
@@ -483,9 +565,7 @@ def verify_completeness(
 
     cring = genset.cring
     keyfn = WEIGHTED.key_function(cring.ring)
-    span = _ProductSpan(cring)
-    for g, md in zip(genset.generators, genset.multidegrees):
-        span.add_generator(g, md)
+    span = _ImageCache(cring.ring, genset.generators)
     for e in range(1, check_bound + 1):
         total = 0
         for md in multidegrees_of_total(spec.n_forms, e):
@@ -495,11 +575,10 @@ def verify_completeness(
             if not cols:
                 continue
             cols.sort(key=keyfn, reverse=True)
-            col_index = {m: i for i, m in enumerate(cols)}
+            col_index = {span.pack(m): i for i, m in enumerate(cols)}
             ech = Echelon()
-            for expo in span.exponent_tuples(md):
-                prod = span.product(expo)
-                ech.add({col_index[m]: c for m, c in prod.items()})
+            for expo in exponent_tuples(genset.multidegrees, md):
+                ech.add({col_index[m]: c for m, c in span.image(expo).items()})
             total += ech.rank
         if total != want[e]:
             return CompletenessReport(False, check_bound, (e, total, want[e]))

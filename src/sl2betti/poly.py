@@ -20,8 +20,8 @@ from .linalg import primitive
 Exponent = Tuple[int, ...]
 
 # largest exponent of one variable that any input or product may carry; it
-# fills the 12-bit field in which presentation packs exponents, and the
-# fields of the packed order keys (`PackedKey`) add a guard bit to it
+# fills the 12-bit field in which `invariants._ImageCache` packs exponents,
+# and the fields of the packed order keys (`PackedKey`) add a guard bit to it
 MAX_EXPONENT = 4095
 
 

@@ -37,13 +37,13 @@ from .invariants import (
     CoefficientRing,
     GeneratorSet,
     ProblemSpec,
+    _ImageCache,
     apply_operator,
     cs_total_dims,
     minimal_invariant_generators,
 )
 from .linalg import nullspace, primitive
 from .poly import (
-    MAX_EXPONENT,
     Exponent,
     GradedRing,
     Polynomial,
@@ -79,112 +79,6 @@ def algebra_map_from_generators(genset: GeneratorSet) -> AlgebraMap:
     return AlgebraMap(source, list(genset.generators))
 
 
-class _ImageCache:
-    """Memoized phi(x^alpha), held as integer products of the normalized
-    images together with the exact rational factor relating them to the
-    true images: phi(x^alpha) = factor(alpha) * image(alpha).
-
-    Target-ring exponents are bit-packed into single integers so that the
-    product inner loop is integer addition; `unpack` restores tuples.
-
-    With `on_slice`, every normalized image is first restricted to the slice
-    a0 = 1, a1 = 0 (see `_on_slice`), so the cache holds the restrictions of
-    the products.  Only invariant images may be restricted.
-    """
-
-    PACK_BITS = MAX_EXPONENT.bit_length()
-
-    def __init__(self, amap: AlgebraMap, on_slice: bool = False):
-        self.amap = amap
-        self.nvars_t = amap.target_ring.nvars
-        self.images: List[Dict[int, int]] = []
-        self.image_factors: List[Fraction] = []
-        # per image, the largest exponent of any variable in any term
-        self.max_exps: List[int] = []
-        for f in amap.images:
-            ints, (den, g) = primitive(f.terms, f.leading_monomial())
-            if on_slice:
-                ints = _on_slice(ints)
-            top = max(max(m, default=0) for m in ints)
-            self._guard(top)
-            self.max_exps.append(top)
-            self.image_factors.append(Fraction(g, den))
-            self.images.append({self._pack(m): c for m, c in ints.items()})
-        self.cache: Dict[Exponent, Dict[int, int]] = {}
-
-    @staticmethod
-    def _guard(bound: int) -> None:
-        """Refuse exponents that could carry out of a packed field."""
-        if bound > MAX_EXPONENT:
-            raise ValueError(
-                f"exponents up to {bound} exceed the supported maximum {MAX_EXPONENT}"
-            )
-
-    def _pack(self, m: Exponent) -> int:
-        out = 0
-        for e in m:
-            out = (out << self.PACK_BITS) | e
-        return out
-
-    def unpack(self, code: int) -> Exponent:
-        mask = (1 << self.PACK_BITS) - 1
-        out = [0] * self.nvars_t
-        for i in range(self.nvars_t - 1, -1, -1):
-            out[i] = code & mask
-            code >>= self.PACK_BITS
-        return tuple(out)
-
-    def factor(self, alpha: Exponent) -> Fraction:
-        out = Fraction(1)
-        for fac, e in zip(self.image_factors, alpha):
-            if e:
-                out *= fac ** e
-        return out
-
-    def image(self, alpha: Exponent) -> Dict[int, int]:
-        """phi(x^alpha) / factor(alpha), keyed by packed exponents."""
-        if not any(alpha):
-            return {0: 1}
-        got = self.cache.get(alpha)
-        if got is not None:
-            return got
-        self._guard(sum(a * e for a, e in zip(alpha, self.max_exps)))
-        # peel off the generator with the fewest terms for the cheapest product
-        best = min(
-            (i for i, e in enumerate(alpha) if e),
-            key=lambda i: len(self.images[i]),
-        )
-        prev = list(alpha)
-        prev[best] -= 1
-        base = self.image(tuple(prev))
-        f = self.images[best]
-        out: Dict[int, int] = {}
-        get = out.get
-        for m1, c1 in base.items():
-            for m2, c2 in f.items():
-                key = m1 + m2
-                s = get(key, 0) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        self.cache[alpha] = out
-        return out
-
-
-def _on_slice(terms: Dict[Exponent, int]) -> Dict[Exponent, int]:
-    """Restriction to a0 = 1, a1 = 0, target variables 0 and 1: terms with
-    a1 > 0 are dropped and the exponent of a0 is set to 0.  This is a ring
-    homomorphism, so it commutes with the products of the cache, and it
-    never raises an exponent, so the exponent guard stays sound."""
-    out: Dict[Exponent, int] = {}
-    for m, c in terms.items():
-        if not m[1]:
-            key = (0,) + m[1:]
-            out[key] = out.get(key, 0) + c
-    return {m: c for m, c in out.items() if c}
-
-
 def _check_invariant(amap: AlgebraMap, spec: ProblemSpec) -> None:
     """Raise ValueError unless every image is an SL2-invariant of the forms
     of spec: a polynomial of the coefficient ring whose terms all have
@@ -204,7 +98,7 @@ def substitute(amap: AlgebraMap, p: Polynomial, cache: Optional[_ImageCache] = N
     """phi(p), exact; with a cache built on the slice, its restriction there."""
     if p.ring != amap.source:
         raise ValueError("polynomial is not in the source ring of the map")
-    cache = cache or _ImageCache(amap)
+    cache = cache or _ImageCache(amap.target_ring, amap.images)
     # phi(p) = sum c * factor(alpha) * image(alpha): fold the rational
     # scalars into integers over one denominator, accumulate in integers
     ints, (den, g) = primitive(
@@ -238,7 +132,7 @@ def kernel(amap: AlgebraMap) -> Ideal:
     if m == 0:
         return Ideal(src, [])
     # built first, so that its exponent guard runs before the elimination
-    cache = _ImageCache(amap)
+    cache = _ImageCache(amap.target_ring, amap.images)
     tgt = amap.target_ring
     nc = tgt.nvars
     names = tuple(f"c{i}" for i in range(nc)) + tuple(f"z{i}" for i in range(m))
@@ -255,7 +149,7 @@ def kernel(amap: AlgebraMap) -> Ideal:
             key = tuple(mono) + (0,) * m
             terms[key] = terms.get(key, Fraction(0)) - c
         gens.append(Polynomial._raw(combined, terms))
-    gb = buchberger(Ideal(combined, gens), order, track_cofactors=False)
+    gb = buchberger(Ideal(combined, gens), order)
     out: List[Polynomial] = []
     for g in gb.elements:
         if all(all(e == 0 for e in mono[:nc]) for mono in g.terms):
@@ -286,7 +180,7 @@ class PresentInfo:
 def kernel_by_degrees(
     amap: AlgebraMap,
     spec: ProblemSpec,
-    horizon: int,
+    horizon: Optional[int] = None,
 ) -> Tuple[Ideal, PresentInfo]:
     """Minimal kernel generators found degree by degree.
 
@@ -296,7 +190,9 @@ def kernel_by_degrees(
     with the weight-counting dimension of the invariant algebra for every
     e <= horizon, which certifies completeness through that range.  A degree
     whose dimensions cannot be matched raises, so a returned result is
-    always certified.
+    always certified.  Without a horizon, it starts at `default_horizon` of
+    no relations and grows to `default_horizon` of the relations found so
+    far, so the certificate reaches twice the largest relation degree.
 
     The images must be SL2-invariants of the forms of spec; this is checked
     first, and a ValueError is raised otherwise.  That makes the slice
@@ -307,15 +203,20 @@ def kernel_by_degrees(
     normalized relations are the same polynomials.
     """
     src = amap.source
+    grow = horizon is None
+    if grow:
+        horizon = default_horizon([], src.weights)
     cs = cs_total_dims(spec, horizon)
     _check_invariant(amap, spec)
-    cache = _ImageCache(amap, on_slice=True)
+    cache = _ImageCache(amap.target_ring, amap.images, on_slice=True)
     keyfn = WEIGHTED.key_function(src)
     gens: List[Polynomial] = []
     gb: Optional[GroebnerBasis] = None
     hf: List[int] = RationalSeries({0: 1}, src.weights).coefficients(horizon)
     relation_degrees: List[int] = []
-    for e in range(1, horizon + 1):
+    e = 0
+    while e < horizon:
+        e += 1
         need = hf[e] - cs[e]
         if need < 0:
             raise ValueError(
@@ -325,12 +226,11 @@ def kernel_by_degrees(
         if need == 0:
             continue
         if gb is None and gens:
-            gb = buchberger(Ideal(src, gens), WEIGHTED, track_cofactors=False)
+            gb = buchberger(Ideal(src, gens), WEIGHTED)
         std = (
             standard_monomials(gb, e) if gb is not None else monomials_of_degree(src, e)
         )
         std.sort(key=keyfn, reverse=True)
-        col_of = {a: i for i, a in enumerate(std)}
         rows: Dict[Exponent, Dict[int, int]] = {}
         for j, alpha in enumerate(std):
             for mono, c in cache.image(alpha).items():
@@ -355,9 +255,11 @@ def kernel_by_degrees(
                 raise AssertionError(f"degree {e}: kernel vector not in the kernel")
             gens.append(g)
             relation_degrees.append(e)
-        gb = buchberger(Ideal(src, gens), WEIGHTED, track_cofactors=False)
-        hs = hilbert_series_quotient(Ideal(src, gens), src, WEIGHTED, gb=gb)
-        hf = hs.coefficients(horizon)
+        if grow and default_horizon(relation_degrees, src.weights) > horizon:
+            horizon = default_horizon(relation_degrees, src.weights)
+            cs = cs_total_dims(spec, horizon)
+        gb = buchberger(Ideal(src, gens), WEIGHTED)
+        hf = hilbert_series_quotient(Ideal(src, gens), gb=gb).coefficients(horizon)
         if hf[e] != cs[e]:
             raise AssertionError(f"degree {e}: quotient dimension still off")
     info = PresentInfo(
@@ -382,16 +284,5 @@ def present(
     """Full pipeline front half: generators, map, degree-certified minimal kernel."""
     genset = genset or minimal_invariant_generators(spec)
     amap = algebra_map_from_generators(genset)
-    if horizon is None:
-        # discover relations with a provisional horizon, then extend the
-        # certificate to twice the largest relation degree found
-        h = default_horizon([], amap.source.weights)
-        ideal, info = kernel_by_degrees(amap, spec, h)
-        target = default_horizon(info.relation_degrees, amap.source.weights)
-        while target > h:
-            h = target
-            ideal, info = kernel_by_degrees(amap, spec, h)
-            target = default_horizon(info.relation_degrees, amap.source.weights)
-        return amap, ideal, info
     ideal, info = kernel_by_degrees(amap, spec, horizon)
     return amap, ideal, info

@@ -135,10 +135,7 @@ def parse_betti(text: str) -> BettiTable:
 # ---------------------------------------------------------------------------
 
 def report_json(
-    t: BettiTable,
-    weights: Sequence[int],
-    degrees: Optional[Sequence[int]] = None,
-    extra: Optional[Dict] = None,
+    t: BettiTable, weights: Sequence[int], degrees: Optional[Sequence[int]] = None
 ) -> str:
     """Structured document with bit-exact integer values."""
     series = poincare_from_betti(t, weights)
@@ -153,6 +150,4 @@ def report_json(
         "poincare_numerator": series.numerator_coefficients(),
         "notes": [POINCARE_SIGN_NOTE],
     }
-    if extra:
-        doc.update(extra)
     return json.dumps(doc, indent=2, sort_keys=False)

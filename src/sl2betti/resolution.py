@@ -152,9 +152,7 @@ def resolve(I: Ideal, *, minimalize_levels: bool = True) -> Resolution:
             inputs,
             prev_module.shifts,
             keyfn,
-            track_cofactors=True,
             want_syzygies=True,
-            is_ideal=(level == 1),
         )
         res = engine.run()
         if minimalize_levels:
@@ -410,12 +408,12 @@ def _regular_variables_of(
     if not I.is_homogeneous():
         raise ValueError("hilbert_series_quotient requires a homogeneous ideal")
     kept: List[int] = []
-    reduced, gb = I, buchberger(I, track_cofactors=False)
+    reduced, gb = I, buchberger(I)
     series = hilbert_series_quotient(I, gb=gb)
     for v in range(ring.nvars):
         target, rest = _without(ring, kept + [v])
         trial = Ideal(target, [_set_to_zero(g, target, rest) for g in I.generators])
-        trial_gb = buchberger(trial, track_cofactors=False)
+        trial_gb = buchberger(trial)
         got = hilbert_series_quotient(trial, gb=trial_gb)
         # (1 - t^w_v) HS(R/J): the numerator of HS(R/J) over the
         # denominator of the smaller ring

@@ -120,6 +120,15 @@ class TestResolveCommand:
         assert doc["degrees"] == [3, 3]
         assert doc["length"] == 2 and doc["j_star"] == 20
 
+    @pytest.mark.parametrize("command", ["kernel", "resolve"])
+    @pytest.mark.parametrize("entry", ["0", "x0^2 + x1"])
+    def test_gens_file_bad_entry_is_usage_error(self, command, entry, tmp_path, capsys):
+        path = tmp_path / "gens.txt"
+        path.write_text(f"ring x0 x1 ;\nx0*x1\n{entry}\n")
+        assert run([command, "--gens", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: generator file entries must be nonzero homogeneous\n"
+
     def test_gens_file_route(self, gens_file, capsys):
         code = run(["resolve", "--gens", gens_file])
         out = capsys.readouterr().out
@@ -276,6 +285,14 @@ class TestVerifyCommand:
 
     def test_unknown_label(self, capsys):
         assert run(["verify", "V99"]) == 2
+
+    @pytest.mark.parametrize("flag, value", [("--jcap", "-1"), ("--ecap", "-5")])
+    def test_negative_cap_is_usage_error(self, flag, value, capsys):
+        code = run(["verify", "V2", flag, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: {flag} must be a non-negative integer, got {value}\n"
+        assert captured.out == ""
 
     def test_stretch_excluded_by_default(self, capsys):
         # 'all' must not contain the stretch labels unless asked

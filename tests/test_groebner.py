@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sl2betti.groebner import (
+    BuchbergerEngine,
     Ideal,
     RationalSeries,
     Reducer,
@@ -268,27 +269,41 @@ class TestBuchberger:
             assert acc.is_zero()
 
     def test_paper_relations_reduce_to_zero(self, paper_ring, paper_J):
-        gb = buchberger(Ideal(paper_ring, paper_J), track_cofactors=False)
+        gb = buchberger(Ideal(paper_ring, paper_J))
         for g in paper_J:
             assert gb.contains(g)
 
     def test_cofactor_soundness_random(self):
+        # with syzygies on, the engine tracks cofactors: basis element k
+        # times cof_dens[k] is the combination cofactors[k] of the inputs
         rng = random.Random(5)
         R = GradedRing(("x", "y", "z"), (1, 1, 1))
+        key = base_keyfn(R)
+        checked = 0
         for trial in range(30):
             gens = [g for g in (_random_poly(R, rng, 2) for _ in range(3)) if not g.is_zero()]
             if trial >= 15:
                 # rational inputs: the engine runs on their primitive
-                # multiples, the rows are over the inputs themselves
+                # multiples, the cofactors are over the inputs themselves
                 gens = [Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 6)) * g for g in gens]
             if not gens:
                 continue
-            gb = buchberger(Ideal(R, gens))
-            for el, row in zip(gb.elements, gb.cofactors):
+            engine = BuchbergerEngine(
+                R,
+                [{(0, m): c for m, c in g.terms.items()} for g in gens],
+                [0],
+                key,
+                want_syzygies=True,
+            )
+            engine.run()
+            for vec, cof, den in zip(engine.basis, engine.cofactors, engine.cof_dens):
                 acc = R.zero()
-                for c, f in zip(row, gb.inputs):
-                    acc = acc + c * f
-                assert acc == el
+                for (i, m), c in cof.items():
+                    acc = acc + gens[i].mul_monomial(m).scale(Fraction(c))
+                el = Polynomial(R, {m: Fraction(c) for (_, m), c in key.decode_vec(vec).items()})
+                assert acc == el.scale(Fraction(den))
+                checked += 1
+        assert checked > 30
 
     def test_spolynomials_reduce_to_zero_random_homogeneous(self):
         rng = random.Random(9)
@@ -302,7 +317,7 @@ class TestBuchberger:
             gens = [g for g in gens if not g.is_zero()]
             if not gens:
                 continue
-            gb = buchberger(Ideal(R, gens), track_cofactors=False)
+            gb = buchberger(Ideal(R, gens))
             for i in range(len(gb.elements)):
                 for j in range(i + 1, len(gb.elements)):
                     s = spoly(gb.elements[i], gb.elements[j])
@@ -312,7 +327,7 @@ class TestBuchberger:
                     assert r.is_zero()
 
     def test_reduced_basis(self, paper_ring, paper_J):
-        gb = buchberger(Ideal(paper_ring, paper_J), track_cofactors=False)
+        gb = buchberger(Ideal(paper_ring, paper_J))
         leads = gb.leading_monomials()
         for k, g in enumerate(gb.elements):
             for m in g.monomials():
@@ -425,7 +440,7 @@ class TestHilbertSeries:
 class TestStandardMonomials:
     def test_counts_match_series(self, paper_ring, paper_J):
         I = Ideal(paper_ring, paper_J)
-        gb = buchberger(I, track_cofactors=False)
+        gb = buchberger(I)
         hs = hilbert_series_quotient(I, gb=gb)
         coeffs = hs.coefficients(8)
         for e in range(9):

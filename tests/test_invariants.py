@@ -4,9 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sl2betti.invariants import (
     _form_weight_counts,
+    _ImageCache,
     CoefficientRing,
     ProblemSpec,
     apply_operator,
@@ -20,7 +23,7 @@ from sl2betti.invariants import (
     weight_multiplicity,
 )
 from sl2betti.linalg import Echelon, primitive
-from sl2betti.poly import Polynomial, WEIGHTED
+from sl2betti.poly import GradedRing, Polynomial, WEIGHTED
 
 
 class TestOperators:
@@ -169,6 +172,58 @@ class TestInvariantBasis:
                     got = len(invariant_basis(spec, md))
                     want = cayley_sylvester_dim(spec, md)
                     assert got == want, (degrees, md)
+
+
+def _nonzero_poly(ring, data):
+    terms = {}
+    for _ in range(data.draw(st.integers(1, 3))):
+        mono = tuple(data.draw(st.integers(0, 3)) for _ in range(ring.nvars))
+        c = data.draw(st.integers(-5, 5).filter(bool))
+        terms[mono] = Fraction(c, data.draw(st.integers(1, 4)))
+    return Polynomial(ring, terms)
+
+
+def _on_slice_oracle(p):
+    """p at a0 = 1, a1 = 0, in the same ring."""
+    out = {}
+    for m, c in p.terms.items():
+        if not m[1]:
+            key = (0,) + m[1:]
+            out[key] = out.get(key, 0) + c
+    return Polynomial(p.ring, out)
+
+
+class TestImageCache:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_products_match_polynomial_arithmetic(self, data):
+        # factor(alpha) * image(alpha) is f^alpha (restricted on the slice),
+        # also for products cached before further images were added
+        R = GradedRing(("a", "b", "c"), (1, 1, 1))
+        polys = [_nonzero_poly(R, data) for _ in range(data.draw(st.integers(1, 3)))]
+        on_slice = data.draw(st.booleans())
+        first = data.draw(st.integers(0, len(polys)))
+        alphas = data.draw(st.lists(
+            st.tuples(*(st.integers(0, 3) for _ in polys)), min_size=1, max_size=4
+        ))
+        cache = _ImageCache(R, polys[:first], on_slice=on_slice)
+
+        def check(alpha):
+            want = R.one()
+            for f, e in zip(polys, alpha):
+                want = want * f ** e
+            if on_slice:
+                want = _on_slice_oracle(want)
+            got = {cache.unpack(m): c * cache.factor(alpha) for m, c in cache.image(alpha).items()}
+            assert Polynomial(R, got) == want
+
+        for alpha in alphas:
+            check(alpha[:first])
+        for f in polys[first:]:
+            cache.add(f)
+        for alpha in alphas:
+            check(alpha)
+            check(alpha[:first])
 
 
 class TestGeneratorSearch:

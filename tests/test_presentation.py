@@ -11,6 +11,7 @@ from sl2betti.invariants import (
     cs_total_dims,
     minimal_invariant_generators,
 )
+from sl2betti import presentation
 from sl2betti.poly import GradedRing
 from sl2betti.presentation import (
     AlgebraMap,
@@ -82,7 +83,7 @@ class TestKernelElimination:
         g = ker.generators[0]
         assert substitute(amap, g).is_zero()
         # Hilbert series of K[x,y]/(g) matches the image subalgebra K[t^2,t^3]
-        hs = hilbert_series_quotient(ker, amap.source)
+        hs = hilbert_series_quotient(ker)
         # dims of K[t^2,t^3]: 1 except in degree 1
         assert hs.coefficients(8) == [1, 0, 1, 1, 1, 1, 1, 1, 1]
 
@@ -145,7 +146,7 @@ class TestKernelByDegrees:
                 Ideal(amap.source, elim.generators),
             )
             # the certificate: quotient dimensions equal the invariant count
-            hs = hilbert_series_quotient(lin, amap.source)
+            hs = hilbert_series_quotient(lin)
             assert hs.coefficients(info.horizon) == cs_total_dims(spec, 14)
 
     def test_incomplete_generators_detected(self):
@@ -188,9 +189,20 @@ class TestPresent:
         assert sorted(info.relation_degrees) == [5, 5, 5, 6, 6, 6, 6, 6, 6]
         assert info.horizon == default_horizon(info.relation_degrees, amap.source.weights)
 
-    def test_two_cubics(self):
+    def test_two_cubics(self, monkeypatch):
+        # the horizon grows from 12 to 24 inside one kernel pass
+        calls = []
+        inner = presentation.kernel_by_degrees
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(presentation, "kernel_by_degrees", counted)
         amap, ker, info = present(ProblemSpec((3, 3), 6))
+        assert len(calls) == 1
         assert sorted(info.relation_degrees) == [8, 12]
+        assert info.horizon == 24
         assert info.horizon == default_horizon(info.relation_degrees, amap.source.weights)
 
     def test_free_case(self):
@@ -220,6 +232,6 @@ class TestPresent:
         # relation degree
         spec = ProblemSpec((1, 2, 2), 4)
         amap, ker, info = present(spec)
-        hs = hilbert_series_quotient(ker, amap.source)
+        hs = hilbert_series_quotient(ker)
         depth = 2 * max(info.relation_degrees)
         assert hs.coefficients(depth) == cs_total_dims(spec, depth)

@@ -54,7 +54,6 @@ class TestModuleGroebner:
             [0],
             base_keyfn(R),
             want_syzygies=True,
-            is_ideal=True,
         )
         basis = engine.run().basis
         ideal_gb = buchberger(Ideal(R, gens))
