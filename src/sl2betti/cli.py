@@ -374,6 +374,13 @@ def _load_generator_file(path: str, weights_arg: Optional[str]):
     with open(path) as fh:
         text = fh.read()
     ring, order, polys = parse_session(text)
+    if order != WEIGHTED:
+        # the kernel and the resolution always work in the weighted order
+        clause = f"{order.kind} {order.block}" if order.kind == "block" else order.kind
+        raise UsageError(
+            f"unsupported clause 'order {clause}': generator files must use "
+            "order weighted (or degrevlex)"
+        )
     if weights_arg:
         weights = parse_degree_list(weights_arg)
         if len(weights) != ring.nvars:

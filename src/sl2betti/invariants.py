@@ -76,12 +76,6 @@ class CoefficientRing:
     def sl2_weight(self, m: Exponent) -> int:
         return sum(e * w for e, w in zip(m, self.sl2_weights))
 
-    def multidegree(self, m: Exponent) -> Tuple[int, ...]:
-        md = [0] * len(self.form_degrees)
-        for e, f in zip(m, self.form_of_var):
-            md[f] += e
-        return tuple(md)
-
 
 # ---------------------------------------------------------------------------
 # sl2 action
@@ -105,33 +99,8 @@ def _operator_moves(cring: CoefficientRing, kind: str) -> List[Tuple[int, int, i
     return moves
 
 
-def apply_operator(kind: str, p: Polynomial, cring: CoefficientRing) -> Polynomial:
-    """Image of p under the raising or lowering sl2 operator (exact, linear)."""
-    moves = _operator_moves(cring, kind)
-    out: Dict[Exponent, Fraction] = {}
-    for m, c in p.terms.items():
-        for src, dst, scal in moves:
-            e = m[src]
-            if not e:
-                continue
-            lst = list(m)
-            lst[src] -= 1
-            lst[dst] += 1
-            key = tuple(lst)
-            add = c * (scal * e)
-            s = out.get(key)
-            if s is None:
-                out[key] = add
-            else:
-                s = s + add
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-    return Polynomial._raw(cring.ring, out)
-
-
 def _apply_moves_int(m: Exponent, moves) -> List[Tuple[Exponent, int]]:
+    """(target, integer coefficient) of every move that applies to m."""
     out = []
     for src, dst, scal in moves:
         e = m[src]
@@ -144,6 +113,20 @@ def _apply_moves_int(m: Exponent, moves) -> List[Tuple[Exponent, int]]:
     return out
 
 
+def apply_operator(kind: str, p: Polynomial, cring: CoefficientRing) -> Polynomial:
+    """Image of p under the raising or lowering sl2 operator (exact, linear)."""
+    moves = _operator_moves(cring, kind)
+    out: Dict[Exponent, Fraction] = {}
+    for m, c in p.terms.items():
+        for key, scal in _apply_moves_int(m, moves):
+            s = out.get(key, 0) + c * scal
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    return Polynomial._raw(cring.ring, out)
+
+
 # ---------------------------------------------------------------------------
 # weight-graded enumeration and dimension counts
 # ---------------------------------------------------------------------------
@@ -151,45 +134,44 @@ def _apply_moves_int(m: Exponent, moves) -> List[Tuple[Exponent, int]]:
 def monomials_of_multidegree_weight(
     cring: CoefficientRing, multidegree: Sequence[int], weight: int
 ) -> List[Exponent]:
-    """Monomials with the given per-form degrees and total sl2-weight."""
-    n = cring.nvars
-    md = list(multidegree)
+    """Monomials with the given per-form degrees and total sl2-weight, in
+    ascending lexicographic order of the exponents."""
+    md = tuple(multidegree)
     if len(md) != len(cring.form_degrees):
         raise ValueError("multidegree length does not match the form count")
+    n = cring.nvars
+    # reach[f]: the largest |weight| that the forms from f on can add
+    reach = [0] * (len(md) + 1)
+    for f in range(len(md) - 1, -1, -1):
+        reach[f] = reach[f + 1] + cring.form_degrees[f] * md[f]
     out: List[Exponent] = []
-    # remaining weight extremes per suffix, for pruning
     prefix: List[int] = []
 
-    def rec(v: int, rem_form: int, f: int, wt: int) -> None:
+    def rec(v: int, rem: int, need: int) -> None:
+        # rem: degree left in the form of variable v; need: weight the
+        # variables from v on must still add
         if v == n:
-            if wt == weight:
+            if need == 0:
                 out.append(tuple(prefix))
             return
-        vf = cring.form_of_var[v]
-        if vf != f:
-            if rem_form != 0:
-                return
-            rec_from_form(v, vf, wt)
-            return
+        f = cring.form_of_var[v]
         d = cring.form_degrees[f]
         k = cring.index_in_form[v]
-        if k == d:  # last variable of the block: exponent forced
-            e = rem_form
-            prefix.append(e)
-            rec(v + 1, 0, f, wt + e * cring.sl2_weights[v])
+        # the rest of this form adds between -d*rem and (d-2k)*rem
+        if not -d * rem - reach[f + 1] <= need <= (d - 2 * k) * rem + reach[f + 1]:
+            return
+        w = cring.sl2_weights[v]
+        if k == d:  # last variable of the form: exponent forced
+            prefix.append(rem)
+            rec(v + 1, md[f + 1] if f + 1 < len(md) else 0, need - rem * w)
             prefix.pop()
             return
-        for e in range(rem_form + 1):
+        for e in range(rem + 1):
             prefix.append(e)
-            rec(v + 1, rem_form - e, f, wt + e * cring.sl2_weights[v])
+            rec(v + 1, rem - e, need - e * w)
             prefix.pop()
 
-    def rec_from_form(v: int, f: int, wt: int) -> None:
-        rec(v, md[f], f, wt)
-
-    if n == 0:
-        return [()] if weight == 0 and not any(md) else []
-    rec_from_form(0, 0, weight * 0)
+    rec(0, md[0] if md else 0, weight)
     return out
 
 
@@ -275,6 +257,20 @@ def multidegrees_of_total(n: int, total: int) -> List[Tuple[int, ...]]:
 # invariant bases by exact nullspace
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1)
+def _weight_zero_columns(
+    form_degrees: Tuple[int, ...], multidegree: Tuple[int, ...]
+) -> Tuple[Exponent, ...]:
+    """The weight-0 monomials of one multidegree piece, in descending
+    weighted order: the columns of every matrix built on the piece.  The
+    generator search reads a piece twice in a row, for the product span and
+    then in `invariant_basis`, so one entry is enough."""
+    cring = CoefficientRing(form_degrees)
+    cols = monomials_of_multidegree_weight(cring, multidegree, 0)
+    cols.sort(key=WEIGHTED.key_function(cring.ring), reverse=True)
+    return tuple(cols)
+
+
 def invariant_basis(
     spec: ProblemSpec, multidegree: Sequence[int]
 ) -> List[Polynomial]:
@@ -287,11 +283,10 @@ def invariant_basis(
     cring = CoefficientRing(spec.degrees)
     if sum(m * d for m, d in zip(multidegree, spec.degrees)) % 2:
         return []
-    cols = monomials_of_multidegree_weight(cring, multidegree, 0)
+    cols = _weight_zero_columns(spec.degrees, tuple(multidegree))
     if not cols:
         return []
     keyfn = WEIGHTED.key_function(cring.ring)
-    cols.sort(key=keyfn, reverse=True)
     moves = _operator_moves(cring, "raising")
     rows: Dict[Exponent, Dict[int, int]] = {}
     for j, m in enumerate(cols):
@@ -487,31 +482,42 @@ def exponent_tuples(
     return out
 
 
+def _product_span(
+    span: _ImageCache,
+    multidegrees: Sequence[Tuple[int, ...]],
+    target: Tuple[int, ...],
+    cols: Sequence[Exponent],
+    dim: int,
+) -> Tuple[Echelon, Dict[int, int]]:
+    """Echelon form of the products of the span's polynomials (of the given
+    multidegrees) that lie in the target piece, on its columns, and the
+    column index keyed by packed exponents.  Products of invariants cannot
+    exceed the invariant dimension `dim`, so the span stops there."""
+    col_index = {span.pack(m): i for i, m in enumerate(cols)}
+    ech = Echelon()
+    for expo in exponent_tuples(multidegrees, target):
+        if ech.rank == dim:
+            break
+        ech.add({col_index[m]: c for m, c in span.image(expo).items()})
+    return ech, col_index
+
+
 def minimal_invariant_generators(spec: ProblemSpec) -> GeneratorSet:
     """Search total degrees 1..bound, multidegrees in lexicographic order;
     append a complement basis of the invariants beyond the span of products
     of previously found generators.  Deterministic, degrees ascending."""
     cring = CoefficientRing(spec.degrees)
-    keyfn = WEIGHTED.key_function(cring.ring)
     span = _ImageCache(cring.ring)
     gens: List[Polynomial] = []
     degs: List[int] = []
     mdegs: List[Tuple[int, ...]] = []
     for e in range(1, spec.degree_bound + 1):
         for md in multidegrees_of_total(spec.n_forms, e):
-            if sum(m * d for m, d in zip(md, spec.degrees)) % 2:
-                continue
             dim_inv = cayley_sylvester_dim(spec, md)
             if dim_inv == 0:
                 continue
-            cols = monomials_of_multidegree_weight(cring, md, 0)
-            cols.sort(key=keyfn, reverse=True)
-            col_index = {span.pack(m): i for i, m in enumerate(cols)}
-            ech = Echelon()
-            for expo in exponent_tuples(mdegs, md):
-                if ech.rank == dim_inv:
-                    break
-                ech.add({col_index[m]: c for m, c in span.image(expo).items()})
+            cols = _weight_zero_columns(spec.degrees, md)
+            ech, col_index = _product_span(span, mdegs, md, cols, dim_inv)
             if ech.rank == dim_inv:
                 continue
             for b in invariant_basis(spec, md):
@@ -545,41 +551,20 @@ class CompletenessReport:
 
 
 def verify_completeness(
-    genset: GeneratorSet,
-    spec: ProblemSpec,
-    check_bound: int,
-    series_coefficients: Optional[Sequence[int]] = None,
+    genset: GeneratorSet, spec: ProblemSpec, check_bound: int
 ) -> CompletenessReport:
-    """Compare subalgebra dimensions against the combinatorial count per degree.
-
-    series_coefficients, when given, are dim(subalgebra)_e from the Hilbert
-    series of the presentation quotient; otherwise spans are computed directly.
-    """
+    """Compare the dimensions of the subalgebra spanned by the products of
+    the generators with the combinatorial count, degree by degree."""
     want = cs_total_dims(spec, check_bound)
-    if series_coefficients is not None:
-        got_all = list(series_coefficients[: check_bound + 1])
-        for e in range(check_bound + 1):
-            if got_all[e] != want[e]:
-                return CompletenessReport(False, check_bound, (e, got_all[e], want[e]))
-        return CompletenessReport(True, check_bound)
-
-    cring = genset.cring
-    keyfn = WEIGHTED.key_function(cring.ring)
-    span = _ImageCache(cring.ring, genset.generators)
+    span = _ImageCache(genset.cring.ring, genset.generators)
     for e in range(1, check_bound + 1):
         total = 0
         for md in multidegrees_of_total(spec.n_forms, e):
-            if sum(m * d for m, d in zip(md, spec.degrees)) % 2:
-                continue
-            cols = monomials_of_multidegree_weight(cring, md, 0)
-            if not cols:
-                continue
-            cols.sort(key=keyfn, reverse=True)
-            col_index = {span.pack(m): i for i, m in enumerate(cols)}
-            ech = Echelon()
-            for expo in exponent_tuples(genset.multidegrees, md):
-                ech.add({col_index[m]: c for m, c in span.image(expo).items()})
-            total += ech.rank
+            dim_inv = cayley_sylvester_dim(spec, md)
+            if dim_inv:
+                cols = _weight_zero_columns(spec.degrees, md)
+                ech, _ = _product_span(span, genset.multidegrees, md, cols, dim_inv)
+                total += ech.rank
         if total != want[e]:
             return CompletenessReport(False, check_bound, (e, total, want[e]))
     return CompletenessReport(True, check_bound)

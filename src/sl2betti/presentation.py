@@ -174,7 +174,6 @@ def kernel(amap: AlgebraMap) -> Ideal:
 class PresentInfo:
     horizon: int
     relation_degrees: List[int]
-    message: str = ""
 
 
 def kernel_by_degrees(
@@ -225,8 +224,6 @@ def kernel_by_degrees(
             )
         if need == 0:
             continue
-        if gb is None and gens:
-            gb = buchberger(Ideal(src, gens), WEIGHTED)
         std = (
             standard_monomials(gb, e) if gb is not None else monomials_of_degree(src, e)
         )
@@ -262,12 +259,7 @@ def kernel_by_degrees(
         hf = hilbert_series_quotient(Ideal(src, gens), gb=gb).coefficients(horizon)
         if hf[e] != cs[e]:
             raise AssertionError(f"degree {e}: quotient dimension still off")
-    info = PresentInfo(
-        horizon=horizon,
-        relation_degrees=relation_degrees,
-        message=f"quotient dimensions match the invariant count for all degrees <= {horizon}",
-    )
-    return Ideal(src, gens), info
+    return Ideal(src, gens), PresentInfo(horizon, relation_degrees)
 
 
 def default_horizon(relation_degrees: Sequence[int], weights: Sequence[int]) -> int:

@@ -73,9 +73,6 @@ class Resolution:
         """d_i: F_i -> F_{i-1}, for 1 <= i <= length."""
         return self.differentials[i - 1]
 
-    def entry(self, i: int, row: int, col: int) -> Polynomial:
-        return self.differential(i).get(col, {}).get(row, self.ring.zero())
-
     def is_minimal(self) -> bool:
         for d in self.differentials:
             for col in d.values():

@@ -89,6 +89,25 @@ class TestBettiCommand:
         assert run(["betti", "--gens", str(path)]) == 2
         assert "error: block order needs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command", [["betti"], ["kernel"], ["resolve"]], ids=["betti", "kernel", "resolve"]
+    )
+    @pytest.mark.parametrize("order", ["lex", "block 1"])
+    def test_non_weighted_order_is_usage_error(self, command, order, tmp_path, capsys):
+        # generator files are always read in the weighted order, so any other
+        # order clause is refused instead of silently ignored
+        path = tmp_path / "gens.txt"
+        path.write_text(f"ring x y ; weights 1 1 ; order {order} ;\nx*y\n")
+        assert run(command + ["--gens", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: unsupported clause 'order {order}'")
+
+    @pytest.mark.parametrize("order", ["weighted", "degrevlex"])
+    def test_weighted_order_names_are_accepted(self, order, tmp_path, capsys):
+        path = tmp_path / "gens.txt"
+        path.write_text(f"ring x y ; weights 1 1 ; order {order} ;\nx*y\n")
+        assert run(["betti", "--gens", str(path)]) == 0
+
     def test_huge_exponent_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("ring x ;\nx^99999999999999999\n")
@@ -268,6 +287,15 @@ class TestInvariantsCommand:
     def test_bad_degree_list(self, capsys):
         assert run(["invariants", "1,0,2"]) == 2
 
+    def test_two_cubics_match_recorded_output(self, capsys):
+        # products of earlier generators span only part of the pieces (2,2)
+        # and (3,3), so the printed generators depend on the column order and
+        # on the order of the products
+        data = Path(__file__).parent / "data"
+        code = run(["invariants", "3,3", "--format", "json"])
+        assert code == 0
+        assert capsys.readouterr().out == (data / "invariants_33.json").read_text()
+
 
 class TestVerifyCommand:
     def test_small_case_passes(self, capsys):
@@ -304,6 +332,17 @@ class TestVerifyCommand:
 
 
 
+def _child_env(**extra):
+    """The environment of a child interpreter that imports this sl2betti."""
+    import os
+
+    import sl2betti
+
+    src = str(Path(sl2betti.__file__).resolve().parent.parent)
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
 class TestDeterminism:
     def test_byte_identical_across_processes(self, j_file):
         import subprocess
@@ -315,7 +354,7 @@ class TestDeterminism:
                 [sys.executable, "-m", "sl2betti.cli", "betti", "--gens", j_file],
                 capture_output=True,
                 text=True,
-                env={**__import__("os").environ, "PYTHONHASHSEED": seed},
+                env=_child_env(PYTHONHASHSEED=seed),
             )
             assert proc.returncode == 0
             outs.append(proc.stdout)
@@ -324,18 +363,13 @@ class TestDeterminism:
 
 class TestModuleEntryPoint:
     def test_python_dash_m_matches_run(self, capsys):
-        import os
         import subprocess
         import sys
 
-        import sl2betti
-
-        src = str(Path(sl2betti.__file__).resolve().parent.parent)
-        path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
         proc = subprocess.run(
             [sys.executable, "-m", "sl2betti", "resolve", "1,1,1,2", "--format", "json"],
             capture_output=True,
-            env={**os.environ, "PYTHONPATH": path},
+            env=_child_env(),
         )
         assert proc.returncode == 0
         assert run(["resolve", "1,1,1,2", "--format", "json"]) == 0

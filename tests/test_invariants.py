@@ -1,5 +1,6 @@
 """sl2 operators, weight counting, and the generator search."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sl2betti import invariants
 from sl2betti.invariants import (
     _form_weight_counts,
+    _weight_zero_columns,
     _ImageCache,
     CoefficientRing,
     ProblemSpec,
@@ -79,6 +82,28 @@ class TestCayleySylvester:
             for w in (0, 2, 4):
                 count = len(monomials_of_multidegree_weight(cr, md, w))
                 assert count == weight_multiplicity(spec, md, w)
+
+    def test_enumeration_matches_brute_force(self):
+        # the pruned recursion returns exactly the monomials of the
+        # multidegree with the weight, in ascending lexicographic order
+        rng = random.Random(1009)
+        for _ in range(60):
+            degrees = tuple(rng.randint(1, 5) for _ in range(rng.randint(1, 3)))
+            md = tuple(rng.randint(0, 3) for _ in degrees)
+            bound = sum(d * m for d, m in zip(degrees, md))
+            weight = rng.randint(-bound - 1, bound + 1)
+            cr = CoefficientRing(degrees)
+            per_form = [
+                [c for c in itertools.product(range(m + 1), repeat=d + 1) if sum(c) == m]
+                for d, m in zip(degrees, md)
+            ]
+            want = sorted(
+                m
+                for m in (sum(parts, ()) for parts in itertools.product(*per_form))
+                if cr.sl2_weight(m) == weight
+            )
+            got = monomials_of_multidegree_weight(cr, md, weight)
+            assert got == want, (degrees, md, weight)
 
     def test_total_dims_aggregate(self):
         spec = ProblemSpec((1, 1, 1, 2), 3)
@@ -249,6 +274,29 @@ class TestGeneratorSearch:
             assert apply_operator("lowering", g, cr).is_zero()
             assert all(cr.sl2_weight(m) == 0 for m in g.monomials())
 
+    def test_quintic_search_enumerates_each_piece_once(self, monkeypatch):
+        # V5 to degree 18 has five nonzero invariant pieces; generators come
+        # from four of them, and each piece is enumerated once
+        enumerated, based = [], []
+        enumerate_piece = invariants.monomials_of_multidegree_weight
+        basis_of_piece = invariants.invariant_basis
+
+        def counting_enumerate(cring, md, weight):
+            enumerated.append(tuple(md))
+            return enumerate_piece(cring, md, weight)
+
+        def counting_basis(spec, md):
+            based.append(tuple(md))
+            return basis_of_piece(spec, md)
+
+        monkeypatch.setattr(invariants, "monomials_of_multidegree_weight", counting_enumerate)
+        monkeypatch.setattr(invariants, "invariant_basis", counting_basis)
+        _weight_zero_columns.cache_clear()
+        gs = minimal_invariant_generators(ProblemSpec((5,), 18))
+        assert gs.degrees == [4, 8, 12, 18]
+        assert enumerated == [(4,), (8,), (12,), (16,), (18,)]
+        assert based == [(4,), (8,), (12,), (18,)]
+
     def test_degree_multiset_invariant_under_permutation(self):
         a = minimal_invariant_generators(ProblemSpec((1, 1, 2), 3))
         b = minimal_invariant_generators(ProblemSpec((2, 1, 1), 3))
@@ -307,12 +355,4 @@ class TestCompleteness:
         spec = ProblemSpec((1, 1, 1, 2), 3)
         gs = minimal_invariant_generators(spec)
         rep = verify_completeness(gs, spec, 8)
-        assert rep.agree
-
-    def test_series_route(self):
-        spec = ProblemSpec((2,), 2)
-        gs = minimal_invariant_generators(spec)
-        # dims of K[disc]: 1 in even degrees, 0 in odd
-        series = [1, 0, 1, 0, 1, 0, 1, 0, 1]
-        rep = verify_completeness(gs, spec, 8, series_coefficients=series)
         assert rep.agree
