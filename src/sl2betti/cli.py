@@ -91,9 +91,12 @@ def _pipeline(degrees: Tuple[int, ...], bound: Optional[int]):
 
 
 def _resolution_of(ideal: Ideal) -> Tuple[Resolution, BettiTable]:
+    """Minimal resolution of the ideal modulo its `regular_variables`, over
+    the ring of the other variables, and its Betti table, which is that of
+    R/I.  Every printed table and check reads only its shifts."""
+    res = resolve(regular_variables(ideal)[1])
     # resolve keeps a minimal generating set at every level, so its chain is
     # already minimal; betti() rejects it loudly if that ever fails
-    res = resolve(ideal)
     return res, betti(res)
 
 
@@ -285,8 +288,10 @@ def verify_case(
                 )
             )
 
-    # Hilbert identity: Betti alternating sum over the generator weights
-    # equals the quotient series, equals the weight-counting series.
+    # Hilbert identity: Betti alternating sum over all m generator weights
+    # equals the quotient series of R/I, equals the weight-counting series.
+    # The table comes from the reduced resolution, so this re-certifies that
+    # the reduction kept the numerator.
     weights = tuple(genset.degrees)
     series_b = poincare_from_betti(table, weights)
     series_q = hilbert_series_quotient(ideal) if m else RationalSeries({0: 1}, ())
@@ -304,9 +309,9 @@ def verify_case(
     verdict = check_palindromy(table)
     say(CheckResult("palindromy", verdict.holds, str(verdict)))
 
-    # both certificates run modulo the variables that are regular on R/I;
-    # their caps estimate that smaller work
-    reduced_ring = regular_variables(ideal)[1].ring
+    # both certificates run modulo the variables that are regular on R/I,
+    # in the ring of the resolution; their caps estimate that smaller work
+    reduced_ring = res.ring
     e_cap = ecap if ecap is not None else auto_exactness_cap(reduced_ring, res, table.j_star)
     comp = verify_complex(res, e_cap)
     say(
@@ -446,8 +451,16 @@ def _print_resolution(
     header: Optional[str],
 ) -> int:
     """Resolve the ideal and print it as a table (after the header line) or
-    as JSON; with --dump, also write the differentials to that file."""
-    res, table = _resolution_of(ideal)
+    as JSON; with --dump, also write the differentials to that file.
+
+    The dump writes the differentials over the full ring, so with --dump the
+    full ideal is resolved and everything is printed from that resolution.
+    """
+    if args.dump:
+        res = resolve(ideal)
+        table = betti(res)
+    else:
+        res, table = _resolution_of(ideal)
     if args.format == "json":
         print(report_json(table, weights, degrees))
     else:

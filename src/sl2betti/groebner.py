@@ -363,7 +363,8 @@ class BuchbergerEngine(Reducer):
         self.input_traces: List[Tuple[int, MVec]] = []
         self._koszul_pairs: List[Tuple[int, int]] = []
 
-        self.pairs: Set[Tuple[int, int]] = set()
+        # live S-pairs and the lcm of their leading monomials
+        self.pairs: Dict[Tuple[int, int], Exponent] = {}
         self._tasks: List[tuple] = []
         self._seq = 0
         self.keyed_inputs = [keyfn.encode(v) for v in inputs]
@@ -442,18 +443,16 @@ class BuchbergerEngine(Reducer):
             i: monomial_lcm(self.leads[i][1], lead_new[1])
             for i in peers
         }
-        survivors = set()
-        for (i, j) in self.pairs:
-            li, lj = self.leads[i], self.leads[j]
-            if li[0] == pos and lj[0] == pos:
-                old_lcm = monomial_lcm(li[1], lj[1])
-                if (
-                    monomial_divides(lead_new[1], old_lcm)
-                    and old_lcm != lcms[i]
-                    and old_lcm != lcms[j]
-                ):
-                    continue
-            survivors.add((i, j))
+        survivors = {}
+        for (i, j), old_lcm in self.pairs.items():
+            if (
+                self.leads[i][0] == pos
+                and monomial_divides(lead_new[1], old_lcm)
+                and old_lcm != lcms[i]
+                and old_lcm != lcms[j]
+            ):
+                continue
+            survivors[(i, j)] = old_lcm
         self.pairs = survivors
 
         candidates: Dict[Exponent, List[int]] = {}
@@ -478,9 +477,8 @@ class BuchbergerEngine(Reducer):
             chosen.append((min(group), new_idx))
 
         for (i, j) in chosen:
-            self.pairs.add((i, j))
-            lcm = monomial_lcm(self.leads[i][1], self.leads[j][1])
-            deg = self._mono_wdeg((pos, lcm))
+            self.pairs[(i, j)] = lcms[i]
+            deg = self._mono_wdeg((pos, lcms[i]))
             sug = max(
                 self.sugars[i] + deg - self._mono_wdeg(self.leads[i]),
                 self.sugars[j] + deg - self._mono_wdeg(self.leads[j]),
@@ -518,10 +516,10 @@ class BuchbergerEngine(Reducer):
             if kind == 1:
                 self._process_input(payload, degree)
             else:
-                if payload not in self.pairs:
+                lcm_ij = self.pairs.pop(payload, None)
+                if lcm_ij is None:
                     continue
-                self.pairs.discard(payload)
-                self._process_pair(payload, degree)
+                self._process_pair(payload, lcm_ij, degree)
         if self.want_syzygies:
             for (i, j) in self._koszul_pairs:
                 self._emit_koszul(i, j)
@@ -544,10 +542,9 @@ class BuchbergerEngine(Reducer):
             return
         self._insert(rem, source, 1, quotients, scale, sugar)
 
-    def _process_pair(self, pair: Tuple[int, int], sugar: int) -> None:
+    def _process_pair(self, pair: Tuple[int, int], lcm_ij: Exponent, sugar: int) -> None:
         i, j = pair
         li, lj = self.leads[i], self.leads[j]
-        lcm_ij = monomial_lcm(li[1], lj[1])
         mi = tuple(map(sub, lcm_ij, li[1]))
         mj = tuple(map(sub, lcm_ij, lj[1]))
         ci, cj = self.lead_coeffs[i], self.lead_coeffs[j]

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from sl2betti import presentation
+from sl2betti.cases import BY_LABEL
 from sl2betti.cli import run
 from conftest import J_TEXT
 
@@ -53,6 +54,14 @@ class TestBettiCommand:
         assert doc["length"] == 4 and doc["j_star"] == 17
         assert doc["palindromic"] is True
         assert [2, 8, 8] in doc["betti"]
+
+    def test_table_matches_recorded_output(self, j_file, capsys):
+        # the table is printed from the resolution of the ideal modulo its
+        # regular variables; its shape line reads the same shifts
+        data = Path(__file__).parent / "data"
+        code = run(["betti", "--gens", j_file, "--weights", "3,3,2,3,2,3,3,2,2,3"])
+        assert code == 0
+        assert capsys.readouterr().out == (data / "betti_J.txt").read_text()
 
     def test_deterministic_output(self, j_file, capsys):
         run(["betti", "--gens", j_file])
@@ -178,6 +187,24 @@ class TestResolveCommand:
         code = run(["resolve", "1,1,1,2", "--dump", str(dump)])
         assert code == 0
         assert dump.read_bytes() == (data / "resolve_1112.dump").read_bytes()
+
+    def test_table_matches_recorded_output(self, capsys):
+        data = Path(__file__).parent / "data"
+        code = run(["resolve", "1,1,1,2"])
+        assert code == 0
+        assert capsys.readouterr().out == (data / "resolve_1112.txt").read_text()
+
+    def test_hd8_case_resolves(self, capsys):
+        # 2V1+V3 resolves modulo its 4 regular variables of 13; over the
+        # full ring the resolution ran for more than ten minutes
+        rec = BY_LABEL["2V1+V3"]
+        code = run(["resolve", "1,1,3", "--format", "json"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        got = {(i, j): b for i, j, b in doc["betti"]}
+        assert got == rec.betti
+        ranks = [sum(b for (i, _), b in got.items() if i == k) for k in range(doc["length"] + 1)]
+        assert ranks == [1, 35, 160, 350, 448, 350, 160, 35, 1]
 
     def test_five_level_matches_recorded_outputs(self, tmp_path, capsys):
         # 4V2 resolves in five levels, so the Schreyer order is composed
@@ -380,7 +407,6 @@ class TestVerifyFailurePath:
     def test_wrong_golden_data_fails(self, capsys):
         # verify must report FAIL and exit 1 when the table cannot match
         from dataclasses import replace
-        from sl2betti.cases import BY_LABEL
         from sl2betti.cli import verify_case
 
         rec = BY_LABEL["4V1"]

@@ -6,19 +6,27 @@ from fractions import Fraction
 
 import pytest
 
+from sl2betti import resolution
+from sl2betti.cases import BY_LABEL
 from sl2betti.groebner import (
     BuchbergerEngine,
     Ideal,
+    RationalSeries,
     base_keyfn,
     buchberger,
+    hilbert_series_quotient,
     minimal_generators,
     monomials_of_degree,
 )
+from sl2betti.invariants import ProblemSpec, minimal_invariant_generators
 from sl2betti.linalg import Echelon
 from sl2betti.poly import GradedRing, Polynomial, monomial_mul
+from sl2betti.presentation import present
 from sl2betti.resolution import (
     FreeModule,
     Resolution,
+    _set_to_zero,
+    _without,
     betti,
     format_resolution,
     koszul_betti,
@@ -415,6 +423,62 @@ class TestRegularVariables:
             t = betti(minimize(resolve(I)))
             assert koszul_betti(I, t.j_star).entries == t.entries
             done += 1
+
+
+def _trial_only(I):
+    """`regular_variables` without the leading-term shortcut: a Groebner
+    basis and a Hilbert trial for every variable.  Returns the kept tuple,
+    the reduced basis and the kept variables the shortcut would have taken,
+    after checking their Hilbert identity."""
+    kept, gb = [], buchberger(I)
+    series = hilbert_series_quotient(I, gb=gb)
+    shortcut = []
+    for v in range(I.ring.nvars):
+        target, rest = _without(I.ring, kept + [v])
+        trial = Ideal(target, [_set_to_zero(g, target, rest) for g in I.generators])
+        trial_gb = buchberger(trial)
+        got = hilbert_series_quotient(trial, gb=trial_gb)
+        regular = got.equals(RationalSeries(series.numerator, target.weights))
+        if not any(m[v - len(kept)] for m in gb.leading_monomials()):
+            assert regular, f"shortcut would keep x_{v}, which is not regular"
+            shortcut.append(v)
+        if regular:
+            kept.append(v)
+            gb, series = trial_gb, got
+    return tuple(kept), gb, shortcut
+
+
+class TestRegularVariableShortcut:
+    @pytest.mark.parametrize("label", ["3V1+V2", "5V1", "V3+V3", "V4+V4", "4V2"])
+    def test_matches_trial_only_path(self, label, monkeypatch):
+        # a variable absent from the leading monomials is kept without a
+        # basis of its own, and the kept tuple and the reduced basis are
+        # those of a Hilbert trial for every variable
+        rec = BY_LABEL[label]
+        spec = ProblemSpec(rec.degrees, rec.bound)
+        _, I, _ = present(spec, genset=minimal_invariant_generators(spec), horizon=rec.horizon)
+        kept, gb, shortcut = _trial_only(I)
+        assert shortcut
+        calls = []
+        basis = resolution.buchberger
+        monkeypatch.setattr(resolution, "buchberger", lambda J: calls.append(1) or basis(J))
+        gens = tuple(frozenset(g.terms.items()) for g in I.generators)
+        got_kept, _, _, got_gb = resolution._regular_variables_of.__wrapped__(I.ring, gens)
+        assert got_kept == kept
+        assert [g.terms for g in got_gb.elements] == [g.terms for g in gb.elements]
+        assert len(calls) == 1 + I.ring.nvars - len(shortcut)
+
+    def test_content_taken_out(self):
+        # x is absent from the lead a^2, and setting it to 0 leaves
+        # 2a^2 + 2ab, whose content the trial's reduced basis does not have
+        R = GradedRing(("x", "a", "b"), (1, 1, 1))
+        x, a, b = (R.variable(i) for i in range(3))
+        I = Ideal(R, [(a * a + a * b).scale(Fraction(2)) + (x * b).scale(Fraction(3))])
+        kept, gb, shortcut = _trial_only(I)
+        assert kept[0] == 0 and shortcut[0] == 0
+        got_kept, _, _, got_gb = resolution._regular_variables(I)
+        assert got_kept == kept
+        assert [g.terms for g in got_gb.elements] == [g.terms for g in gb.elements]
 
 
 class TestResolutionDump:
