@@ -17,9 +17,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from .cases import CASES, CaseRecord, case_for_degrees, find_case, parse_degree_list
 from .groebner import (
+    GroebnerBasis,
     Ideal,
     RationalSeries,
-    hilbert_series_quotient,
     minimal_generators,
 )
 from .invariants import (
@@ -49,6 +49,7 @@ from .report import (
 )
 from .resolution import (
     BettiTable,
+    Reduction,
     Resolution,
     betti,
     format_resolution,
@@ -90,11 +91,11 @@ def _pipeline(degrees: Tuple[int, ...], bound: Optional[int]):
     return genset, ideal, info
 
 
-def _resolution_of(ideal: Ideal) -> Tuple[Resolution, BettiTable]:
+def _resolution_of(red: Reduction) -> Tuple[Resolution, BettiTable]:
     """Minimal resolution of the ideal modulo its `regular_variables`, over
     the ring of the other variables, and its Betti table, which is that of
     R/I.  Every printed table and check reads only its shifts."""
-    res = resolve(regular_variables(ideal)[1])
+    res = resolve(red.ideal)
     # resolve keeps a minimal generating set at every level, so its chain is
     # already minimal; betti() rejects it loudly if that ever fails
     return res, betti(res)
@@ -244,7 +245,8 @@ def verify_case(
             f"relation degrees {rel}, certified to degree {info.horizon}",
         )
     )
-    res, table = _resolution_of(ideal)
+    red = regular_variables(ideal, info.basis)
+    res, table = _resolution_of(red)
     say(
         CheckResult(
             "betti",
@@ -292,12 +294,10 @@ def verify_case(
     # equals the quotient series of R/I, equals the weight-counting series.
     # The table comes from the reduced resolution, so this re-certifies that
     # the reduction kept the numerator.
-    weights = tuple(genset.degrees)
-    series_b = poincare_from_betti(table, weights)
-    series_q = hilbert_series_quotient(ideal) if m else RationalSeries({0: 1}, ())
+    series_b = poincare_from_betti(table, tuple(genset.degrees))
     depth = max(table.j_star, info.horizon)
     cs = cs_total_dims(spec, depth)
-    ok_h = series_b.equals(series_q) and series_b.coefficients(depth) == cs
+    ok_h = series_b.equals(red.series) and series_b.coefficients(depth) == cs
     say(
         CheckResult(
             "hilbert",
@@ -325,9 +325,9 @@ def verify_case(
 
     if m:
         # setting regular variables to 0 keeps the numerator of the series
-        hf = RationalSeries(series_q.numerator, reduced_ring.weights).coefficients(table.j_star)
+        hf = RationalSeries(red.series.numerator, reduced_ring.weights).coefficients(table.j_star)
         cap = jcap if jcap is not None else auto_koszul_cap(reduced_ring, hf, table.j_star)
-        kt = koszul_betti(ideal, cap)
+        kt = koszul_betti(red.basis, cap)
         want = {k: v for k, v in rec.betti.items() if k[1] <= cap}
         say(
             CheckResult(
@@ -449,9 +449,11 @@ def _print_resolution(
     weights: Sequence[int],
     degrees: Optional[Sequence[int]],
     header: Optional[str],
+    gb: Optional[GroebnerBasis] = None,
 ) -> int:
     """Resolve the ideal and print it as a table (after the header line) or
-    as JSON; with --dump, also write the differentials to that file.
+    as JSON; with --dump, also write the differentials to that file.  gb,
+    when given, is the ideal's basis for `regular_variables`.
 
     The dump writes the differentials over the full ring, so with --dump the
     full ideal is resolved and everything is printed from that resolution.
@@ -460,7 +462,7 @@ def _print_resolution(
         res = resolve(ideal)
         table = betti(res)
     else:
-        res, table = _resolution_of(ideal)
+        res, table = _resolution_of(regular_variables(ideal, gb))
     if args.format == "json":
         print(report_json(table, weights, degrees))
     else:
@@ -489,11 +491,11 @@ def _cmd_resolve(args) -> int:
     if not args.degrees:
         raise UsageError("resolve needs a degree list or --gens FILE")
     degrees = parse_degree_list(args.degrees)
-    genset, ideal, _ = _pipeline(degrees, args.bound)
+    genset, ideal, info = _pipeline(degrees, args.bound)
     weights = tuple(genset.degrees)
     header = (f"# d = {','.join(map(str, degrees))}; "
               f"generator weights {' '.join(map(str, weights))}")
-    return _print_resolution(args, ideal, weights, degrees, header)
+    return _print_resolution(args, ideal, weights, degrees, header, info.basis)
 
 
 def _cmd_betti(args) -> int:

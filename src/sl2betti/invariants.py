@@ -113,18 +113,27 @@ def _apply_moves_int(m: Exponent, moves) -> List[Tuple[Exponent, int]]:
     return out
 
 
-def apply_operator(kind: str, p: Polynomial, cring: CoefficientRing) -> Polynomial:
-    """Image of p under the raising or lowering sl2 operator (exact, linear)."""
+def _operator_image(
+    cring: CoefficientRing, kind: str, terms: Dict[Exponent, object]
+) -> Dict[Exponent, object]:
+    """Terms of the image of a polynomial's terms under the raising or
+    lowering sl2 operator; int coefficients give an int image, so an
+    invariance check runs on the integer multiple `primitive` gives."""
     moves = _operator_moves(cring, kind)
-    out: Dict[Exponent, Fraction] = {}
-    for m, c in p.terms.items():
+    out: Dict[Exponent, object] = {}
+    for m, c in terms.items():
         for key, scal in _apply_moves_int(m, moves):
             s = out.get(key, 0) + c * scal
             if s:
                 out[key] = s
             else:
                 del out[key]
-    return Polynomial._raw(cring.ring, out)
+    return out
+
+
+def apply_operator(kind: str, p: Polynomial, cring: CoefficientRing) -> Polynomial:
+    """Image of p under the raising or lowering sl2 operator (exact, linear)."""
+    return Polynomial._raw(cring.ring, _operator_image(cring, kind, p.terms))
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +317,10 @@ def invariant_basis(
         )
     basis = []
     for vec in kernel:
-        terms = {cols[j]: Fraction(c) for j, c in vec.items()}
-        p = Polynomial._raw(cring.ring, terms).normalize(WEIGHTED)
-        if not apply_operator("raising", p, cring).is_zero():
+        if _operator_image(cring, "raising", {cols[j]: c for j, c in vec.items()}):
             raise AssertionError("nullspace vector not annihilated by the operator")
-        basis.append(p)
+        terms = {cols[j]: Fraction(c) for j, c in vec.items()}
+        basis.append(Polynomial._raw(cring.ring, terms).normalize(WEIGHTED))
     return basis
 
 

@@ -30,7 +30,6 @@ from .groebner import (
     RationalSeries,
     buchberger,
     hilbert_series_quotient,
-    monomials_of_degree,
     standard_monomials,
 )
 from .invariants import (
@@ -38,7 +37,7 @@ from .invariants import (
     GeneratorSet,
     ProblemSpec,
     _ImageCache,
-    apply_operator,
+    _operator_image,
     cs_total_dims,
     minimal_invariant_generators,
 )
@@ -88,9 +87,9 @@ def _check_invariant(amap: AlgebraMap, spec: ProblemSpec) -> None:
     for i, f in enumerate(amap.images, 1):
         if f.ring != cring.ring:
             raise ValueError(f"image {i} is not in the coefficient ring of {spec.degrees}")
-        if any(map(cring.sl2_weight, f.terms)) or not apply_operator(
-            "raising", f, cring
-        ).is_zero():
+        if any(map(cring.sl2_weight, f.terms)) or _operator_image(
+            cring, "raising", primitive(f.terms)[0]
+        ):
             raise ValueError(f"image {i} is not an SL2-invariant")
 
 
@@ -174,6 +173,7 @@ def kernel(amap: AlgebraMap) -> Ideal:
 class PresentInfo:
     horizon: int
     relation_degrees: List[int]
+    basis: GroebnerBasis  # `buchberger` of the kernel, in the weighted order
 
 
 def kernel_by_degrees(
@@ -199,7 +199,8 @@ def kernel_by_degrees(
     exact substitution check use the images restricted to a0 = 1, a1 = 0,
     and a combination of products vanishes on the slice exactly when it
     vanishes.  So each matrix has the kernel of the full one, and the
-    normalized relations are the same polynomials.
+    normalized relations are the same polynomials.  The info also carries
+    the last degree's basis, that of the returned ideal.
     """
     src = amap.source
     grow = horizon is None
@@ -210,7 +211,7 @@ def kernel_by_degrees(
     cache = _ImageCache(amap.target_ring, amap.images, on_slice=True)
     keyfn = WEIGHTED.key_function(src)
     gens: List[Polynomial] = []
-    gb: Optional[GroebnerBasis] = None
+    gb = GroebnerBasis(src, WEIGHTED, [])
     hf: List[int] = RationalSeries({0: 1}, src.weights).coefficients(horizon)
     relation_degrees: List[int] = []
     e = 0
@@ -224,9 +225,7 @@ def kernel_by_degrees(
             )
         if need == 0:
             continue
-        std = (
-            standard_monomials(gb, e) if gb is not None else monomials_of_degree(src, e)
-        )
+        std = standard_monomials(gb, e)
         std.sort(key=keyfn, reverse=True)
         rows: Dict[Exponent, Dict[int, int]] = {}
         for j, alpha in enumerate(std):
@@ -259,7 +258,7 @@ def kernel_by_degrees(
         hf = hilbert_series_quotient(Ideal(src, gens), gb=gb).coefficients(horizon)
         if hf[e] != cs[e]:
             raise AssertionError(f"degree {e}: quotient dimension still off")
-    return Ideal(src, gens), PresentInfo(horizon, relation_degrees)
+    return Ideal(src, gens), PresentInfo(horizon, relation_degrees, gb)
 
 
 def default_horizon(relation_degrees: Sequence[int], weights: Sequence[int]) -> int:

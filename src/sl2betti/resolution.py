@@ -15,7 +15,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -38,6 +37,7 @@ from .poly import (
     Exponent,
     GradedRing,
     Polynomial,
+    WEIGHTED,
     monomial_mul,
 )
 
@@ -369,42 +369,31 @@ def _without(ring: GradedRing, dropped: Sequence[int]) -> Tuple[GradedRing, List
     )
 
 
-def regular_variables(I: Ideal) -> Tuple[Tuple[int, ...], Ideal]:
+@dataclass
+class Reduction:
+    """I modulo the variables that form a regular sequence on R/I."""
+
+    kept: Tuple[int, ...]  # those variables, in index order
+    ideal: Ideal  # I with them set to 0, in the ring of the other variables
+    basis: GroebnerBasis  # the reduced basis of ideal, weighted order
+    series: RationalSeries  # HS(R/I) over R's weights, from the basis of I
+
+
+def regular_variables(I: Ideal, gb: Optional[GroebnerBasis] = None) -> Reduction:
     """Variables that form a regular sequence on R/I, and I modulo them.
+
+    gb, when given, is `buchberger(I)`, the reduced Groebner basis of I in
+    the weighted order; the result does not depend on it.
 
     The variables are tried in index order.  x_v is kept when, with J the
     ideal I plus the variables kept so far,
     HS(R/(J + x_v)) = (1 - t^w_v) HS(R/J), an exact identity of rational
     series.  By the exact sequence
     0 -> (0:x)(-w) -> M(-w) -> M -> M/xM -> 0 for M = R/J it holds iff x_v is
-    a nonzerodivisor on M; when no leading monomial of a basis of J involves
-    x_v, it is proved without a basis of J + x_v (`_regular_variables_of`).
-    Setting the kept variables to 0 gives the second
-    result, an ideal of the ring of the other variables (same names and
-    weights).  Its graded Betti numbers over that ring are those of R/I over
-    R (Bruns-Herzog, Cohen-Macaulay Rings, 1993, section 1.1).
-    """
-    kept, ring, gens, _ = _regular_variables(I)
-    return kept, Ideal(ring, [Polynomial._raw(ring, dict(g)) for g in gens])
-
-
-def _regular_variables(
-    I: Ideal,
-) -> Tuple[Tuple[int, ...], GradedRing, Tuple[frozenset, ...], GroebnerBasis]:
-    """`regular_variables` with the reduced ideal's generators as term sets,
-    plus its reduced Groebner basis in the weighted order, which the Koszul
-    oracle reuses and which no caller changes."""
-    return _regular_variables_of(I.ring, tuple(frozenset(g.terms.items()) for g in I.generators))
-
-
-# `cli.verify_case` asks for one ideal twice, for the resolution it reduces
-# and for the oracle, and its `verify_complex` asks once for a second ideal,
-# the image of d_1 of that reduced resolution
-@lru_cache(maxsize=4)
-def _regular_variables_of(
-    ring: GradedRing, gens: Tuple[frozenset, ...]
-) -> Tuple[Tuple[int, ...], GradedRing, Tuple[frozenset, ...], GroebnerBasis]:
-    """The trials of `regular_variables`, with a leading-term shortcut.
+    a nonzerodivisor on M.  Setting the kept variables to 0 gives an ideal
+    whose graded Betti numbers over the ring of the other variables are
+    those of R/I over R (Bruns-Herzog, Cohen-Macaulay Rings, 1993,
+    section 1.1).
 
     Let J be I plus the variables kept so far and G its reduced Groebner
     basis in the weighted order.  If no leading monomial of G involves x_v,
@@ -419,17 +408,20 @@ def _regular_variables_of(
     and each g in G keeps its leading term when x_v is set to 0, so these
     images have the leading terms of G, which generate the initial ideal of
     the trial: they are its reduced basis once their content is taken out.
-    Otherwise the trial's basis and series are computed as in
-    `regular_variables`.
+    Otherwise the trial's basis and series are computed from its
+    generators.
     """
-    I = Ideal(ring, [Polynomial._raw(ring, dict(g)) for g in gens])
     if not I.is_homogeneous():
-        raise ValueError("hilbert_series_quotient requires a homogeneous ideal")
-    kept: List[int] = []
-    reduced, gb = I, buchberger(I)
+        raise ValueError("regular_variables requires a homogeneous ideal")
+    if gb is None:
+        gb = buchberger(I)
+    elif gb.ring != I.ring or gb.order != WEIGHTED:
+        raise ValueError("regular_variables needs a weighted-order basis of the ideal's ring")
     series = hilbert_series_quotient(I, gb=gb)
-    for v in range(ring.nvars):
-        target, rest = _without(ring, kept + [v])
+    kept: List[int] = []
+    reduced = I
+    for v in range(I.ring.nvars):
+        target, rest = _without(I.ring, kept + [v])
         trial = Ideal(target, [_set_to_zero(g, target, rest) for g in I.generators])
         # (1 - t^w_v) HS(R/J): the numerator of HS(R/J) over the
         # denominator of the smaller ring
@@ -442,19 +434,14 @@ def _regular_variables_of(
                 image = _set_to_zero(g, target, others)
                 ints, _ = primitive(dict(image.terms), image.leading_monomial(gb.order))
                 elements.append(Polynomial._raw(target, {m: Fraction(c) for m, c in ints.items()}))
-            trial_gb, got = GroebnerBasis(target, gb.order, elements), want
+            trial_gb, regular = GroebnerBasis(target, gb.order, elements), True
         else:
             trial_gb = buchberger(trial)
-            got = hilbert_series_quotient(trial, gb=trial_gb)
-        if got.equals(want):
+            regular = hilbert_series_quotient(trial, gb=trial_gb).equals(want)
+        if regular:
             kept.append(v)
-            reduced, gb, series = trial, trial_gb, got
-    return (
-        tuple(kept),
-        reduced.ring,
-        tuple(frozenset(g.terms.items()) for g in reduced.generators),
-        gb,
-    )
+            reduced, gb = trial, trial_gb
+    return Reduction(tuple(kept), reduced, gb, series)
 
 
 # ---------------------------------------------------------------------------
@@ -511,18 +498,20 @@ class _NormalFormTable:
         return out
 
 
-def koszul_betti(I: Ideal, j_cap: int) -> BettiTable:
+def koszul_betti(gb: GroebnerBasis, j_cap: int) -> BettiTable:
     """Betti numbers up to shift j_cap via Koszul strand homology.
 
     beta_{i,j} = dim of the degree-j strand homology of K(x_1..x_m) (x) R/I,
-    computed degreewise by exact linear algebra; independent of any
-    resolution.  The strands are built over I modulo its `regular_variables`,
-    which has the same Betti numbers in fewer variables.  Cost grows quickly
-    with j_cap, which the caller bounds.
+    with R the ring of the Groebner basis gb and I its ideal, computed
+    degreewise by exact linear algebra; independent of any resolution.  The
+    strands are built over the basis as given: `Reduction.basis`, the ideal
+    modulo its `regular_variables`, has the Betti numbers of the full ideal
+    in fewer variables.  Cost grows quickly with j_cap, which the caller
+    bounds.
     """
-    if not I.is_homogeneous():
-        raise ValueError("koszul_betti requires a homogeneous ideal")
-    _, ring, _, gb = _regular_variables(I)
+    if not all(g.is_homogeneous() for g in gb.elements):
+        raise ValueError("koszul_betti requires a homogeneous basis")
+    ring = gb.ring
     table = _NormalFormTable(gb)
     m = ring.nvars
     weights = ring.weights
@@ -676,8 +665,7 @@ def verify_complex(res: Resolution, e_cap: int) -> ComplexReport:
     # degrees whenever F is.  The ranks of d_{i+1} found at level i are
     # those of level i + 1.
     image = [p for d1 in res.differentials[:1] for col in d1.values() for p in col.values()]
-    kept, _ = regular_variables(Ideal(ring, image))
-    red = _modulo_variables(res, kept)
+    red = _modulo_variables(res, regular_variables(Ideal(ring, image)).kept)
     counts = RationalSeries({0: 1}, red.ring.weights).coefficients(e_cap)
     monos: Dict[int, List[Exponent]] = {}
     degrees = range(e_cap + 1)

@@ -18,6 +18,7 @@ from sl2betti.cases import BY_LABEL, CASES
 from sl2betti.cli import auto_koszul_cap
 from sl2betti.groebner import (
     Ideal,
+    buchberger,
     hilbert_series_quotient,
     minimal_generators,
     monomials_of_degree,
@@ -184,12 +185,12 @@ def test_criterion_5_oracle_equivalence(pipelines, paper_ring, paper_J):
             continue
         # the budget is estimated on the ideal modulo its regular variables,
         # the quotient the oracle builds its strands over
-        reduced = regular_variables(data["ideal"])[1]
-        hs = hilbert_series_quotient(reduced)
-        cap = auto_koszul_cap(reduced.ring, hs.coefficients(table.j_star), table.j_star)
+        red = regular_variables(data["ideal"])
+        hs = hilbert_series_quotient(red.ideal, gb=red.basis)
+        cap = auto_koszul_cap(red.ideal.ring, hs.coefficients(table.j_star), table.j_star)
         assert cap >= table.j_star, f"{rec.label} capped at {cap} of j*={table.j_star}"
         details.append(f"{rec.label} full")
-        kt = koszul_betti(data["ideal"], table.j_star)
+        kt = koszul_betti(red.basis, table.j_star)
         ok = ok and kt.entries == table.entries
     # 50 random homogeneous ideals, <= 4 vars, <= 4 gens, degree <= 3
     rng = random.Random(2024)
@@ -214,7 +215,7 @@ def test_criterion_5_oracle_equivalence(pipelines, paper_ring, paper_J):
             continue
         I = Ideal(R, [g for g, _ in mins])
         t = betti(minimize(resolve(I)))
-        k = koszul_betti(Ideal(R, gens), t.j_star)
+        k = koszul_betti(buchberger(Ideal(R, gens)), t.j_star)
         ok = ok and t.entries == k.entries
         done += 1
     _announce(

@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from sl2betti import presentation
+from sl2betti import groebner, presentation, resolution
 from sl2betti.cases import BY_LABEL
-from sl2betti.cli import run
+from sl2betti.cli import run, verify_case
+from sl2betti.invariants import ProblemSpec
 from conftest import J_TEXT
 
 
@@ -356,6 +357,50 @@ class TestVerifyCommand:
         non_stretch = [c.label for c in CASES if not c.stretch]
         assert "V8" not in non_stretch
         assert "2V1+V3" not in non_stretch
+
+    @pytest.mark.parametrize("label", ["3V1+V2", "V1+3V2", "V5"])
+    def test_json_matches_recorded_output(self, label, capsys):
+        # every field but the timing is deterministic
+        code = run(["verify", label, "--format", "json"])
+        assert code == 0
+        got = json.loads(capsys.readouterr().out)
+        for case in got["cases"]:
+            del case["seconds"]
+        data = Path(__file__).parent / "data"
+        want = json.loads((data / f"verify_{label.replace('+', '_')}.json").read_text())
+        assert got == want
+
+
+class TestOneKernelBasis:
+    """The Groebner basis of the presentation ideal is built once, by the
+    kernel search, and reused by the reduction, the hilbert check and the
+    oracle."""
+
+    def _count(self, monkeypatch, label):
+        rec = BY_LABEL[label]
+        spec = ProblemSpec(rec.degrees, rec.bound)
+        _, ideal, _ = presentation.present(spec, horizon=rec.horizon)
+        calls = []
+        basis = groebner.buchberger
+
+        def counted(J, *args):
+            calls.append(J.ring == ideal.ring and J.generators == ideal.generators)
+            return basis(J, *args)
+
+        for module in (groebner, presentation, resolution):
+            monkeypatch.setattr(module, "buchberger", counted)
+        return rec, calls
+
+    def test_verify_case(self, monkeypatch):
+        rec, calls = self._count(monkeypatch, "3V1+V2")
+        assert verify_case(rec).ok
+        assert sum(calls) == 1
+
+    def test_resolve(self, monkeypatch, capsys):
+        _, calls = self._count(monkeypatch, "3V1+V2")
+        assert run(["resolve", "1,1,1,2", "--format", "json"]) == 0
+        capsys.readouterr()
+        assert sum(calls) == 1
 
 
 

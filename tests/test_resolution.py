@@ -10,6 +10,7 @@ from sl2betti import resolution
 from sl2betti.cases import BY_LABEL
 from sl2betti.groebner import (
     BuchbergerEngine,
+    GroebnerBasis,
     Ideal,
     RationalSeries,
     base_keyfn,
@@ -20,7 +21,7 @@ from sl2betti.groebner import (
 )
 from sl2betti.invariants import ProblemSpec, minimal_invariant_generators
 from sl2betti.linalg import Echelon
-from sl2betti.poly import GradedRing, Polynomial, monomial_mul
+from sl2betti.poly import LEX, WEIGHTED, GradedRing, Polynomial, monomial_mul
 from sl2betti.presentation import present
 from sl2betti.resolution import (
     FreeModule,
@@ -307,26 +308,32 @@ class TestKoszulOracle:
     def test_hypersurface(self):
         R = GradedRing(("x",), (1,))
         x = R.variable(0)
-        t = koszul_betti(Ideal(R, [x * x]), 4)
+        t = koszul_betti(buchberger(Ideal(R, [x * x])), 4)
         assert t.entries == {(0, 0): 1, (1, 2): 1}
 
     def test_two_monomials(self):
         R = GradedRing(("x", "y", "z"), (1, 1, 1))
         x, y, z = (R.variable(i) for i in range(3))
-        t = koszul_betti(Ideal(R, [x * y, x * z]), 4)
+        t = koszul_betti(buchberger(Ideal(R, [x * y, x * z])), 4)
         assert t.entries == {(0, 0): 1, (1, 2): 2, (2, 3): 1}
+
+    def test_inhomogeneous_basis_rejected(self):
+        R = GradedRing(("x", "y"), (1, 1))
+        x, y = R.variable(0), R.variable(1)
+        with pytest.raises(ValueError, match="koszul_betti requires a homogeneous basis"):
+            koszul_betti(GroebnerBasis(R, WEIGHTED, [x + x * y]), 2)
 
     def test_worked_case_full_range(self, paper_ring, paper_J, worked_resolution, monkeypatch):
         # the strands are built modulo x1, x2, x7, x8, a regular sequence on
         # R/J, and a strand rank stops growing at dim ker d_{i-1}: 4,016
         # columns against the 144,218 of the full loop over all ten
         # variables, and the table is unchanged
-        I = Ideal(paper_ring, paper_J)
-        assert regular_variables(I)[0] == (0, 1, 6, 7)
+        red = regular_variables(Ideal(paper_ring, paper_J))
+        assert red.kept == (0, 1, 6, 7)
         adds = []
         add = Echelon.add
         monkeypatch.setattr(Echelon, "add", lambda self, vec: adds.append(1) or add(self, vec))
-        t = koszul_betti(I, 17)
+        t = koszul_betti(red.basis, 17)
         assert t.entries == WORKED_BETTI
         assert len(adds) <= 4016
 
@@ -353,7 +360,7 @@ class TestKoszulOracle:
             if not I.generators:
                 continue
             t = betti(minimize(resolve(I)))
-            k = koszul_betti(I_raw, t.j_star)
+            k = koszul_betti(buchberger(I_raw), t.j_star)
             assert t.entries == k.entries, (trial, [str(g) for g in gens])
 
 
@@ -361,22 +368,22 @@ class TestRegularVariables:
     def test_product_keeps_no_variable(self):
         R = GradedRing(("x", "y"), (1, 1))
         x, y = R.variable(0), R.variable(1)
-        kept, reduced = regular_variables(Ideal(R, [x * y]))
-        assert kept == () and reduced.ring == R
+        red = regular_variables(Ideal(R, [x * y]))
+        assert red.kept == () and red.ideal.ring == R
 
     def test_product_keeps_free_variable(self):
         R = GradedRing(("x", "y", "z"), (1, 1, 1))
         x, y = R.variable(0), R.variable(1)
-        kept, reduced = regular_variables(Ideal(R, [x * y]))
-        assert kept == (2,)
-        assert reduced.ring == GradedRing(("x", "y"), (1, 1))
+        red = regular_variables(Ideal(R, [x * y]))
+        assert red.kept == (2,)
+        assert red.ideal.ring == GradedRing(("x", "y"), (1, 1))
 
     def test_square_keeps_other_variable(self):
         R = GradedRing(("x", "y"), (1, 1))
         x = R.variable(0)
-        kept, reduced = regular_variables(Ideal(R, [x * x]))
-        assert kept == (1,)
-        assert [str(g) for g in reduced.generators] == ["x^2"]
+        red = regular_variables(Ideal(R, [x * x]))
+        assert red.kept == (1,)
+        assert [str(g) for g in red.ideal.generators] == ["x^2"]
 
     def test_non_homogeneous_rejected_before_any_basis(self, monkeypatch):
         def no_basis(*args, **kwargs):
@@ -385,8 +392,18 @@ class TestRegularVariables:
         monkeypatch.setattr("sl2betti.resolution.buchberger", no_basis)
         R = GradedRing(("x", "y"), (1, 1))
         x, y = R.variable(0), R.variable(1)
-        with pytest.raises(ValueError, match="homogeneous"):
+        with pytest.raises(ValueError, match="regular_variables requires a homogeneous"):
             regular_variables(Ideal(R, [x + x * y]))
+
+    def test_basis_of_another_order_rejected(self):
+        R = GradedRing(("x", "y"), (1, 2))
+        x, y = R.variable(0), R.variable(1)
+        I = Ideal(R, [x * x * y + y * y])
+        with pytest.raises(ValueError, match="weighted-order basis"):
+            regular_variables(I, buchberger(I, LEX))
+        other = GradedRing(("x", "z"), (1, 2))
+        with pytest.raises(ValueError, match="weighted-order basis"):
+            regular_variables(I, GroebnerBasis(other, WEIGHTED, []))
 
     def test_padded_random_ideals(self):
         # variables the generators do not use are regular on R/I wherever
@@ -418,10 +435,11 @@ class TestRegularVariables:
             if not gens:
                 continue
             I = minimal_ideal(R, gens)
-            kept, _ = regular_variables(I)
-            assert set(range(width)) - set(used) <= set(kept), (kept, used)
+            red = regular_variables(I)
+            assert set(range(width)) - set(used) <= set(red.kept), (red.kept, used)
+            assert regular_variables(I, buchberger(I)) == red
             t = betti(minimize(resolve(I)))
-            assert koszul_betti(I, t.j_star).entries == t.entries
+            assert koszul_betti(red.basis, t.j_star).entries == t.entries
             done += 1
 
 
@@ -456,17 +474,25 @@ class TestRegularVariableShortcut:
         # those of a Hilbert trial for every variable
         rec = BY_LABEL[label]
         spec = ProblemSpec(rec.degrees, rec.bound)
-        _, I, _ = present(spec, genset=minimal_invariant_generators(spec), horizon=rec.horizon)
+        _, I, info = present(spec, genset=minimal_invariant_generators(spec), horizon=rec.horizon)
         kept, gb, shortcut = _trial_only(I)
         assert shortcut
         calls = []
         basis = resolution.buchberger
         monkeypatch.setattr(resolution, "buchberger", lambda J: calls.append(1) or basis(J))
-        gens = tuple(frozenset(g.terms.items()) for g in I.generators)
-        got_kept, _, _, got_gb = resolution._regular_variables_of.__wrapped__(I.ring, gens)
-        assert got_kept == kept
-        assert [g.terms for g in got_gb.elements] == [g.terms for g in gb.elements]
+        red = regular_variables(I)
+        assert red.kept == kept
+        assert [g.terms for g in red.basis.elements] == [g.terms for g in gb.elements]
         assert len(calls) == 1 + I.ring.nvars - len(shortcut)
+        # the kernel's own basis gives the same reduction, one basis fewer
+        calls.clear()
+        given = regular_variables(I, info.basis)
+        assert given.kept == red.kept
+        assert given.ideal == red.ideal
+        assert given.basis.elements == red.basis.elements
+        assert given.basis.order == red.basis.order and given.basis.ring == red.basis.ring
+        assert given.series == red.series
+        assert len(calls) == I.ring.nvars - len(shortcut)
 
     def test_content_taken_out(self):
         # x is absent from the lead a^2, and setting it to 0 leaves
@@ -476,9 +502,9 @@ class TestRegularVariableShortcut:
         I = Ideal(R, [(a * a + a * b).scale(Fraction(2)) + (x * b).scale(Fraction(3))])
         kept, gb, shortcut = _trial_only(I)
         assert kept[0] == 0 and shortcut[0] == 0
-        got_kept, _, _, got_gb = resolution._regular_variables(I)
-        assert got_kept == kept
-        assert [g.terms for g in got_gb.elements] == [g.terms for g in gb.elements]
+        red = regular_variables(I)
+        assert red.kept == kept
+        assert [g.terms for g in red.basis.elements] == [g.terms for g in gb.elements]
 
 
 class TestResolutionDump:
