@@ -173,13 +173,13 @@ def auto_koszul_cap(ring: GradedRing, hf: Sequence[int], j_star: int) -> int:
     return cap
 
 
-def auto_exactness_cap(ring: GradedRing, res: Resolution, e_star: int) -> int:
+def auto_exactness_cap(res: Resolution, e_star: int) -> int:
     """Largest degree cap whose estimated exactness-check work fits the budget.
 
-    ring is the ring the strands are counted in: for `verify_complex`, the
-    ring of the variables that `regular_variables` does not keep.
+    The strands are counted in the ring of the resolution, which is the ring
+    `verify_complex` checks it over.
     """
-    counts = RationalSeries({0: 1}, ring.weights).coefficients(e_star)
+    counts = RationalSeries({0: 1}, res.ring.weights).coefficients(e_star)
     total = 0
     cap = 0
     for e in range(e_star + 1):
@@ -311,8 +311,7 @@ def verify_case(
 
     # both certificates run modulo the variables that are regular on R/I,
     # in the ring of the resolution; their caps estimate that smaller work
-    reduced_ring = res.ring
-    e_cap = ecap if ecap is not None else auto_exactness_cap(reduced_ring, res, table.j_star)
+    e_cap = ecap if ecap is not None else auto_exactness_cap(res, table.j_star)
     comp = verify_complex(res, e_cap)
     say(
         CheckResult(
@@ -325,8 +324,8 @@ def verify_case(
 
     if m:
         # setting regular variables to 0 keeps the numerator of the series
-        hf = RationalSeries(red.series.numerator, reduced_ring.weights).coefficients(table.j_star)
-        cap = jcap if jcap is not None else auto_koszul_cap(reduced_ring, hf, table.j_star)
+        hf = RationalSeries(red.series.numerator, res.ring.weights).coefficients(table.j_star)
+        cap = jcap if jcap is not None else auto_koszul_cap(res.ring, hf, table.j_star)
         kt = koszul_betti(red.basis, cap)
         want = {k: v for k, v in rec.betti.items() if k[1] <= cap}
         say(
@@ -419,12 +418,25 @@ def _kernel_of_file(path: str, weights_arg: Optional[str]) -> Tuple[Ideal, List[
     return Ideal(source, [g for g, _ in mins]), [d for _, d in mins]
 
 
+def _check_source(args) -> None:
+    """`kernel` and `resolve` take a degree list or --gens FILE, not both;
+    --bound applies to a degree list only."""
+    if args.gens is None:
+        if args.degrees is None:
+            raise UsageError(f"{args.command} needs a degree list or --gens FILE")
+    elif args.degrees is not None:
+        raise UsageError(f"{args.command} takes a degree list or --gens FILE, not both")
+    elif args.bound is not None:
+        raise UsageError("--bound applies to a degree list, not to --gens")
+
+
 def _cmd_kernel(args) -> int:
-    if args.gens:
+    _check_source(args)
+    if args.gens is not None:
         ideal, degs = _kernel_of_file(args.gens, args.weights)
     else:
-        if not args.degrees:
-            raise UsageError("kernel needs a degree list or --gens FILE")
+        if args.weights is not None:
+            raise UsageError("--weights validates the --gens images; it needs --gens")
         degrees = parse_degree_list(args.degrees)
         _, ideal, info = _pipeline(degrees, args.bound)
         degs = info.relation_degrees
@@ -485,11 +497,10 @@ def _print_resolution(
 
 
 def _cmd_resolve(args) -> int:
-    if args.gens:
+    _check_source(args)
+    if args.gens is not None:
         ideal, _ = _kernel_of_file(args.gens, None)
         return _print_resolution(args, ideal, ideal.ring.weights, None, None)
-    if not args.degrees:
-        raise UsageError("resolve needs a degree list or --gens FILE")
     degrees = parse_degree_list(args.degrees)
     genset, ideal, info = _pipeline(degrees, args.bound)
     weights = tuple(genset.degrees)

@@ -107,9 +107,6 @@ class Echelon:
     def contains(self, vec: Vector) -> bool:
         return not self.reduce(vec)
 
-    def pivot_columns(self) -> List[int]:
-        return sorted(self.rows)
-
 
 def nullspace(
     rows: Iterable[Vector],

@@ -76,11 +76,6 @@ class GradedRing:
         return self.constant(1)
 
 
-def weighted_degree(m: Exponent, ring: GradedRing) -> int:
-    """Weighted degree sum(exponents[i] * weights[i]) of a monomial."""
-    return ring.weighted_degree(m)
-
-
 def monomial_mul(a: Exponent, b: Exponent) -> Exponent:
     return tuple(map(add, a, b))
 

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .groebner import (
     BuchbergerEngine,
@@ -498,6 +498,43 @@ class _NormalFormTable:
         return out
 
 
+def _strand_homology(
+    dim: Callable[[int, int], int],
+    columns: Callable[[int, int], Iterable[Dict[int, int]]],
+    top: int,
+    degrees: Iterable[int],
+) -> Dict[Tuple[int, int], Tuple[int, int]]:
+    """Strandwise homology of a graded complex C_top -> ... -> C_1 -> C_0.
+
+    dim(i, j) is dim C_{i,j}, and columns(i, j) yields the columns of the
+    strand map d_i: C_{i,j} -> C_{i-1,j} as integer vectors over a
+    basis of C_{i-1,j}.  Returns {(i, j): (dim ker d_i, rank d_{i+1})} in
+    degree j for 0 <= i <= top, with d_0 = d_{top+1} = 0; the homology at
+    C_{i,j} has dimension ker - rank.
+
+    The complex must satisfy d o d = 0: then the image of d_i lies in the
+    kernel of d_{i-1}, of dimension dim C_{i-1,j} - rank d_{i-1}, and once
+    the rank of d_i reaches that bound, the remaining columns cannot add to
+    it and are not built.
+    """
+    out: Dict[Tuple[int, int], Tuple[int, int]] = {}
+    for j in degrees:
+        ranks = [0]  # ranks[i] = rank of d_i in degree j
+        for i in range(1, top + 1):
+            bound = dim(i - 1, j) - ranks[i - 1]
+            ech = Echelon()
+            if bound:
+                for vec in columns(i, j):
+                    ech.add(vec)
+                    if ech.rank == bound:
+                        break
+            ranks.append(ech.rank)
+        ranks.append(0)
+        for i in range(top + 1):
+            out[(i, j)] = (dim(i, j) - ranks[i], ranks[i + 1])
+    return out
+
+
 def koszul_betti(gb: GroebnerBasis, j_cap: int) -> BettiTable:
     """Betti numbers up to shift j_cap via Koszul strand homology.
 
@@ -516,12 +553,11 @@ def koszul_betti(gb: GroebnerBasis, j_cap: int) -> BettiTable:
     m = ring.nvars
     weights = ring.weights
 
-    # strand bases: (i, j) -> list of (subset, std monomial)
     def subset_degree(S: Tuple[int, ...]) -> int:
         return sum(weights[t] for t in S)
 
+    # strand bases: (i, j) -> list of (subset, std monomial)
     bases: Dict[Tuple[int, int], List[Tuple[Tuple[int, ...], Exponent]]] = {}
-    base_index: Dict[Tuple[int, int], Dict[Tuple[Tuple[int, ...], Exponent], int]] = {}
 
     def strand_basis(i: int, j: int) -> List[Tuple[Tuple[int, ...], Exponent]]:
         key = (i, j)
@@ -537,24 +573,12 @@ def koszul_betti(gb: GroebnerBasis, j_cap: int) -> BettiTable:
                 for u in table.standard(d):
                     out.append((S, u))
         bases[key] = out
-        base_index[key] = {b: k for k, b in enumerate(out)}
         return out
 
-    def differential_rank(i: int, j: int, bound: int) -> int:
-        """Rank of the strand map (K_i (x) R/I)_j -> (K_{i-1} (x) R/I)_j.
-
-        `bound` is dim K_{i-1,j} - rank d_{i-1,j}, the dimension of the
-        kernel of d_{i-1}, which contains the image of d_i; once the rank
-        reaches it, the remaining columns cannot add to it.
-        """
-        dom = strand_basis(i, j)
-        if not dom:
-            return 0
-        idx = base_index[(i - 1, j)]
-        ech = Echelon()
-        for (S, u) in dom:
-            if ech.rank == bound:
-                break
+    def columns(i: int, j: int):
+        """The strand map (K_i (x) R/I)_j -> (K_{i-1} (x) R/I)_j."""
+        idx = {b: k for k, b in enumerate(strand_basis(i - 1, j))}
+        for (S, u) in strand_basis(i, j):
             colvec: Dict[int, object] = {}
             for k, t in enumerate(S):
                 S2 = S[:k] + S[k + 1:]
@@ -575,24 +599,14 @@ def koszul_betti(gb: GroebnerBasis, j_cap: int) -> BettiTable:
                     else:
                         colvec.pop(tgt, None)
             if colvec:
-                ech.add(primitive(colvec)[0])
-        return ech.rank
+                yield primitive(colvec)[0]
 
-    entries: Dict[Tuple[int, int], int] = {}
-    for j in range(j_cap + 1):
-        ranks: Dict[int, int] = {}
-        for i in range(1, m + 1):
-            bound = len(strand_basis(i - 1, j)) - ranks.get(i - 1, 0)
-            ranks[i] = differential_rank(i, j, bound)
-        ranks[m + 1] = 0
-        for i in range(m + 1):
-            dim = len(strand_basis(i, j))
-            if dim == 0:
-                continue
-            b = dim - ranks.get(i, 0) - ranks.get(i + 1, 0)
-            if b:
-                entries[(i, j)] = b
-    return BettiTable.from_entries(entries)
+    homology = _strand_homology(
+        lambda i, j: len(strand_basis(i, j)), columns, m, range(j_cap + 1)
+    )
+    return BettiTable.from_entries(
+        {key: ker - im for key, (ker, im) in homology.items()}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +640,13 @@ class ComplexReport:
 
 
 def verify_complex(res: Resolution, e_cap: int) -> ComplexReport:
-    """Assert d.d = 0 exactly and degreewise exactness at F_i for i >= 1."""
+    """Assert d.d = 0 exactly and degreewise exactness at F_i for i >= 1.
+
+    The complex is checked as given, over its own ring, in every degree up
+    to e_cap.  To certify a resolution of R/I cheaply, pass the resolution
+    of `regular_variables(I).ideal`, as `cli.verify_case` does: it has the
+    Betti numbers of R/I in fewer variables.
+    """
     ring = res.ring
     # composition check
     for i in range(2, res.length + 1):
@@ -657,86 +677,50 @@ def verify_complex(res: Resolution, e_cap: int) -> ComplexReport:
                         f"entry ({r},{c}) of d_{i} is not homogeneous of the right degree",
                         ("degree", i, -1),
                     )
-    # degreewise exactness at F_i, i >= 1, on F (x) R/(x_v : v kept) with
-    # the variables kept by `regular_variables` on the image of d_1 (F_0 = R).
-    # H_i(F/xF)_e = 0 for e <= e_cap forces H_i(F)_e = x H_i(F)_{e-w} = 0 for
-    # any x of positive degree (graded Nakayama, induction on e), and the
-    # kept variables are regular on H_0 = R/I, so F/xF is exact in those
-    # degrees whenever F is.  The ranks of d_{i+1} found at level i are
-    # those of level i + 1.
-    image = [p for d1 in res.differentials[:1] for col in d1.values() for p in col.values()]
-    red = _modulo_variables(res, regular_variables(Ideal(ring, image)).kept)
-    counts = RationalSeries({0: 1}, red.ring.weights).coefficients(e_cap)
+    # degreewise exactness at F_i, i >= 1
+    counts = RationalSeries({0: 1}, ring.weights).coefficients(e_cap)
     monos: Dict[int, List[Exponent]] = {}
-    degrees = range(e_cap + 1)
-    ranks = [_strand_rank(red, 1, e, monos) for e in degrees]
+
+    def dim(i: int, e: int) -> int:
+        """dim (F_i)_e: counts[d] is the number of monomials of degree d."""
+        return sum(counts[e - s] for s in res.modules[i].shifts if e - s >= 0)
+
+    def columns(i: int, e: int):
+        """(d_i)_e on the basis of generator times monomial."""
+        d = res.differential(i)
+        hi = res.modules[i]
+        # row coordinates: (target gen, monomial)
+        row_index: Dict[Tuple[int, Exponent], int] = {}
+
+        def row_id(key: Tuple[int, Exponent]) -> int:
+            got = row_index.get(key)
+            if got is None:
+                got = len(row_index)
+                row_index[key] = got
+            return got
+
+        for c in sorted(d):
+            deg = e - hi.shifts[c]
+            if deg < 0:
+                continue
+            mults = monos.get(deg)
+            if mults is None:
+                mults = monos[deg] = monomials_of_degree(ring, deg)
+            # the column as coprime integers: scaling does not change the rank
+            col, _ = primitive(
+                {(r, m): coef for r, p in d[c].items() for m, coef in p.terms.items()}
+            )
+            for mult in mults:
+                yield {row_id((r, monomial_mul(m, mult))): coef for (r, m), coef in col.items()}
+
+    homology = _strand_homology(dim, columns, res.length, range(e_cap + 1))
     for i in range(1, res.length + 1):
-        ranks_next = [_strand_rank(red, i + 1, e, monos) for e in degrees]
-        for e in degrees:
-            ker = _strand_dim(red, i, e, counts) - ranks[e]
-            im_next = ranks_next[e]
+        for e in range(e_cap + 1):
+            ker, im_next = homology[(i, e)]
             if ker != im_next:
                 return ComplexReport(
                     False,
                     f"homology at F_{i} in degree {e}: ker {ker} != im {im_next}",
                     ("exactness", i, e),
                 )
-        ranks = ranks_next
     return ComplexReport(True, f"d o d = 0, homogeneous, exact for degrees <= {e_cap}")
-
-
-def _modulo_variables(res: Resolution, dropped: Sequence[int]) -> Resolution:
-    """F (x) R/(x_v : v in dropped), over the ring of the other variables."""
-    ring, rest = _without(res.ring, dropped)
-    diffs: List[Matrix] = []
-    for d in res.differentials:
-        out: Matrix = {}
-        for c, rows in d.items():
-            col = {r: _set_to_zero(p, ring, rest) for r, p in rows.items()}
-            out[c] = {r: p for r, p in col.items() if not p.is_zero()}
-        diffs.append(out)
-    return Resolution(ring, list(res.modules), diffs)
-
-
-def _strand_dim(res: Resolution, i: int, e: int, counts: Sequence[int]) -> int:
-    """dim (F_i)_e, with counts[d] the number of monomials of degree d."""
-    return sum(counts[e - s] for s in res.modules[i].shifts if e - s >= 0)
-
-
-def _strand_rank(
-    res: Resolution, i: int, e: int, monos: Dict[int, List[Exponent]]
-) -> int:
-    """Rank of (d_i)_e by exact elimination; `monos` caches the monomials
-    of each degree."""
-    if i < 1 or i > res.length:
-        return 0
-    ring = res.ring
-    d = res.differential(i)
-    hi = res.modules[i]
-    # row coordinates: (target gen, monomial)
-    row_index: Dict[Tuple[int, Exponent], int] = {}
-
-    def row_id(key: Tuple[int, Exponent]) -> int:
-        got = row_index.get(key)
-        if got is None:
-            got = len(row_index)
-            row_index[key] = got
-        return got
-
-    ech = Echelon()
-    for c in sorted(d):
-        deg = e - hi.shifts[c]
-        if deg < 0:
-            continue
-        mults = monos.get(deg)
-        if mults is None:
-            mults = monos[deg] = monomials_of_degree(ring, deg)
-        # the column as coprime integers: scaling does not change the rank
-        col, _ = primitive(
-            {(r, m): coef for r, p in d[c].items() for m, coef in p.terms.items()}
-        )
-        for mult in mults:
-            vec = {row_id((r, monomial_mul(m, mult))): coef for (r, m), coef in col.items()}
-            if vec:
-                ech.add(vec)
-    return ech.rank

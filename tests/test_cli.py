@@ -304,6 +304,34 @@ class TestKernelCommand:
         assert "the generator set upstream is incomplete" in captured.err
 
 
+class TestOptionsThatDoNotApply:
+    """An option the chosen input ignores is a usage error naming it."""
+
+    def test_weights_without_gens(self, capsys):
+        code = run(["kernel", "2,2", "--bound", "2", "--weights", "2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: --weights validates the --gens images; it needs --gens\n"
+
+    @pytest.mark.parametrize("command", ["kernel", "resolve"])
+    def test_bound_with_gens(self, command, gens_file, capsys):
+        capsys.readouterr()
+        code = run([command, "--gens", gens_file, "--bound", "3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: --bound applies to a degree list, not to --gens\n"
+
+    @pytest.mark.parametrize("command", ["kernel", "resolve"])
+    def test_degrees_with_gens(self, command, gens_file, capsys):
+        capsys.readouterr()
+        code = run([command, "1,1,2", "--gens", gens_file])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            f"error: {command} takes a degree list or --gens FILE, not both\n"
+        )
+
+
 class TestInvariantsCommand:
     def test_bracket(self, capsys):
         code = run(["invariants", "1,1"])

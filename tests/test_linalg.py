@@ -22,7 +22,7 @@ def reference_nullspace(rows, columns, stop_rank=None):
         ech.add(r)
         if stop_rank is not None and ech.rank >= stop_rank:
             break
-    pivots = ech.pivot_columns()
+    pivots = sorted(ech.rows)
     basis = []
     for f in columns:
         if f in ech.rows:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from sl2betti import resolution
+from sl2betti import groebner, resolution
 from sl2betti.cases import BY_LABEL
 from sl2betti.groebner import (
     BuchbergerEngine,
@@ -438,9 +438,25 @@ class TestRegularVariables:
             red = regular_variables(I)
             assert set(range(width)) - set(used) <= set(red.kept), (red.kept, used)
             assert regular_variables(I, buchberger(I)) == red
+            # a variable rejected once stays a zero-divisor modulo the kept ones
+            assert regular_variables(red.ideal).kept == ()
             t = betti(minimize(resolve(I)))
             assert koszul_betti(red.basis, t.j_star).entries == t.entries
             done += 1
+
+    def test_catalog_reduced_ideal_keeps_no_variable(self):
+        # x_v is rejected only as a zero-divisor on R/(I + the variables kept
+        # before it); the variables kept after it are regular there, and a
+        # zero-divisor on a graded module M stays one on M/yM for y regular
+        # of positive degree (take m of least degree with xm = 0: m = ym'
+        # would give xm' = 0 in lower degree), so the reduced ideal has no
+        # regular variable left
+        for label in ("3V1+V2", "5V1", "4V2", "V1+3V2", "V3+V3"):
+            rec = BY_LABEL[label]
+            spec = ProblemSpec(rec.degrees, rec.bound)
+            _, I, info = present(spec, genset=minimal_invariant_generators(spec), horizon=rec.horizon)
+            red = regular_variables(I, info.basis)
+            assert regular_variables(red.ideal, red.basis).kept == (), label
 
 
 def _trial_only(I):
@@ -550,12 +566,31 @@ class TestVerifyComplex:
         (3, ("exactness", 3, 17)),
     ])
     def test_truncated_resolution_not_exact(self, paper_ring, paper_J, level, failure):
-        # the paper's J resolved and cut after d_level: the first homology
-        # sits at F_level in the degree of the first dropped syzygy
-        res = resolve(Ideal(paper_ring, paper_J))
-        cut = Resolution(paper_ring, res.modules[: level + 1], res.differentials[:level])
-        rep = verify_complex(cut, 17)
-        assert not rep.ok and rep.failure == failure
+        # the paper's J, and J modulo its regular variables, resolved and cut
+        # after d_level: the first homology sits at F_level in the degree of
+        # the first dropped syzygy, which the two resolutions share
+        J = Ideal(paper_ring, paper_J)
+        for ideal in (J, regular_variables(J).ideal):
+            res = resolve(ideal)
+            cut = Resolution(ideal.ring, res.modules[: level + 1], res.differentials[:level])
+            rep = verify_complex(cut, 17)
+            assert not rep.ok and rep.failure == failure, ideal.ring
+
+    def test_reduced_resolution_builds_no_basis(self, paper_ring, paper_J, monkeypatch):
+        # the complex is checked as given, over its own ring: no regular
+        # sequence is searched for, so no Groebner basis is built
+        res = resolve(regular_variables(Ideal(paper_ring, paper_J)).ideal)
+        calls = []
+        basis = groebner.buchberger
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return basis(*args, **kwargs)
+
+        for module in (groebner, resolution):
+            monkeypatch.setattr(module, "buchberger", counted)
+        assert verify_complex(res, 17).ok
+        assert len(calls) == 0
 
     def test_trivial_complex(self):
         R = GradedRing(("x",), (1,))
