@@ -16,12 +16,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from .cases import CASES, CaseRecord, case_for_degrees, find_case, parse_degree_list
-from .groebner import (
-    GroebnerBasis,
-    Ideal,
-    RationalSeries,
-    minimal_generators,
-)
+from .groebner import GroebnerBasis, Ideal, minimal_generators
 from .invariants import (
     ProblemSpec,
     cs_total_dims,
@@ -52,6 +47,7 @@ from .resolution import (
     Reduction,
     Resolution,
     betti,
+    exactness_cap,
     format_resolution,
     koszul_betti,
     regular_variables,
@@ -128,70 +124,6 @@ def _poly_in_z(coeffs: Sequence[int]) -> str:
         else:
             pieces.append((" + " if c > 0 else " - ") + body)
     return "".join(pieces) or "0"
-
-
-# ---------------------------------------------------------------------------
-# budget heuristics for the expensive verifiers
-# ---------------------------------------------------------------------------
-
-# estimated exact row operations each verifier may spend
-KOSZUL_BUDGET = 2_000_000_000
-EXACTNESS_BUDGET = 60_000_000
-
-
-def auto_koszul_cap(ring: GradedRing, hf: Sequence[int], j_star: int) -> int:
-    """Largest shift cap whose estimated strand-elimination work fits the budget.
-
-    ring and hf are the ring and the Hilbert function of the quotient the
-    strands are built over: for `koszul_betti`, the ideal modulo its
-    `regular_variables`.
-    """
-    m = ring.nvars
-    # wsub[i][d] = number of i-subsets of the variables with weight sum d
-    max_w = sum(ring.weights)
-    wsub = [[0] * (max_w + 1) for _ in range(m + 1)]
-    wsub[0][0] = 1
-    for w in ring.weights:
-        for i in range(m, 0, -1):
-            for d in range(max_w, w - 1, -1):
-                wsub[i][d] += wsub[i - 1][d - w]
-    total = 0
-    cap = 0
-    for j in range(j_star + 1):
-        dims = []
-        for i in range(m + 1):
-            dim = 0
-            for d in range(min(j, max_w) + 1):
-                if wsub[i][d] and j - d < len(hf):
-                    dim += wsub[i][d] * hf[j - d]
-            dims.append(dim)
-        work = sum(dims[i] * dims[i - 1] for i in range(1, m + 1))
-        total += work
-        if total > KOSZUL_BUDGET:
-            break
-        cap = j
-    return cap
-
-
-def auto_exactness_cap(res: Resolution, e_star: int) -> int:
-    """Largest degree cap whose estimated exactness-check work fits the budget.
-
-    The strands are counted in the ring of the resolution, which is the ring
-    `verify_complex` checks it over.
-    """
-    counts = RationalSeries({0: 1}, res.ring.weights).coefficients(e_star)
-    total = 0
-    cap = 0
-    for e in range(e_star + 1):
-        dims = []
-        for mod in res.modules:
-            dims.append(sum(counts[e - s] for s in mod.shifts if e - s >= 0))
-        work = sum(d * d for d in dims)
-        total += work
-        if total > EXACTNESS_BUDGET:
-            break
-        cap = e
-    return cap
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +242,8 @@ def verify_case(
     say(CheckResult("palindromy", verdict.holds, str(verdict)))
 
     # both certificates run modulo the variables that are regular on R/I,
-    # in the ring of the resolution; their caps estimate that smaller work
-    e_cap = ecap if ecap is not None else auto_exactness_cap(res, table.j_star)
+    # in the ring of the resolution; only the exactness check needs a cap
+    e_cap = ecap if ecap is not None else exactness_cap(res, table.j_star)
     comp = verify_complex(res, e_cap)
     say(
         CheckResult(
@@ -323,9 +255,7 @@ def verify_case(
     )
 
     if m:
-        # setting regular variables to 0 keeps the numerator of the series
-        hf = RationalSeries(red.series.numerator, res.ring.weights).coefficients(table.j_star)
-        cap = jcap if jcap is not None else auto_koszul_cap(res.ring, hf, table.j_star)
+        cap = jcap if jcap is not None else table.j_star
         kt = koszul_betti(red.basis, cap)
         want = {k: v for k, v in rec.betti.items() if k[1] <= cap}
         say(
@@ -385,6 +315,12 @@ def _load_generator_file(path: str, weights_arg: Optional[str]):
             f"unsupported clause 'order {clause}': generator files must use "
             "order weighted (or degrevlex)"
         )
+    for p in polys:
+        if p.weighted_degree() == 0:
+            raise UsageError(
+                f"generator file entry {format_polynomial(p)} is a nonzero "
+                "constant: the ideal it generates is the whole ring"
+            )
     if weights_arg:
         weights = parse_degree_list(weights_arg)
         if len(weights) != ring.nvars:
@@ -473,6 +409,10 @@ def _print_resolution(
     if args.dump:
         res = resolve(ideal)
         table = betti(res)
+        # written first, so an unwritable path leaves stdout empty
+        with open(args.dump, "w") as fh:
+            fh.write(format_resolution(res))
+        print(f"# resolution dump written to {args.dump}", file=sys.stderr)
     else:
         res, table = _resolution_of(regular_variables(ideal, gb))
     if args.format == "json":
@@ -489,10 +429,6 @@ def _print_resolution(
         print(f"poincare numerator: {_poly_in_z(series.numerator_coefficients())}")
         print(f"palindromic: {'true' if verdict.holds else 'false'}"
               + ("" if verdict.holds else f"  (witness beta_{verdict.witness})"))
-    if args.dump:
-        with open(args.dump, "w") as fh:
-            fh.write(format_resolution(res))
-        print(f"# resolution dump written to {args.dump}", file=sys.stderr)
     return 0
 
 

@@ -337,7 +337,6 @@ class GeneratorSet:
     generators: List[Polynomial]
     degrees: List[int]
     multidegrees: List[Tuple[int, ...]]
-    bound: int
 
     def __len__(self) -> int:
         return len(self.generators)
@@ -542,7 +541,7 @@ def minimal_invariant_generators(spec: ProblemSpec) -> GeneratorSet:
                 span.add(g)
                 if ech.rank == dim_inv:
                     break
-    return GeneratorSet(cring, spec, gens, degs, mdegs, spec.degree_bound)
+    return GeneratorSet(cring, spec, gens, degs, mdegs)
 
 
 @dataclass

@@ -639,12 +639,43 @@ class ComplexReport:
     failure: Optional[Tuple[str, int, int]] = None  # (kind, level, degree)
 
 
+def _free_dims(res: Resolution, e_top: int) -> Callable[[int, int], int]:
+    """dim (F_i)_e for e <= e_top: the sum over the shifts s of F_i of the
+    number of monomials of degree e - s in the ring of the resolution."""
+    counts = RationalSeries({0: 1}, res.ring.weights).coefficients(e_top)
+
+    def dim(i: int, e: int) -> int:
+        return sum(counts[e - s] for s in res.modules[i].shifts if e - s >= 0)
+
+    return dim
+
+
+# estimated exact row operations the exactness check may spend
+EXACTNESS_BUDGET = 60_000_000
+
+
+def exactness_cap(res: Resolution, e_star: int) -> int:
+    """Largest degree cap up to e_star whose estimated `verify_complex` work
+    fits EXACTNESS_BUDGET, counting sum_i dim (F_i)_e ** 2 row operations for
+    degree e; 0 when even degree 0 does not fit."""
+    dim = _free_dims(res, e_star)
+    total = 0
+    cap = 0
+    for e in range(e_star + 1):
+        total += sum(dim(i, e) ** 2 for i in range(res.length + 1))
+        if total > EXACTNESS_BUDGET:
+            break
+        cap = e
+    return cap
+
+
 def verify_complex(res: Resolution, e_cap: int) -> ComplexReport:
     """Assert d.d = 0 exactly and degreewise exactness at F_i for i >= 1.
 
     The complex is checked as given, over its own ring, in every degree up
-    to e_cap.  To certify a resolution of R/I cheaply, pass the resolution
-    of `regular_variables(I).ideal`, as `cli.verify_case` does: it has the
+    to e_cap; `exactness_cap` bounds e_cap by a work estimate.  To certify a
+    resolution of R/I cheaply, pass the resolution of
+    `regular_variables(I).ideal`, as `cli.verify_case` does: it has the
     Betti numbers of R/I in fewer variables.
     """
     ring = res.ring
@@ -678,12 +709,7 @@ def verify_complex(res: Resolution, e_cap: int) -> ComplexReport:
                         ("degree", i, -1),
                     )
     # degreewise exactness at F_i, i >= 1
-    counts = RationalSeries({0: 1}, ring.weights).coefficients(e_cap)
     monos: Dict[int, List[Exponent]] = {}
-
-    def dim(i: int, e: int) -> int:
-        """dim (F_i)_e: counts[d] is the number of monomials of degree d."""
-        return sum(counts[e - s] for s in res.modules[i].shifts if e - s >= 0)
 
     def columns(i: int, e: int):
         """(d_i)_e on the basis of generator times monomial."""
@@ -713,7 +739,9 @@ def verify_complex(res: Resolution, e_cap: int) -> ComplexReport:
             for mult in mults:
                 yield {row_id((r, monomial_mul(m, mult))): coef for (r, m), coef in col.items()}
 
-    homology = _strand_homology(dim, columns, res.length, range(e_cap + 1))
+    homology = _strand_homology(
+        _free_dims(res, e_cap), columns, res.length, range(e_cap + 1)
+    )
     for i in range(1, res.length + 1):
         for e in range(e_cap + 1):
             ker, im_next = homology[(i, e)]

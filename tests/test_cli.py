@@ -158,6 +158,31 @@ class TestResolveCommand:
         err = capsys.readouterr().err
         assert err == "error: generator file entries must be nonzero homogeneous\n"
 
+    @pytest.mark.parametrize("command", ["betti", "kernel", "resolve"])
+    @pytest.mark.parametrize("entry", ["3", "-1/2"])
+    def test_gens_file_constant_entry_is_usage_error(self, command, entry, tmp_path, capsys):
+        path = tmp_path / "gens.txt"
+        path.write_text(f"ring x0 x1 ;\nx0*x1\n{entry}\n")
+        assert run([command, "--gens", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: generator file entry {entry} is a nonzero constant: "
+            "the ideal it generates is the whole ring\n"
+        )
+
+    @pytest.mark.parametrize("command", ["resolve", "betti"])
+    def test_unwritable_dump_prints_no_report(self, command, tmp_path, capsys):
+        path = tmp_path / "gens.txt"
+        path.write_text("ring x y ;\nx^2\nx*y\ny^2\n")
+        dump = tmp_path / "missing" / "dump.txt"
+        for fmt in ("table", "json"):
+            argv = [command, "--gens", str(path), "--format", fmt, "--dump", str(dump)]
+            assert run(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+
     def test_gens_file_route(self, gens_file, capsys):
         code = run(["resolve", "--gens", gens_file])
         out = capsys.readouterr().out

@@ -345,7 +345,7 @@ class TestCompleteness:
         assert len(gs) == 3
         crippled = type(gs)(
             gs.cring, spec, gs.generators[:2], gs.degrees[:2],
-            gs.multidegrees[:2], gs.bound,
+            gs.multidegrees[:2],
         )
         rep = verify_completeness(crippled, spec, 6)
         assert not rep.agree

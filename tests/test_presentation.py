@@ -154,7 +154,7 @@ class TestKernelByDegrees:
         gs = minimal_invariant_generators(spec)
         crippled = type(gs)(
             gs.cring, spec, gs.generators[:2], gs.degrees[:2],
-            gs.multidegrees[:2], gs.bound,
+            gs.multidegrees[:2],
         )
         amap = algebra_map_from_generators(crippled)
         with pytest.raises(ValueError):
