@@ -126,7 +126,7 @@ CASES: List[CaseRecord] = [
             }
         ),
         stretch=True,
-        note="runs in about 75 s, most of it the Groebner bases the "
+        note="runs in about 50 s, most of it the Groebner bases the "
         "degree-certified kernel rebuilds after each relation degree",
     ),
     CaseRecord(
@@ -274,12 +274,13 @@ def normalize_label(label: str) -> str:
 
 
 def parse_degree_list(text: str) -> Tuple[int, ...]:
-    """Comma-separated positive integers; repetition is multiplicity."""
+    """Comma-separated positive integers; repetition is multiplicity.  An
+    empty entry, as in '5,,' or ',5', is an error, not skipped."""
     try:
-        degrees = tuple(int(t) for t in text.split(",") if t.strip())
+        degrees = tuple(int(t) for t in text.split(","))
     except ValueError:
         raise ValueError(f"bad degree list {text!r}") from None
-    if not degrees or any(d < 1 for d in degrees):
+    if any(d < 1 for d in degrees):
         raise ValueError(f"bad degree list {text!r}")
     return degrees
 

@@ -287,7 +287,23 @@ def invariant_basis(
 
     Kernel of the raising operator on the weight-0 subspace, by the modular
     nullspace with its exact certificate; deterministic and normalized.
-    Empty when the total weight sum(m_i * d_i) is odd.
+    Empty when the total weight sum(m_i * d_i) is odd.  The kernel
+    dimension is the Cayley-Sylvester count, so the rank bound
+    #columns - dimension lets the elimination stop once it is reached.
+
+    The rows go to `nullspace` in Cayley's order: descending a0 + a1
+    exponent of the row's target monomial, ties in descending weighted
+    order, where a0, a1 are the first two coefficients of the first form
+    with a nonzero entry in the multidegree.  The raising operator is
+    E = a0 d/da1 + E', and E' does not differentiate by a1, so each
+    a1-power of an invariant is solved from the lower ones by dividing by
+    a0 (Cayley's reconstruction of seminvariants: Olver, *Classical
+    Invariant Theory*, 1999, ch. 2; Kung-Rota, *Bull. AMS* 10, 1984).  In
+    this order the matrix is close to triangular, so the elimination is
+    far cheaper.  The order cannot change the result: the elimination
+    always pivots on the leftmost column, so its pivot set is the
+    canonical one of the row space whatever the order, and the basis
+    `nullspace` returns depends only on the kernel.
     """
     cring = CoefficientRing(spec.degrees)
     if sum(m * d for m, d in zip(multidegree, spec.degrees)) % 2:
@@ -302,11 +318,14 @@ def invariant_basis(
         for target, c in _apply_moves_int(m, moves):
             row = rows.setdefault(target, {})
             row[j] = row.get(j, 0) + c
-    # the kernel dimension is known combinatorially; the rank bound lets the
-    # elimination stop as soon as it is certified
+    # rows in Cayley's order, elimination stopped at the weight-count rank
+    form = next((f for f, m in enumerate(multidegree) if m), 0)
+    a0, a1 = cring.var_index[(form, 0)], cring.var_index[(form, 1)]
     expected = cayley_sylvester_dim(spec, multidegree)
     kernel = nullspace(
-        [rows[t] for t in sorted(rows, key=keyfn, reverse=True)],
+        [rows[t] for t in sorted(
+            rows, key=lambda t: (t[a0] + t[a1], keyfn(t)), reverse=True
+        )],
         range(len(cols)),
         stop_rank=len(cols) - expected,
     )

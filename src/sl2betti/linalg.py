@@ -121,7 +121,9 @@ def nullspace(
     column, ordered by free column index.  Vector f is the kernel vector
     that is zero on every other free column; this basis is the reduced
     echelon form of the kernel with respect to the reversed column order, so
-    it depends only on the kernel.
+    it depends only on the kernel.  In particular any permutation of the
+    rows gives the identical basis, with or without stop_rank, because
+    leftmost pivots make the pivot set that of the row space.
 
     stop_rank, when given, must be an upper bound on the rank (e.g. from an
     independent dimension count); reaching it proves the remaining rows

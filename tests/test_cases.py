@@ -67,6 +67,11 @@ def test_parse_degree_list():
         parse_degree_list("1,0")
     with pytest.raises(ValueError):
         parse_degree_list("")
+    assert parse_degree_list(" 1, 2") == (1, 2)
+    # an empty entry is an error, not skipped
+    for text in ("5,,", ",5", "1,,2", "1, ,2", "5,"):
+        with pytest.raises(ValueError, match="bad degree list"):
+            parse_degree_list(text)
 
 
 def test_stretch_flags():

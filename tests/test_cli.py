@@ -76,6 +76,12 @@ class TestBettiCommand:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_empty_weight_entry_is_usage_error(self, j_file, capsys):
+        # skipping the empty entry would leave the ten correct weights
+        weights = "3,3,2,3,2,,3,3,2,2,3"
+        assert run(["betti", "--gens", j_file, "--weights", weights]) == 2
+        assert capsys.readouterr().err == f"error: bad degree list {weights!r}\n"
+
     def test_inhomogeneous_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("ring x y ; weights 1 1 ; order weighted ;\nx + x*y\n")
@@ -271,6 +277,16 @@ class TestResolveCommand:
         assert code == 0
         assert capsys.readouterr().out == (data / "invariants_5.json").read_text()
 
+    @pytest.mark.parametrize("degrees, name", [("6", "6"), ("1,2,2,2", "1222")])
+    def test_invariants_match_recorded_output(self, degrees, name, capsys):
+        # recorded with the rows in plain weighted order; V6's degree-15
+        # piece has 1636 columns, and V1+3V2's pieces without the linear
+        # form take a0, a1 from the first quadratic they involve
+        data = Path(__file__).parent / "data"
+        code = run(["invariants", degrees, "--format", "json"])
+        assert code == 0
+        assert capsys.readouterr().out == (data / f"invariants_{name}.json").read_text()
+
     def test_failed_certificate_exits_one_and_names_it(self, monkeypatch, capsys):
         # an invariant count one short at degree 4 makes the degree-4 kernel
         # search return a vector that the substitution check rejects
@@ -367,6 +383,13 @@ class TestInvariantsCommand:
 
     def test_bad_degree_list(self, capsys):
         assert run(["invariants", "1,0,2"]) == 2
+
+    @pytest.mark.parametrize("text", ["5,,", ",5", "1,,2"])
+    def test_empty_degree_entry_is_usage_error(self, text, capsys):
+        assert run(["invariants", text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad degree list {text!r}\n"
 
     def test_two_cubics_match_recorded_output(self, capsys):
         # products of earlier generators span only part of the pieces (2,2)

@@ -199,6 +199,41 @@ class TestInvariantBasis:
                     assert got == want, (degrees, md)
 
 
+class TestCayleyRowOrder:
+    """`invariant_basis` hands its rows to `nullspace` by descending a0 + a1
+    exponent of the target, ties in descending weighted order, with a0, a1
+    the first two coefficients of the first form the multidegree involves."""
+
+    @pytest.mark.parametrize("degrees, md, a0", [
+        ((5,), (18,), 0),
+        # the first form is absent: a0, a1 are y0, y1
+        ((1, 2, 2, 2), (0, 2, 2, 0), 2),
+    ])
+    def test_rows_in_cayley_order(self, monkeypatch, degrees, md, a0):
+        seen = []
+        solve = invariants.nullspace
+
+        def capture(rows, columns, stop_rank=None):
+            rows = list(rows)
+            seen.append(rows)
+            return solve(rows, columns, stop_rank)
+
+        monkeypatch.setattr(invariants, "nullspace", capture)
+        assert invariant_basis(ProblemSpec(degrees, 1), md)
+        cr = CoefficientRing(degrees)
+        keyfn = WEIGHTED.key_function(cr.ring)
+        moves = invariants._operator_moves(cr, "raising")
+        by_target = {}
+        for j, m in enumerate(_weight_zero_columns(degrees, md)):
+            for t, c in invariants._apply_moves_int(m, moves):
+                row = by_target.setdefault(t, {})
+                row[j] = row.get(j, 0) + c
+        cayley = sorted(by_target, key=lambda t: (t[a0] + t[a0 + 1], keyfn(t)), reverse=True)
+        plain = sorted(by_target, key=keyfn, reverse=True)
+        assert cayley != plain  # the piece tells the two orders apart
+        assert seen == [[by_target[t] for t in cayley]]
+
+
 def _nonzero_poly(ring, data):
     terms = {}
     for _ in range(data.draw(st.integers(1, 3))):

@@ -209,6 +209,31 @@ def test_stop_rank(reached, primes_used):
         primes_used.clear()
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_nullspace_ignores_row_order(data):
+    # rows spanned by a few random ones, so kernels are often nonzero
+    ncols = data.draw(st.integers(1, 7))
+    row = st.dictionaries(st.integers(0, ncols - 1), st.integers(-9, 9), max_size=ncols)
+    base = data.draw(st.lists(row, min_size=1, max_size=4))
+    mix = st.lists(st.integers(-3, 3), min_size=len(base), max_size=len(base))
+    rows = []
+    for coeffs in data.draw(st.lists(mix, min_size=1, max_size=7)):
+        combo = {}
+        for u, r in zip(coeffs, base):
+            for j, c in r.items():
+                combo[j] = combo.get(j, 0) + u * c
+        rows.append({j: c for j, c in combo.items() if c})
+    permuted = data.draw(st.permutations(rows))
+    ech = Echelon()
+    for r in rows:
+        ech.add(r)
+    for stop in (None, ech.rank):
+        got = nullspace(permuted, range(ncols), stop_rank=stop)
+        assert got == nullspace(rows, range(ncols), stop_rank=stop)
+        assert got == reference_nullspace(rows, range(ncols))
+
+
 def test_primes_are_the_primes_from_2_61():
     gen = linalg._primes()
     got = [next(gen) for _ in range(4)]
