@@ -339,6 +339,15 @@ class BuchbergerEngine(Reducer):
     keyed by (input index, exponent) and one positive denominator, so no
     per-term rational arithmetic is needed.  The product criterion applies
     when the module has rank one, where the order is a ring order.
+
+    Tasks run in (degree, kind, seq) order, and `run(upto=e)` stops before
+    the first task of degree above e.  For homogeneous inputs the basis is
+    then complete through degree e.  An input added by `add_input` after
+    such a run, of degree at least e, takes the place it would have had
+    among the inputs of one engine built with all of them: inputs of one
+    degree run in index order, after that degree's pairs, and pairs keep
+    their push order.  So growing the inputs degree by degree treats the
+    same tasks in the same order and ends in the same basis.
     """
 
     def __init__(
@@ -367,12 +376,18 @@ class BuchbergerEngine(Reducer):
         self.pairs: Dict[Tuple[int, int], Exponent] = {}
         self._tasks: List[tuple] = []
         self._seq = 0
-        self.keyed_inputs = [keyfn.encode(v) for v in inputs]
-        for idx, vec in enumerate(inputs):
-            if not vec:
-                self.redundant.add(idx)
-                continue
+        self.keyed_inputs: List[KVec] = []
+        for vec in inputs:
+            self.add_input(vec)
+
+    def add_input(self, vec: MVec) -> None:
+        """Queue one more input, with the next index, at its degree."""
+        idx = len(self.keyed_inputs)
+        self.keyed_inputs.append(self.keyfn.encode(vec))
+        if vec:
             self._push(self._sugar_of(vec), 1, idx)
+        else:
+            self.redundant.add(idx)
 
     # -- degrees -----------------------------------------------------------
 
@@ -510,9 +525,15 @@ class BuchbergerEngine(Reducer):
 
     # -- main loop ----------------------------------------------------------------
 
-    def run(self) -> EngineResult:
-        while self._tasks:
-            degree, kind, _, payload = heapq.heappop(self._tasks)
+    def run(self, upto: Optional[int] = None) -> EngineResult:
+        """Treat the queued tasks, with upto only those of degree <= upto.
+
+        Product-criterion syzygies are emitted once the queue is empty, each
+        once, so a truncated run's result holds only the syzygies so far.
+        """
+        tasks = self._tasks
+        while tasks and (upto is None or tasks[0][0] <= upto):
+            degree, kind, _, payload = heapq.heappop(tasks)
             if kind == 1:
                 self._process_input(payload, degree)
             else:
@@ -520,9 +541,10 @@ class BuchbergerEngine(Reducer):
                 if lcm_ij is None:
                     continue
                 self._process_pair(payload, lcm_ij, degree)
-        if self.want_syzygies:
+        if self.want_syzygies and not tasks:
             for (i, j) in self._koszul_pairs:
                 self._emit_koszul(i, j)
+            self._koszul_pairs = []
         return EngineResult(
             basis=self.basis,
             redundant_inputs=self.redundant,
@@ -586,9 +608,20 @@ class BuchbergerEngine(Reducer):
         if trace:
             self.syzygies.append(self._normalize_trace(trace))
 
+    def reduced_basis(self, order: MonomialOrder) -> "GroebnerBasis":
+        """Finish the run and return the reduced basis; order is the ring
+        order keyfn packs.  For an engine without syzygies."""
+        self.run()
+        self._interreduce()
+        return GroebnerBasis(
+            self.ring,
+            order,
+            [_mvec_to_poly(self.ring, self.keyfn.decode_vec(vec)) for vec in self.basis],
+        )
+
     def _interreduce(self) -> None:
-        """Tail-reduce the completed basis; `buchberger` calls this after `run`,
-        on an engine without syzygies, so no cofactors are updated.
+        """Tail-reduce the completed basis; `reduced_basis` calls this after
+        `run`, on an engine without syzygies, so no cofactors are updated.
 
         Resolution levels read only syzygies and traces and skip it.
         """
@@ -705,10 +738,7 @@ def buchberger(gens: Ideal, order: MonomialOrder = WEIGHTED) -> GroebnerBasis:
     engine = BuchbergerEngine(
         ring, [_poly_to_mvec(p) for p in inputs], [0], base_keyfn(ring, order)
     )
-    engine.run()
-    engine._interreduce()
-    elements = [_mvec_to_poly(ring, engine.keyfn.decode_vec(vec)) for vec in engine.basis]
-    return GroebnerBasis(ring, order, elements)
+    return engine.reduced_basis(order)
 
 
 def ideals_equal(a: Ideal, b: Ideal, order: MonomialOrder = WEIGHTED) -> bool:
@@ -846,19 +876,32 @@ def hilbert_numerator_monomial(
 ) -> Dict[int, int]:
     """Numerator of the Hilbert series of R/(monomial ideal).
 
-    Divide-and-conquer pivot recursion: split on a variable shared by at
-    least two minimal generators, with coprime products as the base case.
+    Pivot recursion with Bigatti's median pivot (J. Pure Appl. Algebra 119,
+    1997): for a monomial p, 0 -> R/(I : p)(-deg p) -> R/I -> R/(I + p) -> 0
+    gives N(I) = N(I + p) + z^deg(p) N(I : p).  The pivot is p = x_i^k, with
+    x_i the variable in the most minimal generators and k the median of its
+    positive exponents in those that are not pure powers of x_i.  One such
+    generator g has g_i >= k, and I + p replaces it by its proper divisor
+    p, while I : p lowers every positive g_i; so both branches lower the
+    sum of the minimal generators' exponents.  Splitting at the median
+    keeps the recursion shallow where a pivot x_i, which lowers exponents
+    by one per level, would recurse as deep as the largest shared exponent.
+    Pairwise coprime generators are the base case.
     """
     weights = ring.weights
-
-    def wdeg(m: Exponent) -> int:
-        return sum(e * w for e, w in zip(m, weights))
+    n = len(weights)
 
     def minimalize(gens: List[Exponent]) -> List[Exponent]:
-        gens = sorted(set(gens), key=lambda m: (wdeg(m), m))
+        # a proper divisor has a smaller exponent sum, so it comes first
         out: List[Exponent] = []
-        for g in gens:
-            if not any(monomial_divides(h, g) for h in out):
+        for g in sorted(set(gens), key=sum):
+            for h in out:
+                for a, b in zip(h, g):
+                    if a > b:
+                        break
+                else:
+                    break
+            else:
                 out.append(g)
         return out
 
@@ -866,38 +909,33 @@ def hilbert_numerator_monomial(
         gens = minimalize(gens)
         if not gens:
             return {0: 1}
-        if any(all(e == 0 for e in g) for g in gens):
+        if not any(gens[0]):
             return {}
-        occupancy = [0] * len(weights)
+        occupancy = [0] * n
         for g in gens:
             for i, e in enumerate(g):
                 if e:
                     occupancy[i] += 1
-        pivot = max(range(len(weights)), key=lambda i: occupancy[i])
-        if occupancy[pivot] <= 1:
+        i = max(range(n), key=occupancy.__getitem__)
+        if occupancy[i] <= 1:
             # pairwise coprime generators
             num = {0: 1}
             for g in gens:
-                num = _poly1_mul_cyclotomic(num, wdeg(g))
+                num = _poly1_mul_cyclotomic(num, sum(map(mul, g, weights)))
             return num
-        # I = (I + (x_pivot)) union z^w * (I : x_pivot)
-        added = [g for g in gens if g[pivot] == 0] + [
-            tuple(1 if i == pivot else 0 for i in range(len(weights)))
-        ]
-        colon = [
-            tuple(e - 1 if i == pivot and e > 0 else e for i, e in enumerate(g))
-            for g in gens
-        ]
-        a = rec(added)
-        b = rec(colon)
-        w = weights[pivot]
-        out = dict(a)
-        for d, v in b.items():
-            s = out.get(d + w, 0) + v
+        exps = sorted(g[i] for g in gens if g[i] and (any(g[:i]) or any(g[i + 1:])))
+        k = exps[len(exps) // 2]
+        pivot = (0,) * i + (k,) + (0,) * (n - i - 1)
+        added = [g for g in gens if g[i] < k] + [pivot]
+        colon = [g[:i] + (max(g[i] - k, 0),) + g[i + 1:] for g in gens]
+        out = rec(added)
+        shift = k * weights[i]
+        for d, v in rec(colon).items():
+            s = out.get(d + shift, 0) + v
             if s:
-                out[d + w] = s
+                out[d + shift] = s
             else:
-                out.pop(d + w, None)
+                out.pop(d + shift, None)
         return out
 
     return rec(list(lead_terms))
@@ -919,12 +957,11 @@ def hilbert_series_quotient(I: Ideal, gb: Optional[GroebnerBasis] = None) -> Rat
 
 
 def standard_monomials(
-    gb: GroebnerBasis, degree: int
+    ring: GradedRing, leads: Sequence[Exponent], degree: int
 ) -> List[Exponent]:
-    """Monomials of the given weighted degree outside the leading-term ideal."""
-    leads = gb.leading_monomials()
+    """Monomials of the given weighted degree outside the ideal of leads."""
     out = []
-    for m in monomials_of_degree(gb.ring, degree):
+    for m in monomials_of_degree(ring, degree):
         if not any(monomial_divides(lt, m) for lt in leads):
             out.append(m)
     return out

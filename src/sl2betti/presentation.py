@@ -25,11 +25,14 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .groebner import (
+    BuchbergerEngine,
     GroebnerBasis,
     Ideal,
     RationalSeries,
+    _poly_to_mvec,
+    base_keyfn,
     buchberger,
-    hilbert_series_quotient,
+    hilbert_numerator_monomial,
     standard_monomials,
 )
 from .invariants import (
@@ -199,8 +202,15 @@ def kernel_by_degrees(
     exact substitution check use the images restricted to a0 = 1, a1 = 0,
     and a combination of products vanishes on the slice exactly when it
     vanishes.  So each matrix has the kernel of the full one, and the
-    normalized relations are the same polynomials.  The info also carries
-    the last degree's basis, that of the returned ideal.
+    normalized relations are the same polynomials.
+
+    One `BuchbergerEngine` grows the basis of the kernel found so far: at
+    degree e it runs to e, so its leading terms are complete through e and
+    give hf[e] and the standard monomials of degree e; the new relations are
+    added as inputs and the engine runs to e again.  hf is recomputed only
+    when the basis or the horizon grew.  The engine treats the tasks of one
+    `buchberger` call on all the relations in that call's order, so the
+    info's basis, that of the returned ideal, is that call's reduced basis.
     """
     src = amap.source
     grow = horizon is None
@@ -210,13 +220,17 @@ def kernel_by_degrees(
     _check_invariant(amap, spec)
     cache = _ImageCache(amap.target_ring, amap.images, on_slice=True)
     keyfn = WEIGHTED.key_function(src)
+    engine = BuchbergerEngine(src, [], [0], base_keyfn(src))
     gens: List[Polynomial] = []
-    gb = GroebnerBasis(src, WEIGHTED, [])
-    hf: List[int] = RationalSeries({0: 1}, src.weights).coefficients(horizon)
     relation_degrees: List[int] = []
+    hf = _quotient_dims(engine, horizon)
+    counted = 0  # the basis size hf was computed for
     e = 0
     while e < horizon:
         e += 1
+        engine.run(upto=e)
+        if len(engine.basis) != counted:
+            hf, counted = _quotient_dims(engine, horizon), len(engine.basis)
         need = hf[e] - cs[e]
         if need < 0:
             raise ValueError(
@@ -225,7 +239,7 @@ def kernel_by_degrees(
             )
         if need == 0:
             continue
-        std = standard_monomials(gb, e)
+        std = standard_monomials(src, [m for _, m in engine.leads], e)
         std.sort(key=keyfn, reverse=True)
         rows: Dict[Exponent, Dict[int, int]] = {}
         for j, alpha in enumerate(std):
@@ -250,15 +264,25 @@ def kernel_by_degrees(
             if not substitute(amap, g, cache).is_zero():
                 raise AssertionError(f"degree {e}: kernel vector not in the kernel")
             gens.append(g)
+            engine.add_input(_poly_to_mvec(g))
             relation_degrees.append(e)
         if grow and default_horizon(relation_degrees, src.weights) > horizon:
             horizon = default_horizon(relation_degrees, src.weights)
             cs = cs_total_dims(spec, horizon)
-        gb = buchberger(Ideal(src, gens), WEIGHTED)
-        hf = hilbert_series_quotient(Ideal(src, gens), gb=gb).coefficients(horizon)
+        engine.run(upto=e)
+        hf, counted = _quotient_dims(engine, horizon), len(engine.basis)
         if hf[e] != cs[e]:
             raise AssertionError(f"degree {e}: quotient dimension still off")
-    return Ideal(src, gens), PresentInfo(horizon, relation_degrees, gb)
+    basis = engine.reduced_basis(WEIGHTED)
+    return Ideal(src, gens), PresentInfo(horizon, relation_degrees, basis)
+
+
+def _quotient_dims(engine: BuchbergerEngine, upto: int) -> List[int]:
+    """dim (S / in G)_d for d <= upto, G the engine's basis so far: the
+    Hilbert function of S / I in every degree the basis is complete."""
+    leads = [m for _, m in engine.leads]
+    numerator = hilbert_numerator_monomial(leads, engine.ring)
+    return RationalSeries(numerator, engine.ring.weights).coefficients(upto)
 
 
 def default_horizon(relation_degrees: Sequence[int], weights: Sequence[int]) -> int:

@@ -453,8 +453,8 @@ class _NormalFormTable:
     the standard monomials of each weighted degree."""
 
     def __init__(self, gb: GroebnerBasis):
-        self.gb = gb
         self.ring = gb.ring
+        self._leads = gb.leading_monomials()
         self._keyfn = gb.order.key_function(gb.ring)
         self.std: Dict[int, List[Exponent]] = {}
         self.index: Dict[int, Dict[Exponent, int]] = {}
@@ -467,7 +467,7 @@ class _NormalFormTable:
     def standard(self, degree: int) -> List[Exponent]:
         got = self.std.get(degree)
         if got is None:
-            got = standard_monomials(self.gb, degree)
+            got = standard_monomials(self.ring, self._leads, degree)
             got.sort(key=self._keyfn, reverse=True)
             self.std[degree] = got
             self.index[degree] = {m: i for i, m in enumerate(got)}

@@ -14,6 +14,7 @@ from sl2betti.groebner import (
     Reducer,
     base_keyfn,
     buchberger,
+    hilbert_numerator_monomial,
     hilbert_series_quotient,
     ideals_equal,
     minimal_generators,
@@ -339,6 +340,65 @@ class TestBuchberger:
                     )
 
 
+def _grown_basis(R, gens):
+    """The basis of gens grown as the degreewise kernel grows it: the
+    inputs of degree e are added between two runs up to e."""
+    engine = BuchbergerEngine(R, [], [0], base_keyfn(R))
+    by_degree = sorted(gens, key=lambda g: g.weighted_degree())
+    for e in range(max(g.weighted_degree() for g in gens) + 1):
+        engine.run(upto=e)
+        for g in by_degree:
+            if g.weighted_degree() == e:
+                engine.add_input({(0, m): c for m, c in g.terms.items()})
+        engine.run(upto=e)
+    return engine.reduced_basis(WEIGHTED)
+
+
+class TestTruncatedEngine:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_grown_basis_is_buchbergers(self, data):
+        # same tasks in the same order, so the same reduced basis, element
+        # for element, whatever the input order
+        n = data.draw(st.integers(2, 4))
+        weights = tuple(data.draw(st.lists(st.integers(1, 2), min_size=n, max_size=n)))
+        R = GradedRing(tuple("xyzw"[:n]), weights)
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        gens = [
+            _random_homogeneous(R, rng, data.draw(st.integers(1, 4)))
+            for _ in range(data.draw(st.integers(1, 5)))
+        ]
+        gens = [g for g in gens if not g.is_zero()]
+        if not gens:
+            return
+        assert _grown_basis(R, gens).elements == buchberger(Ideal(R, gens)).elements
+
+    def test_paper_J(self, paper_ring, paper_J):
+        want = buchberger(Ideal(paper_ring, paper_J)).elements
+        assert _grown_basis(paper_ring, paper_J).elements == want
+
+    def test_truncated_runs_emit_each_syzygy_once(self, paper_ring, paper_J):
+        # J has three relations of degree 5; product-criterion syzygies wait
+        # for the empty queue, so stepwise runs end with one run's syzygies
+        def engine():
+            return BuchbergerEngine(
+                paper_ring,
+                [{(0, m): c for m, c in g.terms.items()} for g in paper_J],
+                [0],
+                base_keyfn(paper_ring),
+                want_syzygies=True,
+            )
+
+        stepwise = engine()
+        assert len(stepwise.run(upto=5).basis) == 3
+        for e in range(6, 20):
+            stepwise.run(upto=e)
+        got = list(stepwise.run().syzygies)
+        want = engine().run()
+        assert stepwise.run().syzygies == got == want.syzygies
+        assert stepwise.basis == want.basis
+
+
 class TestIdealsEqual:
     def test_same_ideal_different_generators(self):
         R = GradedRing(("x", "y"), (1, 1))
@@ -437,6 +497,69 @@ class TestHilbertSeries:
         assert not a.equals(RationalSeries({0: 1}, ()))
 
 
+def _times_monomial(num, d):
+    """N(m J) from N(J), deg m = d: m J is J shifted by d, so
+    N(m J) = 1 - z^d (1 - N(J))."""
+    out = {0: 1}
+    for k, v in num.items():
+        out[k + d] = out.get(k + d, 0) + v
+    out[d] = out.get(d, 0) - 1
+    return {k: v for k, v in out.items() if v}
+
+
+class TestHilbertNumerator:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_counts_standard_monomials(self, data):
+        # empty, unit and pure-power ideals among the drawn ones
+        n = data.draw(st.integers(1, 4))
+        weights = tuple(data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+        R = GradedRing(tuple(f"x{i}" for i in range(n)), weights)
+        expo = st.tuples(*(st.integers(0, 4) for _ in range(n)))
+        power = st.builds(
+            lambda i, k: tuple(k if j == i else 0 for j in range(n)),
+            st.integers(0, n - 1),
+            st.integers(0, 5),
+        )
+        gens = data.draw(st.lists(st.one_of(expo, power), max_size=7))
+        top = 10
+        got = RationalSeries(hilbert_numerator_monomial(gens, R), weights).coefficients(top)
+        for e in range(top + 1):
+            std = [
+                m for m in monomials_of_degree(R, e)
+                if not any(all(a <= b for a, b in zip(g, m)) for g in gens)
+            ]
+            assert got[e] == len(std), (gens, e)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_monomial_multiple(self, data):
+        # exponents of m up to MAX_EXPONENT - 3
+        n = data.draw(st.integers(1, 3))
+        weights = tuple(data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+        R = GradedRing(tuple(f"x{i}" for i in range(n)), weights)
+        small = st.tuples(*(st.integers(0, 3) for _ in range(n)))
+        J = data.draw(st.lists(small, min_size=1, max_size=5))
+        m = data.draw(st.tuples(*(st.integers(0, MAX_EXPONENT - 3) for _ in range(n))))
+        d = sum(a * w for a, w in zip(m, weights))
+        got = hilbert_numerator_monomial([monomial_mul(m, g) for g in J], R)
+        assert got == _times_monomial(hilbert_numerator_monomial(J, R), d)
+
+    def test_high_shared_exponents(self):
+        # x^4000 (y^2, x y) = x^4000 y (y, x)
+        R = GradedRing(("x", "y"), (1, 1))
+        got = hilbert_numerator_monomial([(4000, 2), (4001, 1)], R)
+        assert got == {0: 1, 4002: -2, 4003: 1}
+        # x^3000 y^2000 z^1000 (x, y, z)^2 in weights 1, 2, 3
+        R3 = GradedRing(("x", "y", "z"), (1, 2, 3))
+        square = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
+        base = hilbert_numerator_monomial(square, R3)
+        # standard monomials 1, x, y, z: (1 + z + z^2 + z^3)(1 - z)(1 - z^2)(1 - z^3)
+        assert base == {0: 1, 2: -1, 3: -1, 4: -1, 5: 1, 6: 1, 7: 1, 9: -1}
+        got = hilbert_numerator_monomial([monomial_mul((3000, 2000, 1000), g) for g in square], R3)
+        assert got == _times_monomial(base, 3000 + 2 * 2000 + 3 * 1000)
+
+
 class TestStandardMonomials:
     def test_counts_match_series(self, paper_ring, paper_J):
         I = Ideal(paper_ring, paper_J)
@@ -444,4 +567,4 @@ class TestStandardMonomials:
         hs = hilbert_series_quotient(I, gb=gb)
         coeffs = hs.coefficients(8)
         for e in range(9):
-            assert len(standard_monomials(gb, e)) == coeffs[e]
+            assert len(standard_monomials(paper_ring, gb.leading_monomials(), e)) == coeffs[e]
