@@ -31,6 +31,7 @@ from .poly import (
     Polynomial,
     RingMismatchError,
     WEIGHTED,
+    graded_monomials,
     monomial_divides,
     monomial_lcm,
     monomial_mul,
@@ -755,25 +756,8 @@ def ideals_equal(a: Ideal, b: Ideal, order: MonomialOrder = WEIGHTED) -> bool:
 # ---------------------------------------------------------------------------
 
 def monomials_of_degree(ring: GradedRing, degree: int) -> List[Exponent]:
-    """All monomials of exact weighted degree, in a fixed deterministic order."""
-    out: List[Exponent] = []
-    n = ring.nvars
-    w = ring.weights
-    def rec(i: int, remaining: int, prefix: List[int]) -> None:
-        if i == n:
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        if remaining < 0:
-            return
-        # bound exponent by remaining weight budget
-        top = remaining // w[i]
-        for e in range(top + 1):
-            prefix.append(e)
-            rec(i + 1, remaining - e * w[i], prefix)
-            prefix.pop()
-    rec(0, degree, [])
-    return out
+    """All monomials of exact weighted degree, in ascending lexicographic order."""
+    return graded_monomials([(w,) for w in ring.weights], (degree,))
 
 
 def minimal_generators(I: Ideal) -> List[Tuple[Polynomial, int]]:

@@ -15,7 +15,14 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import Echelon, nullspace, primitive
-from .poly import MAX_EXPONENT, Exponent, GradedRing, Polynomial, WEIGHTED
+from .poly import (
+    MAX_EXPONENT,
+    Exponent,
+    GradedRing,
+    Polynomial,
+    WEIGHTED,
+    graded_monomials,
+)
 
 _FORM_PREFIXES = ("x", "y", "u", "v", "w", "s", "t", "p", "q", "r")
 
@@ -63,6 +70,11 @@ class CoefficientRing:
         self.var_index = {
             (f, k): v for v, (f, k) in enumerate(zip(form_of_var, index_in_form))
         }
+        # the isobaric grading: a_k of form f has grade (e_f, k)
+        self.grades = tuple(
+            tuple(int(g == f) for g in range(len(self.form_degrees))) + (k,)
+            for f, k in zip(form_of_var, index_in_form)
+        )
         self.blocks = []
         start = 0
         for d in self.form_degrees:
@@ -137,52 +149,8 @@ def apply_operator(kind: str, p: Polynomial, cring: CoefficientRing) -> Polynomi
 
 
 # ---------------------------------------------------------------------------
-# weight-graded enumeration and dimension counts
+# weight counts
 # ---------------------------------------------------------------------------
-
-def monomials_of_multidegree_weight(
-    cring: CoefficientRing, multidegree: Sequence[int], weight: int
-) -> List[Exponent]:
-    """Monomials with the given per-form degrees and total sl2-weight, in
-    ascending lexicographic order of the exponents."""
-    md = tuple(multidegree)
-    if len(md) != len(cring.form_degrees):
-        raise ValueError("multidegree length does not match the form count")
-    n = cring.nvars
-    # reach[f]: the largest |weight| that the forms from f on can add
-    reach = [0] * (len(md) + 1)
-    for f in range(len(md) - 1, -1, -1):
-        reach[f] = reach[f + 1] + cring.form_degrees[f] * md[f]
-    out: List[Exponent] = []
-    prefix: List[int] = []
-
-    def rec(v: int, rem: int, need: int) -> None:
-        # rem: degree left in the form of variable v; need: weight the
-        # variables from v on must still add
-        if v == n:
-            if need == 0:
-                out.append(tuple(prefix))
-            return
-        f = cring.form_of_var[v]
-        d = cring.form_degrees[f]
-        k = cring.index_in_form[v]
-        # the rest of this form adds between -d*rem and (d-2k)*rem
-        if not -d * rem - reach[f + 1] <= need <= (d - 2 * k) * rem + reach[f + 1]:
-            return
-        w = cring.sl2_weights[v]
-        if k == d:  # last variable of the form: exponent forced
-            prefix.append(rem)
-            rec(v + 1, md[f + 1] if f + 1 < len(md) else 0, need - rem * w)
-            prefix.pop()
-            return
-        for e in range(rem + 1):
-            prefix.append(e)
-            rec(v + 1, rem - e, need - e * w)
-            prefix.pop()
-
-    rec(0, md[0] if md else 0, weight)
-    return out
-
 
 def _weight_counts(weights: Sequence[int], upto: int) -> List[Dict[int, int]]:
     """acc[e][w]: monomials of degree e and total weight w in variables of
@@ -208,10 +176,18 @@ def _form_weight_counts(d: int, m: int) -> Dict[int, int]:
     return _form_table(d, 1 << m.bit_length())[m]
 
 
+def _check_multidegree(spec: ProblemSpec, multidegree: Sequence[int]) -> None:
+    if len(multidegree) != spec.n_forms:
+        raise ValueError("multidegree length does not match the form count")
+    if min(multidegree, default=0) < 0:
+        raise ValueError("multidegree entries must be nonnegative")
+
+
 def weight_multiplicity(
     spec: ProblemSpec, multidegree: Sequence[int], weight: int
 ) -> int:
     """Number of coefficient monomials of the multidegree with the sl2-weight."""
+    _check_multidegree(spec, multidegree)
     acc: Dict[int, int] = {0: 1}
     for d, m in zip(spec.degrees, multidegree):
         nxt: Dict[int, int] = {}
@@ -225,6 +201,7 @@ def weight_multiplicity(
 def cayley_sylvester_dim(spec: ProblemSpec, multidegree: Sequence[int]) -> int:
     """dim of the invariant space of the multidegree: N(0) - N(2), purely
     combinatorial weight-space counting."""
+    _check_multidegree(spec, multidegree)
     if sum(m * d for m, d in zip(multidegree, spec.degrees)) % 2:
         return 0
     return weight_multiplicity(spec, multidegree, 0) - weight_multiplicity(
@@ -240,28 +217,6 @@ def cs_total_dims(spec: ProblemSpec, upto: int) -> List[int]:
     return [acc[e].get(0, 0) - acc[e].get(2, 0) for e in range(upto + 1)]
 
 
-def multidegrees_of_total(n: int, total: int) -> List[Tuple[int, ...]]:
-    """All length-n compositions of `total`, in lexicographic order."""
-    out: List[Tuple[int, ...]] = []
-    comp: List[int] = []
-
-    def rec(i: int, rem: int) -> None:
-        if i == n - 1:
-            comp.append(rem)
-            out.append(tuple(comp))
-            comp.pop()
-            return
-        for v in range(rem + 1):
-            comp.append(v)
-            rec(i + 1, rem - v)
-            comp.pop()
-
-    if n == 0:
-        return [()] if total == 0 else []
-    rec(0, total)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # invariant bases by exact nullspace
 # ---------------------------------------------------------------------------
@@ -273,9 +228,17 @@ def _weight_zero_columns(
     """The weight-0 monomials of one multidegree piece, in descending
     weighted order: the columns of every matrix built on the piece.  The
     generator search reads a piece twice in a row, for the product span and
-    then in `invariant_basis`, so one entry is enough."""
+    then in `invariant_basis`, so one entry is enough.
+
+    a_k of a form of degree d has sl2-weight d - 2k, so a monomial alpha of
+    multidegree m has weight sum(d_i * m_i) - 2 * sum(k * alpha): it has
+    weight 0 iff its isobaric grade sum(k * alpha) is sum(d_i * m_i) / 2,
+    the last entry of its grade in `CoefficientRing.grades`."""
+    half, odd = divmod(sum(m * d for m, d in zip(multidegree, form_degrees)), 2)
+    if odd:
+        return ()
     cring = CoefficientRing(form_degrees)
-    cols = monomials_of_multidegree_weight(cring, multidegree, 0)
+    cols = graded_monomials(cring.grades, multidegree + (half,))
     cols.sort(key=WEIGHTED.key_function(cring.ring), reverse=True)
     return tuple(cols)
 
@@ -305,9 +268,8 @@ def invariant_basis(
     canonical one of the row space whatever the order, and the basis
     `nullspace` returns depends only on the kernel.
     """
+    _check_multidegree(spec, multidegree)
     cring = CoefficientRing(spec.degrees)
-    if sum(m * d for m, d in zip(multidegree, spec.degrees)) % 2:
-        return []
     cols = _weight_zero_columns(spec.degrees, tuple(multidegree))
     if not cols:
         return []
@@ -480,34 +442,6 @@ def _on_slice(terms: Dict[Exponent, int]) -> Dict[Exponent, int]:
     return {m: c for m, c in out.items() if c}
 
 
-def exponent_tuples(
-    multidegrees: Sequence[Tuple[int, ...]], target: Tuple[int, ...]
-) -> List[Tuple[int, ...]]:
-    """All exponent vectors alpha != 0 with sum(alpha[i] * multidegrees[i]) == target."""
-    n = len(multidegrees)
-    out: List[Tuple[int, ...]] = []
-    expo = [0] * n
-
-    def rec(i: int, remaining: Tuple[int, ...]) -> None:
-        if not any(remaining):
-            if any(expo):
-                out.append(tuple(expo))
-            return
-        if i == n:
-            return
-        md = multidegrees[i]
-        cap = min(
-            (r // m) for r, m in zip(remaining, md) if m
-        ) if any(md) else 0
-        for e in range(cap + 1):
-            expo[i] = e
-            rec(i + 1, tuple(r - e * m for r, m in zip(remaining, md)))
-        expo[i] = 0
-
-    rec(0, tuple(target))
-    return out
-
-
 def _product_span(
     span: _ImageCache,
     multidegrees: Sequence[Tuple[int, ...]],
@@ -521,7 +455,7 @@ def _product_span(
     exceed the invariant dimension `dim`, so the span stops there."""
     col_index = {span.pack(m): i for i, m in enumerate(cols)}
     ech = Echelon()
-    for expo in exponent_tuples(multidegrees, target):
+    for expo in graded_monomials(multidegrees, target):
         if ech.rank == dim:
             break
         ech.add({col_index[m]: c for m, c in span.image(expo).items()})
@@ -538,7 +472,7 @@ def minimal_invariant_generators(spec: ProblemSpec) -> GeneratorSet:
     degs: List[int] = []
     mdegs: List[Tuple[int, ...]] = []
     for e in range(1, spec.degree_bound + 1):
-        for md in multidegrees_of_total(spec.n_forms, e):
+        for md in graded_monomials([(1,)] * spec.n_forms, (e,)):
             dim_inv = cayley_sylvester_dim(spec, md)
             if dim_inv == 0:
                 continue
@@ -585,7 +519,7 @@ def verify_completeness(
     span = _ImageCache(genset.cring.ring, genset.generators)
     for e in range(1, check_bound + 1):
         total = 0
-        for md in multidegrees_of_total(spec.n_forms, e):
+        for md in graded_monomials([(1,)] * spec.n_forms, (e,)):
             dim_inv = cayley_sylvester_dim(spec, md)
             if dim_inv:
                 cols = _weight_zero_columns(spec.degrees, md)

@@ -86,6 +86,87 @@ def monomial_lcm(a: Exponent, b: Exponent) -> Exponent:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
+def graded_monomials(
+    grades: Sequence[Sequence[int]], target: Sequence[int]
+) -> List[Exponent]:
+    """Every exponent vector alpha with sum(alpha[v] * grades[v]) == target,
+    in ascending lexicographic order.
+
+    grades[v] is the grade vector of variable v: nonnegative and nonzero,
+    of the target's length.  A target with a negative entry has no
+    monomials.  The weighted degree of a ring is the grading (w,) per
+    variable; `invariants.CoefficientRing.grades` is the isobaric grading
+    of an sl2-weight piece.
+
+    The remainder target - grade(prefix) is packed into one int, one field
+    per target entry, each below a guard bit.  A field holds the target
+    plus the largest grade entry, so subtracting a grade is one integer
+    subtraction that never borrows across fields, and a field that goes
+    negative clears its guard bit.  reach[v] is the set of remainders the
+    variables v.. fill exactly, so the search enters only branches that end
+    in a monomial.
+    """
+    target = tuple(target)
+    for g in grades:
+        if len(g) != len(target):
+            raise ValueError("grade vector length does not match the target")
+        if not any(g):
+            raise ValueError("a grade vector must be nonzero")
+        if min(g) < 0:
+            raise ValueError("grades must be nonnegative")
+    if min(target, default=0) < 0:
+        return []
+    top_entry = max((x for g in grades for x in g), default=0)
+    bits = (max(target, default=0) + top_entry).bit_length() + 1
+    guard = 1 << (bits - 1)
+
+    def pack(vec: Sequence[int]) -> int:
+        return sum(x << (j * bits) for j, x in enumerate(vec))
+
+    guards = pack([guard] * len(target))
+    top = guards + pack(target)
+    # a remainder guards + r lies under the target iff every field of
+    # top + guards - (guards + r) = guards + target - r keeps its guard bit
+    lim = top + guards
+    steps = [pack(g) for g in grades]
+    n = len(steps)
+    reach = [set() for _ in range(n)] + [{guards}]
+    for v in range(n - 1, -1, -1):
+        # a walk stops at a remainder already seen: an earlier walk went
+        # on from it through every multiple under the target
+        here, g = reach[v], steps[v]
+        for r in reach[v + 1]:
+            while r not in here and (lim - r) & guards == guards:
+                here.add(r)
+                r += g
+    if top not in reach[0]:
+        return []
+    if not n:
+        return [()]
+    # the last variable's exponent is forced: read it off a nonzero field
+    j = next(j for j, x in enumerate(grades[-1]) if x)
+    shift, unit, mask = j * bits, grades[-1][j], (1 << bits) - 1
+    out: List[Exponent] = []
+    expo = [0] * n
+
+    def rec(v: int, rem: int) -> None:
+        if v == n - 1:
+            expo[v] = (((rem >> shift) & mask) - guard) // unit
+            out.append(tuple(expo))
+            return
+        g, nxt = steps[v], reach[v + 1]
+        e = 0
+        while rem & guards == guards:
+            if rem in nxt:
+                expo[v] = e
+                rec(v + 1, rem)
+            rem -= g
+            e += 1
+
+    rec(0, top)
+    return out
+
+
 @dataclass(frozen=True)
 class MonomialOrder:
     """Total multiplicative monomial order.

@@ -29,10 +29,9 @@ from sl2betti.invariants import (
     cs_total_dims,
     invariant_basis,
     minimal_invariant_generators,
-    multidegrees_of_total,
     CoefficientRing,
 )
-from sl2betti.poly import GradedRing, Polynomial
+from sl2betti.poly import GradedRing, Polynomial, graded_monomials
 from sl2betti.presentation import present
 from sl2betti.report import check_palindromy, expected_hd, poincare_from_betti
 from sl2betti.resolution import (
@@ -331,7 +330,7 @@ class TestCriterion9Properties:
         for degrees in [(1, 1, 1, 2), (2, 3), (4,), (5,), (2, 2, 2)]:
             spec = ProblemSpec(degrees, 12)
             for total in range(1, 13):
-                for md in multidegrees_of_total(len(degrees), total):
+                for md in graded_monomials([(1,)] * len(degrees), (total,)):
                     s = sum(m * d for m, d in zip(md, degrees))
                     if s > 12 or s % 2:
                         continue

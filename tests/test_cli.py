@@ -295,11 +295,15 @@ class TestResolveCommand:
         assert code == 0
         assert capsys.readouterr().out == (data / "invariants_5.json").read_text()
 
-    @pytest.mark.parametrize("degrees, name", [("6", "6"), ("1,2,2,2", "1222")])
+    @pytest.mark.parametrize(
+        "degrees, name",
+        [("6", "6"), ("1,2,2,2", "1222"), ("1,1,1,1,1,1", "111111"), ("1,1,3", "113")],
+    )
     def test_invariants_match_recorded_output(self, degrees, name, capsys):
         # recorded with the rows in plain weighted order; V6's degree-15
         # piece has 1636 columns, and V1+3V2's pieces without the linear
-        # form take a0, a1 from the first quadratic they involve
+        # form take a0, a1 from the first quadratic they involve; 6V1 spans
+        # products over six forms, and V1+V1+V3 has pieces of mixed degree
         data = Path(__file__).parent / "data"
         code = run(["invariants", degrees, "--format", "json"])
         assert code == 0

@@ -20,13 +20,18 @@ from sl2betti.invariants import (
     cs_total_dims,
     invariant_basis,
     minimal_invariant_generators,
-    monomials_of_multidegree_weight,
-    multidegrees_of_total,
     verify_completeness,
     weight_multiplicity,
 )
 from sl2betti.linalg import Echelon, primitive
-from sl2betti.poly import GradedRing, Polynomial, WEIGHTED
+from sl2betti.poly import GradedRing, Polynomial, WEIGHTED, graded_monomials
+
+
+def monomials_of_weight(cr, md, weight):
+    """The monomials of the multidegree with the sl2-weight, through the
+    isobaric grading: weight sum(d_i * m_i) - 2 * sum(k * alpha)."""
+    half, odd = divmod(sum(d * m for d, m in zip(cr.form_degrees, md)) - weight, 2)
+    return [] if odd else graded_monomials(cr.grades, tuple(md) + (half,))
 
 
 class TestOperators:
@@ -75,17 +80,37 @@ class TestCayleySylvester:
         assert cayley_sylvester_dim(ProblemSpec((3,), 4), (1,)) == 0
         assert cayley_sylvester_dim(ProblemSpec((5,), 6), (3,)) == 0
 
+    @pytest.mark.parametrize("md", [(2, 0, 5), (2,)])
+    def test_multidegree_length_mismatch(self, md):
+        # a multidegree of the wrong length is refused, not cut to the forms
+        # it pairs with: (2, 0, 5) would count as (2, 0), which has one
+        spec = ProblemSpec((2, 3), 6)
+        with pytest.raises(ValueError, match="multidegree length does not match"):
+            cayley_sylvester_dim(spec, md)
+        with pytest.raises(ValueError, match="multidegree length does not match"):
+            weight_multiplicity(spec, md, 0)
+
+    def test_negative_multidegree_rejected(self):
+        # a negative degree would index the weight table from its end and
+        # count the piece of another degree
+        spec = ProblemSpec((2,), 4)
+        with pytest.raises(ValueError, match="nonnegative"):
+            cayley_sylvester_dim(spec, (-1,))
+        with pytest.raises(ValueError, match="nonnegative"):
+            invariant_basis(spec, (-2,))
+
     def test_weight_multiplicity_counts_monomials(self):
         spec = ProblemSpec((2, 1), 3)
         cr = CoefficientRing((2, 1))
         for md in [(2, 0), (1, 1), (2, 2)]:
             for w in (0, 2, 4):
-                count = len(monomials_of_multidegree_weight(cr, md, w))
+                count = len(monomials_of_weight(cr, md, w))
                 assert count == weight_multiplicity(spec, md, w)
 
     def test_enumeration_matches_brute_force(self):
-        # the pruned recursion returns exactly the monomials of the
-        # multidegree with the weight, in ascending lexicographic order
+        # the isobaric grading gives exactly the monomials of the
+        # multidegree with the weight, in ascending lexicographic order;
+        # negative and odd isobaric targets give none
         rng = random.Random(1009)
         for _ in range(60):
             degrees = tuple(rng.randint(1, 5) for _ in range(rng.randint(1, 3)))
@@ -102,7 +127,7 @@ class TestCayleySylvester:
                 for m in (sum(parts, ()) for parts in itertools.product(*per_form))
                 if cr.sl2_weight(m) == weight
             )
-            got = monomials_of_multidegree_weight(cr, md, weight)
+            got = monomials_of_weight(cr, md, weight)
             assert got == want, (degrees, md, weight)
 
     def test_total_dims_aggregate(self):
@@ -111,7 +136,7 @@ class TestCayleySylvester:
         for e in range(6):
             by_cell = sum(
                 cayley_sylvester_dim(spec, md)
-                for md in multidegrees_of_total(4, e)
+                for md in graded_monomials([(1,)] * 4, (e,))
             )
             assert totals[e] == by_cell
         assert totals[:4] == [1, 0, 4, 6]
@@ -178,6 +203,11 @@ class TestInvariantBasis:
     def test_odd_parity_empty(self):
         assert invariant_basis(ProblemSpec((3,), 2), (1,)) == []
 
+    @pytest.mark.parametrize("md", [(2,), (2, 0, 1)])
+    def test_multidegree_length_mismatch(self, md):
+        with pytest.raises(ValueError, match="multidegree length does not match"):
+            invariant_basis(ProblemSpec((2, 3), 6), md)
+
     def test_bracket(self):
         basis = invariant_basis(ProblemSpec((1, 1), 2), (1, 1))
         assert len(basis) == 1
@@ -189,7 +219,7 @@ class TestInvariantBasis:
             spec = ProblemSpec(degrees, 12)
             n = len(degrees)
             for total in range(1, 13):
-                for md in multidegrees_of_total(n, total):
+                for md in graded_monomials([(1,)] * n, (total,)):
                     if sum(m * d for m, d in zip(md, degrees)) > 12:
                         continue
                     if sum(m * d for m, d in zip(md, degrees)) % 2:
@@ -311,20 +341,23 @@ class TestGeneratorSearch:
 
     def test_quintic_search_enumerates_each_piece_once(self, monkeypatch):
         # V5 to degree 18 has five nonzero invariant pieces; generators come
-        # from four of them, and each piece is enumerated once
+        # from four of them, and each piece is enumerated once: one call
+        # with the coefficients' isobaric grading per piece
         enumerated, based = [], []
-        enumerate_piece = invariants.monomials_of_multidegree_weight
+        enumerate_graded = invariants.graded_monomials
         basis_of_piece = invariants.invariant_basis
+        coefficient_grades = CoefficientRing((5,)).grades
 
-        def counting_enumerate(cring, md, weight):
-            enumerated.append(tuple(md))
-            return enumerate_piece(cring, md, weight)
+        def counting_enumerate(grades, target):
+            if grades == coefficient_grades:
+                enumerated.append(tuple(target[:-1]))
+            return enumerate_graded(grades, target)
 
         def counting_basis(spec, md):
             based.append(tuple(md))
             return basis_of_piece(spec, md)
 
-        monkeypatch.setattr(invariants, "monomials_of_multidegree_weight", counting_enumerate)
+        monkeypatch.setattr(invariants, "graded_monomials", counting_enumerate)
         monkeypatch.setattr(invariants, "invariant_basis", counting_basis)
         _weight_zero_columns.cache_clear()
         gs = minimal_invariant_generators(ProblemSpec((5,), 18))

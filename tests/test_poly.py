@@ -1,5 +1,6 @@
 """Ring, order, and arithmetic tests for the polynomial layer."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from sl2betti.poly import (
     elimination_order,
     format_polynomial,
     format_session,
+    graded_monomials,
     monomial_mul,
     parse_header,
     parse_polynomial,
@@ -43,6 +45,46 @@ class TestGradedRing:
         R = GradedRing((), ())
         assert R.one().num_terms() == 1
         assert R.zero().is_zero()
+
+
+class TestGradedMonomials:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_brute_force(self, data):
+        # every exponent vector in the box each variable's grade allows,
+        # filtered by its grade: the same list, in the same order
+        rows = data.draw(st.integers(1, 3))
+        grade = st.tuples(*[st.integers(0, 3)] * rows).filter(any)
+        grades = data.draw(st.lists(grade, max_size=5))
+        target = data.draw(st.tuples(*[st.integers(0, 6)] * rows))
+        box = [
+            range(min(t // x for t, x in zip(target, g) if x) + 1) for g in grades
+        ]
+        want = sorted(
+            alpha
+            for alpha in itertools.product(*box)
+            if all(
+                sum(a * g[j] for a, g in zip(alpha, grades)) == target[j]
+                for j in range(rows)
+            )
+        )
+        assert graded_monomials(grades, target) == want
+
+    def test_negative_target_is_empty(self):
+        assert graded_monomials([(1, 0), (0, 1)], (2, -1)) == []
+        assert graded_monomials([], (-1,)) == []
+
+    @pytest.mark.parametrize(
+        "grades, message",
+        [
+            ([(1, 0), (1,)], "length does not match"),
+            ([(1, -1)], "nonnegative"),
+            ([(1, 0), (0, 0)], "nonzero"),
+        ],
+    )
+    def test_bad_grades_rejected(self, grades, message):
+        with pytest.raises(ValueError, match=message):
+            graded_monomials(grades, (2, 2))
 
 
 class TestWeightedDegree:
