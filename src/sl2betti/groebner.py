@@ -212,27 +212,18 @@ class EngineResult:
 class Reducer:
     """Full division of integer module elements by a growing list of divisors.
 
-    shifts:   weighted-degree shift per position.
-    keyfn:    the `ModuleKey` of the module order.
-
-    Module elements are KVecs, {keyfn((pos, m)): coefficient}, and
-    keyfn.encode / keyfn.decode_vec convert MVecs.  The key is an int that
-    is affine in m, so shifting a divisor by a monomial adds one integer to
-    each of its keys, and the lead of a divisor divides a term of the same
-    position iff subtracting the term's key from the divisor's `masks`
-    entry (its lowest key bits with every guard bit set) leaves every guard
-    bit set.  Divisors are stored once, keyed; their lead coefficients may
-    be any nonzero integer.  Division runs on integers only (see `_divide`).
+    keyfn is the `ModuleKey` of the module order.  Module elements are
+    KVecs, {keyfn((pos, m)): coefficient}, and keyfn.encode /
+    keyfn.decode_vec convert MVecs.  The key is an int that is affine in m,
+    so shifting a divisor by a monomial adds one integer to each of its
+    keys, and the lead of a divisor divides a term of the same position iff
+    subtracting the term's key from the divisor's `masks` entry (its lowest
+    key bits with every guard bit set) leaves every guard bit set.
+    Divisors are stored once, keyed; their lead coefficients may be any
+    nonzero integer.  Division runs on integers only (see `_divide`).
     """
 
-    def __init__(
-        self,
-        ring: GradedRing,
-        shifts: Sequence[int],
-        keyfn: ModuleKey,
-    ) -> None:
-        self.ring = ring
-        self.shifts = list(shifts)
+    def __init__(self, keyfn: ModuleKey) -> None:
         self.keyfn = keyfn
         self.basis: List[KVec] = []
         self.leads: List[ModMono] = []
@@ -332,6 +323,8 @@ class BuchbergerEngine(Reducer):
                    `keyfn` once, into `keyed_inputs`.  `_divide` makes each
                    one primitive before it is used, so rational inputs give
                    the same basis; their scale ends up in the cofactors.
+    shifts:        weighted-degree shift per position.
+    keyfn:         the `ModuleKey` of the module order.
     want_syzygies: record the syzygy and input traces.  They are built from
                    the cofactors, so cofactors are tracked exactly then.
 
@@ -360,7 +353,9 @@ class BuchbergerEngine(Reducer):
         *,
         want_syzygies: bool = False,
     ) -> None:
-        super().__init__(ring, shifts, keyfn)
+        super().__init__(keyfn)
+        self.ring = ring
+        self.shifts = list(shifts)
         self.weights = ring.weights
         self.want_syzygies = want_syzygies
 
@@ -711,7 +706,7 @@ def normal_form(
     # divide by primitive integer multiples r_i = g_i * d_i / h_i; then
     # p * den / g = sum(q_i * r_i) + rem
     key = base_keyfn(ring, order)
-    reducer = Reducer(ring, [0], key)
+    reducer = Reducer(key)
     scales = []
     for g in reducers:
         ints, sc = primitive(key.encode(_poly_to_mvec(g)))

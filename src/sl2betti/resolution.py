@@ -29,7 +29,6 @@ from .groebner import (
     base_keyfn,
     buchberger,
     hilbert_series_quotient,
-    monomials_of_degree,
     standard_monomials,
 )
 from .linalg import Echelon, primitive
@@ -449,89 +448,157 @@ def regular_variables(I: Ideal, gb: Optional[GroebnerBasis] = None) -> Reduction
 # ---------------------------------------------------------------------------
 
 class _NormalFormTable:
-    """Normal forms of monomials modulo a Groebner basis, as vectors over
-    the standard monomials of each weighted degree."""
+    """Standard monomials of each weighted degree modulo a Groebner basis,
+    and the normal forms of the other monomials."""
 
     def __init__(self, gb: GroebnerBasis):
         self.ring = gb.ring
         self._leads = gb.leading_monomials()
         self._keyfn = gb.order.key_function(gb.ring)
-        self.std: Dict[int, List[Exponent]] = {}
-        self.index: Dict[int, Dict[Exponent, int]] = {}
-        self._reducer = Reducer(self.ring, [0], base_keyfn(self.ring, gb.order))
+        self._std: Dict[int, List[Exponent]] = {}
+        self._reducer = Reducer(base_keyfn(self.ring, gb.order))
         for g in gb.elements:
             vec = self._reducer.keyfn.encode(_poly_to_mvec(g))
             self._reducer.add(primitive(vec, max(vec))[0])
-        self._nf_cache: Dict[Exponent, Dict[int, object]] = {}
+        self._nf_cache: Dict[Exponent, Dict[Exponent, object]] = {}
 
     def standard(self, degree: int) -> List[Exponent]:
-        got = self.std.get(degree)
+        """The standard monomials of the degree, in decreasing order."""
+        got = self._std.get(degree)
         if got is None:
             got = standard_monomials(self.ring, self._leads, degree)
             got.sort(key=self._keyfn, reverse=True)
-            self.std[degree] = got
-            self.index[degree] = {m: i for i, m in enumerate(got)}
+            self._std[degree] = got
         return got
 
-    def nf_vector(self, mono: Exponent) -> Dict[int, object]:
-        """NF(mono) as {standard-monomial index: coefficient} in its degree.
+    def nf_vector(self, mono: Exponent) -> Dict[Exponent, object]:
+        """NF(mono) of a non-standard monomial, {standard monomial: coefficient}.
 
         Coefficients are ints; a Fraction appears only for a normal form
         that is not integral.
         """
         got = self._nf_cache.get(mono)
-        if got is not None:
-            return got
-        degree = self.ring.weighted_degree(mono)
-        self.standard(degree)
-        idx = self.index[degree]
-        if mono in idx:
-            out = {idx[mono]: 1}
-        else:
+        if got is None:
             # mono * den / g == sum(q * basis) + rem
             rem, _, (den, g) = self._reducer._divide({self._reducer.keyfn((0, mono)): 1})
-            out = {
-                idx[mm[1]]: c * g if den == 1 else Fraction(c * g, den)
+            got = {
+                mm[1]: c * g if den == 1 else Fraction(c * g, den)
                 for mm, c in self._reducer.keyfn.decode_vec(rem).items()
             }
-        self._nf_cache[mono] = out
-        return out
+            self._nf_cache[mono] = got
+        return got
+
+
+def _koszul_complex(ring: GradedRing) -> Resolution:
+    """The Koszul complex K(x_1..x_m) of the ring, a resolution of its
+    residue field.
+
+    F_i has one generator e_S for each i-subset S of the variables, in
+    `combinations` order, of degree sum_{t in S} w_t, and
+    d(e_S) = sum_k (-1)^k x_{t_k} e_{S - t_k} for S = (t_0 < t_1 < ...).
+    """
+    m = ring.nvars
+    subsets = [list(combinations(range(m), i)) for i in range(m + 1)]
+    modules = [
+        FreeModule(tuple(sum(ring.weights[t] for t in S) for S in level))
+        for level in subsets
+    ]
+    units = [tuple(int(v == t) for v in range(m)) for t in range(m)]
+    diffs: List[Matrix] = []
+    for i in range(1, m + 1):
+        row = {S: r for r, S in enumerate(subsets[i - 1])}
+        diffs.append({
+            c: {
+                row[S[:k] + S[k + 1:]]: Polynomial._raw(ring, {units[t]: Fraction((-1) ** k)})
+                for k, t in enumerate(S)
+            }
+            for c, S in enumerate(subsets[i])
+        })
+    return Resolution(ring, modules, diffs)
 
 
 def _strand_homology(
-    dim: Callable[[int, int], int],
-    columns: Callable[[int, int], Iterable[Dict[int, int]]],
-    top: int,
-    degrees: Iterable[int],
+    res: Resolution, table: _NormalFormTable, degrees: Iterable[int]
 ) -> Dict[Tuple[int, int], Tuple[int, int]]:
-    """Strandwise homology of a graded complex C_top -> ... -> C_1 -> C_0.
+    """Strandwise homology of the complex res tensored with R/G, for G the
+    Groebner basis of `table`.
 
-    dim(i, j) is dim C_{i,j}, and columns(i, j) yields the columns of the
-    strand map d_i: C_{i,j} -> C_{i-1,j} as integer vectors over a
-    basis of C_{i-1,j}.  Returns {(i, j): (dim ker d_i, rank d_{i+1})} in
-    degree j for 0 <= i <= top, with d_0 = d_{top+1} = 0; the homology at
-    C_{i,j} has dimension ker - rank.
+    The degree-j piece of F_i (x) R/G has the basis of pairs (c, u): a
+    generator c of F_i and a standard monomial u of degree j - shift c, in
+    generator order, then in `table.standard` order.  The strand map d_i
+    sends (c, u) to u times the column of d_i at c, each product brought to
+    normal form.  Returns {(i, j): (dim ker d_i, rank d_{i+1})} for
+    0 <= i <= res.length, with d_0 = d_{length+1} = 0; the homology at
+    (F_i (x) R/G)_j has dimension ker - rank.
 
     The complex must satisfy d o d = 0: then the image of d_i lies in the
-    kernel of d_{i-1}, of dimension dim C_{i-1,j} - rank d_{i-1}, and once
-    the rank of d_i reaches that bound, the remaining columns cannot add to
-    it and are not built.
+    kernel of d_{i-1}, of dimension dim (F_{i-1} (x) R/G)_j - rank d_{i-1},
+    and once the rank of d_i reaches that bound, the remaining columns
+    cannot add to it and are not built.
     """
+    top = res.length
+    shifts = [mod.shifts for mod in res.modules]
+    # d_i's columns as coprime integers: scaling a column does not change the rank
+    cols = [
+        [
+            primitive({(r, m): a for r, p in d.get(c, {}).items() for m, a in p.terms.items()})[0]
+            for c in range(mod.rank)
+        ]
+        for d, mod in zip(res.differentials, res.modules[1:])
+    ]
     out: Dict[Tuple[int, int], Tuple[int, int]] = {}
     for j in degrees:
+
+        def piece(i: int):
+            for c, s in enumerate(shifts[i]):
+                if s <= j:
+                    for u in table.standard(j - s):
+                        yield c, u
+
+        def columns(i: int, index: Dict[Tuple[int, Exponent], int]):
+            for c, s in enumerate(shifts[i]):
+                col = cols[i - 1][c]
+                if s > j or not col:
+                    continue
+                for u in table.standard(j - s):
+                    # multiplying by u is injective: standard products never collide
+                    vec: Dict[int, object] = {}
+                    rest = []
+                    for (r, m), a in col.items():
+                        prod = monomial_mul(m, u)
+                        k = index.get((r, prod))
+                        if k is None:
+                            rest.append((r, prod, a))
+                        else:
+                            vec[k] = a
+                    if rest:
+                        # normal forms may cancel terms and carry denominators
+                        for r, prod, a in rest:
+                            for mm, b in table.nf_vector(prod).items():
+                                k = index[(r, mm)]
+                                vec[k] = vec.get(k, 0) + a * b
+                        vec = primitive(vec)[0]
+                    if vec:
+                        yield vec
+
+        dims = [
+            sum(len(table.standard(j - s)) for s in shifts[i] if s <= j)
+            for i in range(top + 1)
+        ]
         ranks = [0]  # ranks[i] = rank of d_i in degree j
         for i in range(1, top + 1):
-            bound = dim(i - 1, j) - ranks[i - 1]
+            bound = dims[i - 1] - ranks[i - 1]
             ech = Echelon()
             if bound:
-                for vec in columns(i, j):
+                index = {key: k for k, key in enumerate(piece(i - 1))}
+                for vec in columns(i, index):
                     ech.add(vec)
                     if ech.rank == bound:
                         break
             ranks.append(ech.rank)
         ranks.append(0)
         for i in range(top + 1):
-            out[(i, j)] = (dim(i, j) - ranks[i], ranks[i + 1])
+            out[(i, j)] = (dims[i] - ranks[i], ranks[i + 1])
     return out
 
 
@@ -548,61 +615,8 @@ def koszul_betti(gb: GroebnerBasis, j_cap: int) -> BettiTable:
     """
     if not all(g.is_homogeneous() for g in gb.elements):
         raise ValueError("koszul_betti requires a homogeneous basis")
-    ring = gb.ring
-    table = _NormalFormTable(gb)
-    m = ring.nvars
-    weights = ring.weights
-
-    def subset_degree(S: Tuple[int, ...]) -> int:
-        return sum(weights[t] for t in S)
-
-    # strand bases: (i, j) -> list of (subset, std monomial)
-    bases: Dict[Tuple[int, int], List[Tuple[Tuple[int, ...], Exponent]]] = {}
-
-    def strand_basis(i: int, j: int) -> List[Tuple[Tuple[int, ...], Exponent]]:
-        key = (i, j)
-        got = bases.get(key)
-        if got is not None:
-            return got
-        out: List[Tuple[Tuple[int, ...], Exponent]] = []
-        if 0 <= i <= m:
-            for S in combinations(range(m), i):
-                d = j - subset_degree(S)
-                if d < 0:
-                    continue
-                for u in table.standard(d):
-                    out.append((S, u))
-        bases[key] = out
-        return out
-
-    def columns(i: int, j: int):
-        """The strand map (K_i (x) R/I)_j -> (K_{i-1} (x) R/I)_j."""
-        idx = {b: k for k, b in enumerate(strand_basis(i - 1, j))}
-        for (S, u) in strand_basis(i, j):
-            colvec: Dict[int, object] = {}
-            for k, t in enumerate(S):
-                S2 = S[:k] + S[k + 1:]
-                mono = tuple(
-                    e + (1 if v == t else 0) for v, e in enumerate(u)
-                )
-                nf = table.nf_vector(mono)
-                if not nf:
-                    continue
-                d2 = j - subset_degree(S2)
-                std2 = table.std[d2]
-                sign = -1 if k % 2 else 1
-                for pos, c in nf.items():
-                    tgt = idx[(S2, std2[pos])]
-                    s = colvec.get(tgt, 0) + sign * c
-                    if s:
-                        colvec[tgt] = s
-                    else:
-                        colvec.pop(tgt, None)
-            if colvec:
-                yield primitive(colvec)[0]
-
     homology = _strand_homology(
-        lambda i, j: len(strand_basis(i, j)), columns, m, range(j_cap + 1)
+        _koszul_complex(gb.ring), _NormalFormTable(gb), range(j_cap + 1)
     )
     return BettiTable.from_entries(
         {key: ker - im for key, (ker, im) in homology.items()}
@@ -708,39 +722,9 @@ def verify_complex(res: Resolution, e_cap: int) -> ComplexReport:
                         f"entry ({r},{c}) of d_{i} is not homogeneous of the right degree",
                         ("degree", i, -1),
                     )
-    # degreewise exactness at F_i, i >= 1
-    monos: Dict[int, List[Exponent]] = {}
-
-    def columns(i: int, e: int):
-        """(d_i)_e on the basis of generator times monomial."""
-        d = res.differential(i)
-        hi = res.modules[i]
-        # row coordinates: (target gen, monomial)
-        row_index: Dict[Tuple[int, Exponent], int] = {}
-
-        def row_id(key: Tuple[int, Exponent]) -> int:
-            got = row_index.get(key)
-            if got is None:
-                got = len(row_index)
-                row_index[key] = got
-            return got
-
-        for c in sorted(d):
-            deg = e - hi.shifts[c]
-            if deg < 0:
-                continue
-            mults = monos.get(deg)
-            if mults is None:
-                mults = monos[deg] = monomials_of_degree(ring, deg)
-            # the column as coprime integers: scaling does not change the rank
-            col, _ = primitive(
-                {(r, m): coef for r, p in d[c].items() for m, coef in p.terms.items()}
-            )
-            for mult in mults:
-                yield {row_id((r, monomial_mul(m, mult))): coef for (r, m), coef in col.items()}
-
+    # degreewise exactness at F_i, i >= 1: the strands of res (x) R/(0)
     homology = _strand_homology(
-        _free_dims(res, e_cap), columns, res.length, range(e_cap + 1)
+        res, _NormalFormTable(GroebnerBasis(ring, WEIGHTED, [])), range(e_cap + 1)
     )
     for i in range(1, res.length + 1):
         for e in range(e_cap + 1):

@@ -456,9 +456,10 @@ class TestVerifyCommand:
         assert "V8" not in non_stretch
         assert "2V1+V3" not in non_stretch
 
-    @pytest.mark.parametrize("label", ["3V1+V2", "V1+3V2", "V5"])
+    @pytest.mark.parametrize("label", ["3V1+V2", "V1+3V2", "V5", "2V1+2V2"])
     def test_json_matches_recorded_output(self, label, capsys):
-        # every field but the timing is deterministic
+        # every field but the timing is deterministic; 2V1+2V2 is the case
+        # whose exactness check stops at the estimate (degree 23 of 28)
         code = run(["verify", label, "--format", "json"])
         assert code == 0
         got = json.loads(capsys.readouterr().out)

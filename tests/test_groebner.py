@@ -96,7 +96,7 @@ class TestReducer:
         keyfn = base_keyfn(R).induced([(0, R.zero_exponent())] * 3)
         negative_leads = scaled = 0
         for _ in range(40):
-            reducer = Reducer(R, [0, 0, 0], keyfn)
+            reducer = Reducer(keyfn)
             for _ in range(rng.randint(1, 4)):
                 b = _random_mvec(rng, R, lambda: rng.choice([-6, -5, -4, -3, -2, 2, 3, 4, 5, 6]))
                 if b:

@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -26,6 +27,7 @@ from sl2betti.presentation import present
 from sl2betti.resolution import (
     FreeModule,
     Resolution,
+    _koszul_complex,
     _set_to_zero,
     _without,
     betti,
@@ -362,6 +364,46 @@ class TestKoszulOracle:
             t = betti(minimize(resolve(I)))
             k = koszul_betti(buchberger(I_raw), t.j_star)
             assert t.entries == k.entries, (trial, [str(g) for g in gens])
+
+
+class TestKoszulComplex:
+    """K(x) over weights (1, 2, 3) resolves the residue field, so both
+    certificates have a known answer on it."""
+
+    R = GradedRing(("x", "y", "z"), (1, 2, 3))
+    # beta_{i,j}(k) = the number of i-subsets of the weights summing to j
+    SUBSETS = Counter(
+        (len(S), sum(w for _, w in S))
+        for i in range(4)
+        for S in combinations(enumerate((1, 2, 3)), i)
+    )
+
+    def test_shape(self):
+        K = _koszul_complex(self.R)
+        assert [m.shifts for m in K.modules] == [(0,), (1, 2, 3), (3, 4, 5), (6,)]
+        assert K.is_minimal() and betti(K).entries == dict(self.SUBSETS)
+        x, y, z = (self.R.variable(t) for t in range(3))
+        # d(e_xyz) = z e_xy - y e_xz + x e_yz
+        assert K.differential(3) == {0: {0: z, 1: -y, 2: x}}
+
+    def test_exact(self):
+        rep = verify_complex(_koszul_complex(self.R), 8)
+        assert rep.ok, rep.message
+
+    def test_oracle_on_the_ring_is_free(self):
+        # K(x) (x) R has homology k in degree 0: R is free over itself
+        t = koszul_betti(GroebnerBasis(self.R, WEIGHTED, []), 8)
+        assert t.entries == {(0, 0): 1}
+
+    def test_oracle_on_the_residue_field(self):
+        # K(x) (x) R/(x, y, z) has zero differentials
+        gens = [self.R.variable(t) for t in range(3)]
+        t = koszul_betti(GroebnerBasis(self.R, WEIGHTED, gens), 8)
+        assert t.entries == dict(self.SUBSETS)
+
+    def test_no_variables(self):
+        K = _koszul_complex(GradedRing((), ()))
+        assert K.length == 0 and verify_complex(K, 3).ok
 
 
 class TestRegularVariables:
