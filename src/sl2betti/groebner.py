@@ -8,7 +8,11 @@ a syzygy trace expressed over the original inputs.  Those traces are what
 the resolution module consumes.  `Reducer` is the division step on its
 own; the engine extends it, and `normal_form` and the Koszul oracle's
 normal-form table use it directly.  Inside them a module monomial is one
-int, its `ModuleKey` value; exponent tuples are decoded only at the edges.
+int, its `ModuleKey` value, and every monomial test is an int operation:
+division, the pair update (each live pair keeps its lcm's key, so lcm
+equality is an int comparison and divisibility one masked subtraction) and
+`standard_monomials`.  Exponent tuples are decoded only at the edges and
+for the cofactor shifts.
 """
 
 from __future__ import annotations
@@ -32,14 +36,13 @@ from .poly import (
     RingMismatchError,
     WEIGHTED,
     graded_monomials,
-    monomial_divides,
-    monomial_lcm,
     monomial_mul,
 )
 
 ModMono = Tuple[int, Exponent]          # (position, exponent)
 MVec = Dict[ModMono, int]               # integer module element
 KVec = Dict[int, int]                   # the same, keyed by ModuleKey values
+Lcm = Tuple[int, int, Exponent]         # an S-pair's lcm: (key, position, exponent)
 
 
 @dataclass
@@ -360,6 +363,7 @@ class BuchbergerEngine(Reducer):
         self.want_syzygies = want_syzygies
 
         self.sugars: List[int] = []
+        self.lead_degs: List[int] = []
         self.cofactors: List[MVec] = []
         self.cof_dens: List[int] = []
 
@@ -369,7 +373,7 @@ class BuchbergerEngine(Reducer):
         self._koszul_pairs: List[Tuple[int, int]] = []
 
         # live S-pairs and the lcm of their leading monomials
-        self.pairs: Dict[Tuple[int, int], Exponent] = {}
+        self.pairs: Dict[Tuple[int, int], Lcm] = {}
         self._tasks: List[tuple] = []
         self._seq = 0
         self.keyed_inputs: List[KVec] = []
@@ -446,55 +450,70 @@ class BuchbergerEngine(Reducer):
     # -- pair management -------------------------------------------------------
 
     def _update_pairs(self, new_idx: int) -> None:
-        """Gebauer-Moeller update when basis element new_idx arrives."""
-        lead_new = self.leads[new_idx]
-        pos = lead_new[0]
-        peers = [i for i in self.by_pos.get(pos, ()) if i != new_idx]
-        lcms = {
-            i: monomial_lcm(self.leads[i][1], lead_new[1])
-            for i in peers
-        }
-        survivors = {}
-        for (i, j), old_lcm in self.pairs.items():
-            if (
-                self.leads[i][0] == pos
-                and monomial_divides(lead_new[1], old_lcm)
-                and old_lcm != lcms[i]
-                and old_lcm != lcms[j]
-            ):
-                continue
-            survivors[(i, j)] = old_lcm
-        self.pairs = survivors
+        """Gebauer-Moeller update when basis element new_idx arrives.
 
-        candidates: Dict[Exponent, List[int]] = {}
+        Every test is on `ModuleKey` ints of position pos.  A lead with
+        `masks` entry M divides a monomial of key K iff (M - K) keeps every
+        guard bit, the test `_divide` uses, and an lcm's own mask is
+        K & low | guard.  Candidates are grouped by lcm key and taken in
+        increasing key order, which is the module order.
+        """
+        key = self.keyfn
+        pos, lead_new = self.leads[new_idx]
+        guard, low = key.guard, key.low
+        const, coeffs = key.consts[pos], key.coeffs
+        leads, lead_keys = self.leads, self.lead_keys
+        peers = [i for i in self.by_pos.get(pos, ()) if i != new_idx]
+        lcm_monos: Dict[int, Exponent] = {}
+        lcm_keys: Dict[int, int] = {}
         for i in peers:
-            candidates.setdefault(lcms[i], []).append(i)
-        kept_lcms: List[Exponent] = []
-        for L in sorted(candidates, key=lambda e: self.keyfn((pos, e))):
-            if all(not monomial_divides(Lk, L) for Lk in kept_lcms):
-                kept_lcms.append(L)
-        chosen: List[Tuple[int, int]] = []
-        for L in kept_lcms:
-            group = candidates[L]
-            coprime = [
-                i for i in group
-                if monomial_mul(self.leads[i][1], lead_new[1]) == L
-            ]
+            L = lcm_monos[i] = tuple(map(max, leads[i][1], lead_new))
+            lcm_keys[i] = const + sum(map(mul, L, coeffs))
+
+        # B-criterion: drop (i, j) when lead_new divides its lcm and that lcm
+        # is neither lcm(i, new) nor lcm(j, new)
+        mask = self.masks[new_idx]
+        pairs = self.pairs
+        doomed = [
+            (i, j) for (i, j), (K, p, _) in pairs.items()
+            if p == pos and (mask - K) & guard == guard
+            and K != lcm_keys[i] and K != lcm_keys[j]
+        ]
+        for ij in doomed:
+            del pairs[ij]
+
+        candidates: Dict[int, List[int]] = {}
+        for i in peers:
+            candidates.setdefault(lcm_keys[i], []).append(i)
+        kept_masks: List[int] = []
+        chosen: List[int] = []
+        # lead_i * lead_new has key lead_keys[i] + k_coprime; it is a proper
+        # multiple of their lcm unless the two are coprime, and then its key
+        # is larger, so key equality is the coprimality test
+        k_coprime = lead_keys[new_idx] - const
+        for K in sorted(candidates):
+            if any((m - K) & guard == guard for m in kept_masks):
+                continue
+            kept_masks.append(K & low | guard)
+            group = candidates[K]
+            coprime = [i for i in group if lead_keys[i] + k_coprime == K]
             if coprime and len(self.shifts) == 1:
                 # product criterion
                 for i in coprime:
                     self._koszul_pairs.append((i, new_idx))
                 continue
-            chosen.append((min(group), new_idx))
+            chosen.append(min(group))
 
-        for (i, j) in chosen:
-            self.pairs[(i, j)] = lcms[i]
-            deg = self._mono_wdeg((pos, lcms[i]))
+        shift, weights = self.shifts[pos], self.weights
+        for i in chosen:
+            L = lcm_monos[i]
+            pairs[(i, new_idx)] = (lcm_keys[i], pos, L)
+            deg = shift + sum(map(mul, L, weights))
             sug = max(
-                self.sugars[i] + deg - self._mono_wdeg(self.leads[i]),
-                self.sugars[j] + deg - self._mono_wdeg(self.leads[j]),
+                self.sugars[i] + deg - self.lead_degs[i],
+                self.sugars[new_idx] + deg - self.lead_degs[new_idx],
             )
-            self._push(max(deg, sug), 0, (i, j))
+            self._push(max(deg, sug), 0, (i, new_idx))
 
     # -- element insertion ------------------------------------------------------
 
@@ -515,6 +534,7 @@ class BuchbergerEngine(Reducer):
         )
         idx = self.add(ints)
         self.sugars.append(sugar)
+        self.lead_degs.append(self._mono_wdeg(self.leads[idx]))
         self.cofactors.append(cof)
         self.cof_dens.append(den)
         self._update_pairs(idx)
@@ -560,13 +580,10 @@ class BuchbergerEngine(Reducer):
             return
         self._insert(rem, source, 1, quotients, scale, sugar)
 
-    def _process_pair(self, pair: Tuple[int, int], lcm_ij: Exponent, sugar: int) -> None:
+    def _process_pair(self, pair: Tuple[int, int], lcm_ij: Lcm, sugar: int) -> None:
         i, j = pair
-        li, lj = self.leads[i], self.leads[j]
-        mi = tuple(map(sub, lcm_ij, li[1]))
-        mj = tuple(map(sub, lcm_ij, lj[1]))
+        lcm_key, _, lcm_mono = lcm_ij
         ci, cj = self.lead_coeffs[i], self.lead_coeffs[j]
-        lcm_key = self.keyfn((li[0], lcm_ij))
         guard = self.keyfn.guard
         spair: KVec = {}
         _add_offset(spair, self.basis[i], lcm_key - self.lead_keys[i], cj, guard)
@@ -577,6 +594,8 @@ class BuchbergerEngine(Reducer):
         if self.want_syzygies:
             di, dj = self.cof_dens[i], self.cof_dens[j]
             sden = lcm(di, dj)
+            mi = tuple(map(sub, lcm_mono, self.leads[i][1]))
+            mj = tuple(map(sub, lcm_mono, self.leads[j][1]))
             _add_shifted(source, self.cofactors[i], mi, cj * (sden // di))
             _add_shifted(source, self.cofactors[j], mj, -ci * (sden // dj))
         if not spair:
@@ -649,6 +668,7 @@ class BuchbergerEngine(Reducer):
             self.lead_coeffs = [self.lead_coeffs[i] for i in keep]
             self.masks = [self.masks[i] for i in keep]
             self.sugars = [self.sugars[i] for i in keep]
+            self.lead_degs = [self.lead_degs[i] for i in keep]
             self.by_pos = {}
             for new_idx, lead in enumerate(self.leads):
                 self.by_pos.setdefault(lead[0], []).append(new_idx)
@@ -938,9 +958,18 @@ def hilbert_series_quotient(I: Ideal, gb: Optional[GroebnerBasis] = None) -> Rat
 def standard_monomials(
     ring: GradedRing, leads: Sequence[Exponent], degree: int
 ) -> List[Exponent]:
-    """Monomials of the given weighted degree outside the ideal of leads."""
+    """Monomials of the given weighted degree outside the ideal of leads,
+    in ascending lexicographic order.
+
+    Each monomial is keyed once and tested against the leads' masks, as
+    `Reducer` does; so no exponent may exceed MAX_EXPONENT.
+    """
+    key = base_keyfn(ring)
+    guard, low = key.guard, key.low
+    masks = [key((0, lt)) & low | guard for lt in leads]
     out = []
     for m in monomials_of_degree(ring, degree):
-        if not any(monomial_divides(lt, m) for lt in leads):
+        k = key((0, m))
+        if all((mask - k) & guard != guard for mask in masks):
             out.append(m)
     return out

@@ -79,12 +79,6 @@ class GradedRing:
 def monomial_mul(a: Exponent, b: Exponent) -> Exponent:
     return tuple(map(add, a, b))
 
-def monomial_divides(b: Exponent, a: Exponent) -> bool:
-    return all(y <= x for x, y in zip(a, b))
-
-def monomial_lcm(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
 
 def graded_monomials(
     grades: Sequence[Sequence[int]], target: Sequence[int]

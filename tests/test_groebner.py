@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from itertools import product
+from operator import le
 
 import pytest
 from hypothesis import given, settings
@@ -174,6 +176,79 @@ class TestPackedKeys:
         terms = sorted(terms)
         assert sorted(terms, key=flat2) == sorted(terms, key=ref2)
         assert [flat2.decode(flat2(mm)) for mm in terms] == terms
+
+
+def _standard_by_tuples(ring, leads, degree):
+    """Reference for `standard_monomials`: every exponent vector of the
+    degree, in ascending lexicographic order, that no lead divides."""
+    boxes = (range(degree // w + 1) for w in ring.weights)
+    return [
+        m for m in product(*boxes)
+        if ring.weighted_degree(m) == degree
+        and not any(all(map(le, lt, m)) for lt in leads)
+    ]
+
+
+class TestPackedDivisibility:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_mask_test_is_tuple_divisibility(self, data):
+        # on a ring order and on the Schreyer order `induced` builds from it,
+        # with exponents up to MAX_EXPONENT: among keys of one position, a
+        # lead divides a term iff the lead's mask minus the term's key keeps
+        # every guard bit; and two leads are coprime iff their product has
+        # the key of their lcm
+        n = data.draw(st.integers(1, 4))
+        weights = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+        R = GradedRing(tuple(f"x{i}" for i in range(n)), weights)
+        orders = [WEIGHTED, LEX] + ([elimination_order(1)] if n > 1 else [])
+        ring_key = base_keyfn(R, data.draw(st.sampled_from(orders)))
+        small = st.tuples(*(st.integers(0, MAX_EXPONENT // 4) for _ in range(n)))
+        tags = [(0, t) for t in data.draw(st.lists(small, min_size=1, max_size=4))]
+        for key in (ring_key, ring_key.induced(tags)):
+            rank = len(key.prods)
+
+            def monomial(pos, floor):
+                # prods[pos] * m stays within MAX_EXPONENT
+                return tuple(
+                    data.draw(st.one_of(
+                        st.sampled_from([lo, MAX_EXPONENT - p]),
+                        st.integers(lo, MAX_EXPONENT - p),
+                    ))
+                    for lo, p in zip(floor, key.prods[pos])
+                )
+
+            for _ in range(6):
+                lpos = data.draw(st.integers(0, rank - 1))
+                lead = monomial(lpos, (0,) * n)
+                near = data.draw(st.booleans())
+                tpos = lpos if near else data.draw(st.integers(0, rank - 1))
+                term = monomial(tpos, lead if near else (0,) * n)
+                if near and data.draw(st.booleans()):
+                    # a multiple with one exponent lowered below the lead's
+                    i = data.draw(st.integers(0, n - 1))
+                    if lead[i]:
+                        term = term[:i] + (lead[i] - 1,) + term[i + 1:]
+                mask = key((lpos, lead)) & key.low | key.guard
+                packed = (mask - key((tpos, term))) & key.guard == key.guard
+                assert (lpos == tpos and packed) == (lpos == tpos and all(map(le, lead, term)))
+                if lpos == tpos:
+                    lcm = tuple(map(max, lead, term))
+                    coprime = not any(a and b for a, b in zip(lead, term))
+                    product_key = key((lpos, lead)) + key((lpos, term)) - key.consts[lpos]
+                    assert (product_key == key((lpos, lcm))) == coprime
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_standard_monomials_match_tuple_filter(self, data):
+        # one variable reaches degrees and exponents up to MAX_EXPONENT
+        n = data.draw(st.integers(1, 4))
+        weights = tuple(data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+        R = GradedRing(tuple(f"x{i}" for i in range(n)), weights)
+        top = MAX_EXPONENT if n == 1 else 4
+        leads = data.draw(st.lists(st.tuples(*(st.integers(0, top) for _ in range(n))), max_size=6))
+        degree = data.draw(st.integers(0, MAX_EXPONENT if n == 1 else 9))
+        assert standard_monomials(R, leads, degree) == _standard_by_tuples(R, leads, degree)
 
 
 class TestExponentGuard:

@@ -10,9 +10,13 @@ Two trees written by two versions of the program are byte-identical iff
 - `kernel <d>` on every case but V8;
 - `resolve <d>` on the non-stretch cases plus 6V1 and 2V1+2V2;
 - `resolve 1,1,1,2 --dump` and `resolve 2,2,2,2 --dump`, the dump files;
-- `verify all` and `verify 2V1+2V2`, each with the `seconds` fields removed.
+- `verify all` and `verify 2V1+2V2`, each with the `seconds` fields removed;
+- the `--gens` paths: the table outputs of `invariants 1,1,2` and
+  `kernel 1,1,2,2` are written as generator files, then read back by
+  `resolve --gens` and `betti --gens` respectively.
 
-Each file holds the exit code on its first line, then stdout.
+Each file holds the exit code on its first line, then stdout; the two
+generator files hold stdout alone.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ from sl2betti.cli import run
 RESOLVE_STRETCH = ("6V1", "2V1+2V2")
 DUMPS = ("1,1,1,2", "2,2,2,2")
 VERIFY = ("all", "2V1+2V2")
+# (command writing a generator file, degrees, command reading it back)
+GENS = (("invariants", "1,1,2", "resolve"), ("kernel", "1,1,2,2", "betti"))
 
 
 def _capture(argv: List[str]) -> str:
@@ -70,6 +76,15 @@ def record(outdir: Path) -> None:
             del case["seconds"]
         print(name, file=sys.stderr, flush=True)
         (outdir / name).write_text(f"{code}\n{json.dumps(got, indent=2)}\n")
+    for source, d, reader in GENS:
+        gens = outdir / f"gens_{source}_{d.replace(',', '')}.txt"
+        code, _, body = _capture([source, d]).partition("\n")
+        if code != "0":
+            sys.exit(f"{source} {d} exited {code}")
+        print(gens.name, file=sys.stderr, flush=True)
+        gens.write_text(body)
+        write(f"{reader}_gens_{d.replace(',', '')}.json",
+              [reader, "--gens", str(gens), "--format", "json"])
 
 
 if __name__ == "__main__":
