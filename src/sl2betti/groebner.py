@@ -42,7 +42,6 @@ from .poly import (
 ModMono = Tuple[int, Exponent]          # (position, exponent)
 MVec = Dict[ModMono, int]               # integer module element
 KVec = Dict[int, int]                   # the same, keyed by ModuleKey values
-Lcm = Tuple[int, int, Exponent]         # an S-pair's lcm: (key, position, exponent)
 
 
 @dataclass
@@ -372,8 +371,9 @@ class BuchbergerEngine(Reducer):
         self.input_traces: List[Tuple[int, MVec]] = []
         self._koszul_pairs: List[Tuple[int, int]] = []
 
-        # live S-pairs and the lcm of their leading monomials
-        self.pairs: Dict[Tuple[int, int], Lcm] = {}
+        # live S-pairs and the lcm of their leading monomials, as
+        # (key, position, exponent)
+        self.pairs: Dict[Tuple[int, int], Tuple[int, int, Exponent]] = {}
         self._tasks: List[tuple] = []
         self._seq = 0
         self.keyed_inputs: List[KVec] = []
@@ -487,9 +487,9 @@ class BuchbergerEngine(Reducer):
             candidates.setdefault(lcm_keys[i], []).append(i)
         kept_masks: List[int] = []
         chosen: List[int] = []
-        # lead_i * lead_new has key lead_keys[i] + k_coprime; it is a proper
-        # multiple of their lcm unless the two are coprime, and then its key
-        # is larger, so key equality is the coprimality test
+        # lead_i * lead_new has key lead_keys[i] + k_coprime; unless the two
+        # are coprime it is a proper multiple of their lcm, with a larger
+        # key, so key equality is the coprimality test
         k_coprime = lead_keys[new_idx] - const
         for K in sorted(candidates):
             if any((m - K) & guard == guard for m in kept_masks):
@@ -580,7 +580,9 @@ class BuchbergerEngine(Reducer):
             return
         self._insert(rem, source, 1, quotients, scale, sugar)
 
-    def _process_pair(self, pair: Tuple[int, int], lcm_ij: Lcm, sugar: int) -> None:
+    def _process_pair(
+        self, pair: Tuple[int, int], lcm_ij: Tuple[int, int, Exponent], sugar: int
+    ) -> None:
         i, j = pair
         lcm_key, _, lcm_mono = lcm_ij
         ci, cj = self.lead_coeffs[i], self.lead_coeffs[j]
