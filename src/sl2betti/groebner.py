@@ -1,10 +1,11 @@
 """Buchberger engine with syzygy traces, minimalization and Hilbert series.
 
 The engine works uniformly over free-module monomials (position, exponent);
-an ideal is the rank-1 case.  Inputs are processed in ascending (sugar)
-degree with FIFO tie-breaking, S-pairs are pruned by the Gebauer-Moeller
-criteria, and, when asked, every treated pair that reduces to zero leaves
-a syzygy trace expressed over the original inputs.  Those traces are what
+an ideal is the rank-1 case.  Inputs must be homogeneous.  Each input and
+S-pair is treated at its own degree, in ascending order with FIFO
+tie-breaking; S-pairs are pruned by the Gebauer-Moeller criteria, and,
+when asked, every treated pair that reduces to zero leaves a syzygy trace
+expressed over the original inputs.  Those traces are what
 the resolution module consumes.  `Reducer` is the division step on its
 own; the engine extends it, and `normal_form` and the Koszul oracle's
 normal-form table use it directly.  Inside them a module monomial is one
@@ -320,8 +321,10 @@ class Reducer:
 class BuchbergerEngine(Reducer):
     """Degree-synchronized Buchberger over a free module.
 
-    inputs:        module elements as {(pos, exponent): coefficient}, MVecs
-                   with int or Fraction coefficients; the engine keys them by
+    inputs:        homogeneous module elements as {(pos, exponent): coefficient},
+                   MVecs with int or Fraction coefficients, each of degree the
+                   one value of `_mono_wdeg` over its terms; `add_input`
+                   raises ValueError for any other.  The engine keys them by
                    `keyfn` once, into `keyed_inputs`.  `_divide` makes each
                    one primitive before it is used, so rational inputs give
                    the same basis; their scale ends up in the cofactors.
@@ -336,14 +339,15 @@ class BuchbergerEngine(Reducer):
     per-term rational arithmetic is needed.  The product criterion applies
     when the module has rank one, where the order is a ring order.
 
-    Tasks run in (degree, kind, seq) order, and `run(upto=e)` stops before
-    the first task of degree above e.  For homogeneous inputs the basis is
-    then complete through degree e.  An input added by `add_input` after
-    such a run, of degree at least e, takes the place it would have had
-    among the inputs of one engine built with all of them: inputs of one
-    degree run in index order, after that degree's pairs, and pairs keep
-    their push order.  So growing the inputs degree by degree treats the
-    same tasks in the same order and ends in the same basis.
+    Each input runs at its degree and each S-pair at its lcm's degree, in
+    (degree, kind, seq) order, and `run(upto=e)` stops before the first
+    task of degree above e; the basis is then complete through degree e.
+    An input added by `add_input` after such a run, of degree at least e,
+    takes the place it would have had among the inputs of one engine built
+    with all of them: inputs of one degree run in index order, after that
+    degree's pairs, and pairs keep their push order.  So growing the inputs
+    degree by degree treats the same tasks in the same order and ends in
+    the same basis.
     """
 
     def __init__(
@@ -361,8 +365,6 @@ class BuchbergerEngine(Reducer):
         self.weights = ring.weights
         self.want_syzygies = want_syzygies
 
-        self.sugars: List[int] = []
-        self.lead_degs: List[int] = []
         self.cofactors: List[MVec] = []
         self.cof_dens: List[int] = []
 
@@ -381,11 +383,17 @@ class BuchbergerEngine(Reducer):
             self.add_input(vec)
 
     def add_input(self, vec: MVec) -> None:
-        """Queue one more input, with the next index, at its degree."""
+        """Queue one more input, with the next index, at its degree.
+
+        Raises ValueError unless vec is homogeneous.
+        """
+        degrees = {self._mono_wdeg(mm) for mm in vec}
+        if len(degrees) > 1:
+            raise ValueError("BuchbergerEngine requires homogeneous inputs")
         idx = len(self.keyed_inputs)
         self.keyed_inputs.append(self.keyfn.encode(vec))
         if vec:
-            self._push(self._sugar_of(vec), 1, idx)
+            self._push(degrees.pop(), 1, idx)
         else:
             self.redundant.add(idx)
 
@@ -397,9 +405,6 @@ class BuchbergerEngine(Reducer):
         for x, w in zip(e, self.weights):
             d += x * w
         return d
-
-    def _sugar_of(self, vec: MVec) -> int:
-        return max(self._mono_wdeg(mm) for mm in vec)
 
     # -- task queue ----------------------------------------------------------
 
@@ -508,12 +513,7 @@ class BuchbergerEngine(Reducer):
         for i in chosen:
             L = lcm_monos[i]
             pairs[(i, new_idx)] = (lcm_keys[i], pos, L)
-            deg = shift + sum(map(mul, L, weights))
-            sug = max(
-                self.sugars[i] + deg - self.lead_degs[i],
-                self.sugars[new_idx] + deg - self.lead_degs[new_idx],
-            )
-            self._push(max(deg, sug), 0, (i, new_idx))
+            self._push(shift + sum(map(mul, L, weights)), 0, (i, new_idx))
 
     # -- element insertion ------------------------------------------------------
 
@@ -524,7 +524,6 @@ class BuchbergerEngine(Reducer):
         sden: int,
         quotients: Dict[int, Dict[Exponent, int]],
         scale: Tuple[int, int],
-        sugar: int,
     ) -> None:
         """Add a nonzero remainder, scaled to coprime integers with positive lead."""
         ints, (_, g2) = primitive(rem, max(rem))
@@ -533,8 +532,6 @@ class BuchbergerEngine(Reducer):
             if self.want_syzygies else ({}, 1)
         )
         idx = self.add(ints)
-        self.sugars.append(sugar)
-        self.lead_degs.append(self._mono_wdeg(self.leads[idx]))
         self.cofactors.append(cof)
         self.cof_dens.append(den)
         self._update_pairs(idx)
@@ -542,21 +539,22 @@ class BuchbergerEngine(Reducer):
     # -- main loop ----------------------------------------------------------------
 
     def run(self, upto: Optional[int] = None) -> EngineResult:
-        """Treat the queued tasks, with upto only those of degree <= upto.
+        """Treat the queued tasks, with upto only those of degree <= upto;
+        the basis is then complete through degree upto.
 
         Product-criterion syzygies are emitted once the queue is empty, each
         once, so a truncated run's result holds only the syzygies so far.
         """
         tasks = self._tasks
         while tasks and (upto is None or tasks[0][0] <= upto):
-            degree, kind, _, payload = heapq.heappop(tasks)
+            _, kind, _, payload = heapq.heappop(tasks)
             if kind == 1:
-                self._process_input(payload, degree)
+                self._process_input(payload)
             else:
                 lcm_ij = self.pairs.pop(payload, None)
                 if lcm_ij is None:
                     continue
-                self._process_pair(payload, lcm_ij, degree)
+                self._process_pair(payload, lcm_ij)
         if self.want_syzygies and not tasks:
             for (i, j) in self._koszul_pairs:
                 self._emit_koszul(i, j)
@@ -568,7 +566,7 @@ class BuchbergerEngine(Reducer):
             input_traces=self.input_traces,
         )
 
-    def _process_input(self, idx: int, sugar: int) -> None:
+    def _process_input(self, idx: int) -> None:
         vec = self.keyed_inputs[idx]
         rem, quotients, scale = self._divide(vec)
         source = {(idx, self.ring.zero_exponent()): 1} if self.want_syzygies else {}
@@ -578,11 +576,9 @@ class BuchbergerEngine(Reducer):
                 trace, _ = self._combine_cofactor(source, 1, quotients, scale)
                 self.input_traces.append((idx, self._normalize_trace(trace)))
             return
-        self._insert(rem, source, 1, quotients, scale, sugar)
+        self._insert(rem, source, 1, quotients, scale)
 
-    def _process_pair(
-        self, pair: Tuple[int, int], lcm_ij: Tuple[int, int, Exponent], sugar: int
-    ) -> None:
+    def _process_pair(self, pair: Tuple[int, int], lcm_ij: Tuple[int, int, Exponent]) -> None:
         i, j = pair
         lcm_key, _, lcm_mono = lcm_ij
         ci, cj = self.lead_coeffs[i], self.lead_coeffs[j]
@@ -611,7 +607,7 @@ class BuchbergerEngine(Reducer):
                 if trace:
                     self.syzygies.append(self._normalize_trace(trace))
             return
-        self._insert(rem, source, sden, quotients, scale, sugar)
+        self._insert(rem, source, sden, quotients, scale)
 
     def _emit_koszul(self, i: int, j: int) -> None:
         """Trivial syzygy g_j*eps_i - g_i*eps_j for a product-criterion skip."""
@@ -640,40 +636,24 @@ class BuchbergerEngine(Reducer):
         """Tail-reduce the completed basis; `reduced_basis` calls this after
         `run`, on an engine without syzygies, so no cofactors are updated.
 
-        Resolution levels read only syzygies and traces and skip it.
+        Resolution levels read only syzygies and traces and skip it.  No
+        lead divides another: a later element has equal or higher degree
+        and was reduced by the earlier ones, so each element keeps its lead.
         """
-        removed = set()
         for idx in range(len(self.basis)):
-            own = self.basis[idx]
-            self.by_pos[self.leads[idx][0]].remove(idx)
-            rem, quotients, _ = self._divide(own)
-            if not rem:
-                # lead divisible by another element's lead: redundant in the
-                # completed basis (possible only for non-homogeneous runs)
-                removed.add(idx)
-                continue
-            self.by_pos[self.leads[idx][0]].append(idx)
-            self.by_pos[self.leads[idx][0]].sort()
+            by_pos = self.by_pos[self.leads[idx][0]]
+            by_pos.remove(idx)
+            rem, quotients, _ = self._divide(self.basis[idx])
+            by_pos.append(idx)
+            by_pos.sort()
             if not quotients:
                 continue
-            lead = max(rem)
+            lead = self.lead_keys[idx]
             # tail reduction of a completed basis cannot move the lead
-            assert lead == self.lead_keys[idx], "interreduction changed a lead term"
+            assert rem and max(rem) == lead, "interreduction changed a lead term"
             ints, _ = primitive(rem, lead)
             self.basis[idx] = ints
             self.lead_coeffs[idx] = ints[lead]
-        if removed:
-            keep = [i for i in range(len(self.basis)) if i not in removed]
-            self.basis = [self.basis[i] for i in keep]
-            self.leads = [self.leads[i] for i in keep]
-            self.lead_keys = [self.lead_keys[i] for i in keep]
-            self.lead_coeffs = [self.lead_coeffs[i] for i in keep]
-            self.masks = [self.masks[i] for i in keep]
-            self.sugars = [self.sugars[i] for i in keep]
-            self.lead_degs = [self.lead_degs[i] for i in keep]
-            self.by_pos = {}
-            for new_idx, lead in enumerate(self.leads):
-                self.by_pos.setdefault(lead[0], []).append(new_idx)
 
 
 # ---------------------------------------------------------------------------
@@ -746,9 +726,10 @@ def normal_form(
 
 
 def buchberger(gens: Ideal, order: MonomialOrder = WEIGHTED) -> GroebnerBasis:
-    """Reduced Groebner basis, each element scaled to coprime integers with a
-    positive lead coefficient.  The engine tracks no cofactors and keeps no
-    syzygies."""
+    """Reduced Groebner basis of a homogeneous ideal, each element scaled to
+    coprime integers with a positive lead coefficient.  The engine tracks no
+    cofactors and keeps no syzygies; it raises ValueError for an
+    inhomogeneous generator."""
     ring = gens.ring
     inputs = gens.nonzero_generators()
     if not inputs:
@@ -760,7 +741,8 @@ def buchberger(gens: Ideal, order: MonomialOrder = WEIGHTED) -> GroebnerBasis:
 
 
 def ideals_equal(a: Ideal, b: Ideal, order: MonomialOrder = WEIGHTED) -> bool:
-    """Mutual reduction to zero of generators against the other's basis."""
+    """Mutual reduction to zero of generators against the other's basis; both
+    ideals must be homogeneous (see `buchberger`)."""
     gb_a = buchberger(a, order)
     gb_b = buchberger(b, order)
     return all(gb_a.contains(g) for g in b.generators) and all(

@@ -555,15 +555,20 @@ _ORDER_TOKENS = {
 
 
 def parse_header(text: str) -> Tuple[GradedRing, MonomialOrder]:
-    """Parse the `ring ...; weights ...; order ...;` header clauses."""
+    """Parse the `ring ...; weights ...; order ...;` header clauses, each at
+    most once."""
     names: Optional[Tuple[str, ...]] = None
     weights: Optional[Tuple[int, ...]] = None
     order = WEIGHTED
+    seen = set()
     for clause in text.split(";"):
         words = clause.split()
         if not words:
             continue
         head, rest = words[0], words[1:]
+        if head in seen:
+            raise ValueError(f"repeated header clause {head!r}")
+        seen.add(head)
         if head == "ring":
             names = tuple(rest)
         elif head == "weights":

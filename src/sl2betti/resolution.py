@@ -225,6 +225,10 @@ def _constant_value(p: Polynomial) -> Optional[Fraction]:
 def minimize(res: Resolution, rng: Optional[random.Random] = None) -> Resolution:
     """Cancel scalar differential entries until the complex is minimal.
 
+    Cancelling a unit u = d_{i+1}[c][r] is Gaussian elimination: it removes
+    e_c from F_{i+1} and e_r from F_i, d_{i+1} becomes its Schur complement
+    on u, d_{i+2} loses row c and d_i loses column r.
+
     Deterministic scan from the highest homological index downward unless an
     rng is supplied, in which case the cancellation order is randomized; the
     Betti data of the output is independent of that order.
@@ -277,37 +281,15 @@ def minimize(res: Resolution, rng: Optional[random.Random] = None) -> Resolution
                         del d[cc]
                 else:
                     upd[rr] = new
-        # d_{i+1}: row c disappears; redistribute through the column entries
+        # d_{i+2} loses row c and d_i loses column r
         if i + 1 < len(diffs):
             dn = diffs[i + 1]
             for t in list(dn):
-                val = dn[t].pop(c, None)
-                if val is not None and not val.is_zero():
-                    for rr, colp in col_entries.items():
-                        cur = dn[t].get(rr, ring.zero())
-                        new = cur - colp * val.scale(Fraction(1) / u)
-                        if new.is_zero():
-                            dn[t].pop(rr, None)
-                        else:
-                            dn[t][rr] = new
+                dn[t].pop(c, None)
                 if not dn[t]:
                     del dn[t]
-        # d_{i-1}: column r disappears; redistribute through the row entries
-        if i - 1 >= 0:
-            dp = diffs[i - 1]
-            col_r = dp.pop(r, None)
-            if col_r:
-                for cc, rowp in row_entries.items():
-                    tgt = dp.setdefault(cc, {})
-                    for rr, p in col_r.items():
-                        cur = tgt.get(rr, ring.zero())
-                        new = cur - p * rowp.scale(Fraction(1) / u)
-                        if new.is_zero():
-                            tgt.pop(rr, None)
-                        else:
-                            tgt[rr] = new
-                    if not tgt:
-                        dp.pop(cc, None)
+        if i >= 1:
+            diffs[i - 1].pop(r, None)
         del mods[i + 1][c]
         del mods[i][r]
 

@@ -88,6 +88,22 @@ class TestBettiCommand:
         code = run(["betti", "--gens", str(path)])
         assert code == 2
 
+    def test_weights_option_reweights_the_ring(self, tmp_path, capsys):
+        path = tmp_path / "gens.txt"
+        path.write_text("ring x y ; weights 1 1 ;\nx^2\nx*y\n")
+        code = run(["betti", "--gens", str(path), "--weights", "2,3", "--format", "json"])
+        assert code == 0
+        got = {(i, j): b for i, j, b in json.loads(capsys.readouterr().out)["betti"]}
+        assert got == {(0, 0): 1, (1, 4): 1, (1, 5): 1, (2, 7): 1}
+
+    def test_repeated_header_clause_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "gens.txt"
+        path.write_text("ring x y ; weights 1 1 ;\nweights 2 3 ;\nx^2\nx*y\n")
+        assert run(["betti", "--gens", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: repeated header clause 'weights'\n"
+
     def test_malformed_file(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("ring x ; weights 1 ; order weighted ;\nx + q*z\n")
@@ -344,6 +360,14 @@ class TestKernelCommand:
     def test_missing_args(self, capsys):
         assert run(["kernel"]) == 2
 
+    def test_weights_disagreeing_with_image_degrees(self, tmp_path, capsys):
+        path = tmp_path / "gens.txt"
+        path.write_text("ring x y ;\nx^2\ny^2\n")
+        assert run(["kernel", "--gens", str(path), "--weights", "9,9"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "(9, 9)" in captured.err and "(2, 2)" in captured.err
+
     @pytest.mark.parametrize(
         "images",
         [
@@ -439,6 +463,21 @@ class TestVerifyCommand:
 
     def test_unknown_label(self, capsys):
         assert run(["verify", "V99"]) == 2
+
+    def test_base_field_checks_are_informational(self, capsys):
+        # V1 has no invariants: no length formula and no Koszul complex
+        assert run(["verify", "V1"]) == 0
+        out = capsys.readouterr().out
+        assert "expected-hd  info no generators (base field)" in out
+        assert "koszul       info trivial for the base field" in out
+
+    def test_invalid_length_formula_is_informational(self, capsys):
+        # V2's generic stabilizer is positive-dimensional
+        assert run(["verify", "V2", "--format", "json"]) == 0
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["cases"][0]["checks"]}
+        assert checks["expected-hd"]["informational"] and checks["expected-hd"]["ok"]
+        assert "length formula gives 1 but the true length is 0" in checks["expected-hd"]["detail"]
+        assert not checks["koszul"]["informational"]
 
     @pytest.mark.parametrize("flag, value", [("--jcap", "-1"), ("--ecap", "-5")])
     def test_negative_cap_is_usage_error(self, flag, value, capsys):

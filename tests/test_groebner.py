@@ -357,7 +357,10 @@ class TestBuchberger:
         key = base_keyfn(R)
         checked = 0
         for trial in range(30):
-            gens = [g for g in (_random_poly(R, rng, 2) for _ in range(3)) if not g.is_zero()]
+            gens = [
+                g for g in (_random_homogeneous(R, rng, rng.randint(1, 3)) for _ in range(3))
+                if not g.is_zero()
+            ]
             if trial >= 15:
                 # rational inputs: the engine runs on their primitive
                 # multiples, the cofactors are over the inputs themselves
@@ -380,6 +383,16 @@ class TestBuchberger:
                 assert acc == el.scale(Fraction(den))
                 checked += 1
         assert checked > 30
+
+    def test_inhomogeneous_input_rejected(self):
+        # the engine treats each input at its one degree
+        R = GradedRing(("x", "y"), (1, 1))
+        x, y = R.variable(0), R.variable(1)
+        with pytest.raises(ValueError):
+            buchberger(Ideal(R, [x * x - y]))
+        engine = BuchbergerEngine(R, [], [0], base_keyfn(R))
+        with pytest.raises(ValueError):
+            engine.add_input({(0, m): c for m, c in (x * x - y).terms.items()})
 
     def test_spolynomials_reduce_to_zero_random_homogeneous(self):
         rng = random.Random(9)

@@ -266,6 +266,16 @@ class TestGrammar:
         _, order = parse_header("ring a b ; weights 1 1 ; order block 1 ;")
         assert order.kind == "block" and order.block == 1
 
+    @pytest.mark.parametrize("text, head", [
+        ("ring x y ; weights 1 1 ; weights 2 3 ;", "weights"),
+        ("ring x y ; order lex ; order weighted ;", "order"),
+        ("ring x y ; ring x y z ;", "ring"),
+    ])
+    def test_header_repeated_clause_rejected(self, text, head):
+        # a later clause would silently replace the earlier one
+        with pytest.raises(ValueError, match=f"repeated header clause '{head}'"):
+            parse_header(text)
+
     def test_exponent_notation_rejected(self):
         # Fraction("1e999999999") would build a billion-digit integer
         R = GradedRing(("x",), (1,))

@@ -225,7 +225,78 @@ class TestResolve:
             assert res.length <= R.nvars
 
 
+def _random_form(R, rng, degree):
+    """A nonzero form of the given degree with small integer coefficients."""
+    monos = monomials_of_degree(R, degree)
+    while True:
+        p = Polynomial(R, {m: Fraction(rng.randint(-2, 2)) for m in monos})
+        if not p.is_zero():
+            return p
+
+
+def _entangled_pair(res, level, seed):
+    """res with a trivial pair R(-s) --1--> R(-s) added from F_{level+1} to
+    F_level, then conjugated by elementary graded automorphisms of both
+    modules that mix the pair's generators into the others and back.
+
+    Conjugation keeps a complex a complex with the same homology, so the
+    output minimizes to res's Betti table.  An automorphism e_b -> e_b + g e_a
+    of F_j is a row operation on d_{j+1} and the inverse column operation
+    on d_j.
+    """
+    R = res.ring
+    rng = random.Random(seed)
+    shifts = [list(m.shifts) for m in res.modules]
+    diffs = [{c: dict(rows) for c, rows in d.items()} for d in res.differentials]
+    s = rng.choice(sorted(set(shifts[level] + shifts[level + 1])))
+    diffs[level][len(shifts[level + 1])] = {len(shifts[level]): R.one()}
+    shifts[level].append(s)
+    shifts[level + 1].append(s)
+
+    def elementary(j, a, b, g):
+        if j < len(diffs):
+            for col in diffs[j].values():
+                if b in col:
+                    col[a] = col.get(a, R.zero()) + g * col[b]
+        lower = diffs[j - 1]
+        if a in lower:
+            col_b = lower.setdefault(b, {})
+            for r, p in lower[a].items():
+                col_b[r] = col_b.get(r, R.zero()) - g * p
+        for d in diffs[j - 1: j + 1]:
+            for c in list(d):
+                d[c] = {r: p for r, p in d[c].items() if not p.is_zero()}
+                if not d[c]:
+                    del d[c]
+
+    for j in (level, level + 1):
+        new = len(shifts[j]) - 1
+        for _ in range(3):
+            for a, b in ((new, rng.randrange(new)), (rng.randrange(new), new)):
+                if shifts[j][b] >= shifts[j][a]:
+                    elementary(j, a, b, _random_form(R, rng, shifts[j][b] - shifts[j][a]))
+    return Resolution(R, [FreeModule(tuple(sh)) for sh in shifts], diffs)
+
+
 class TestMinimize:
+    def test_entangled_pair_cancels(self):
+        # a unit whose row and column carry other entries: its cancellation
+        # must leave the neighbouring differentials a complex, minus one row
+        # and one column
+        R = GradedRing(("x", "y", "z"), (1, 1, 1))
+        x, y, z = (R.variable(i) for i in range(3))
+        for gens in ([x * y - z * z, y * y, x * z], [x * x, y * y, z * z, x * y * z]):
+            res = resolve(Ideal(R, gens))
+            want = betti(res).entries
+            for level in (1, 2):
+                for seed in range(6):
+                    junk = _entangled_pair(res, level, seed)
+                    assert verify_complex(junk, 7).ok
+                    mn = minimize(junk)
+                    assert mn.is_minimal()
+                    assert betti(mn).entries == want
+                    assert verify_complex(mn, 7).ok
+
     def test_fixpoint_on_minimal(self, worked_resolution):
         again = minimize(worked_resolution)
         assert [m.shifts for m in again.modules] == [
