@@ -321,9 +321,10 @@ class Reducer:
 class BuchbergerEngine(Reducer):
     """Degree-synchronized Buchberger over a free module.
 
-    inputs:        homogeneous module elements as {(pos, exponent): coefficient},
-                   MVecs with int or Fraction coefficients, each of degree the
-                   one value of `_mono_wdeg` over its terms; `add_input`
+    inputs:        nonzero homogeneous module elements as
+                   {(pos, exponent): coefficient}, MVecs with int or Fraction
+                   coefficients, each of degree the one value of
+                   `_mono_wdeg` over its terms; `add_input`
                    raises ValueError for any other.  The engine keys them by
                    `keyfn` once, into `keyed_inputs`.  `_divide` makes each
                    one primitive before it is used, so rational inputs give
@@ -385,17 +386,14 @@ class BuchbergerEngine(Reducer):
     def add_input(self, vec: MVec) -> None:
         """Queue one more input, with the next index, at its degree.
 
-        Raises ValueError unless vec is homogeneous.
+        Raises ValueError unless vec is nonzero and homogeneous.
         """
         degrees = {self._mono_wdeg(mm) for mm in vec}
-        if len(degrees) > 1:
-            raise ValueError("BuchbergerEngine requires homogeneous inputs")
+        if len(degrees) != 1:
+            raise ValueError("BuchbergerEngine requires nonzero homogeneous inputs")
         idx = len(self.keyed_inputs)
         self.keyed_inputs.append(self.keyfn.encode(vec))
-        if vec:
-            self._push(degrees.pop(), 1, idx)
-        else:
-            self.redundant.add(idx)
+        self._push(degrees.pop(), 1, idx)
 
     # -- degrees -----------------------------------------------------------
 

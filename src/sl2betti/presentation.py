@@ -138,7 +138,8 @@ def kernel(amap: AlgebraMap) -> Ideal:
     tgt = amap.target_ring
     nc = tgt.nvars
     names = tuple(f"c{i}" for i in range(nc)) + tuple(f"z{i}" for i in range(m))
-    weights = (1,) * nc + src.weights
+    # x_i - f_i is homogeneous once x_i weighs deg f_i in the target's grading
+    weights = tgt.weights + src.weights
     combined = GradedRing(names, weights)
     order = elimination_order(nc)
     gens: List[Polynomial] = []

@@ -269,7 +269,7 @@ def minimize(res: Resolution, rng: Optional[random.Random] = None) -> Resolution
                 row_entries[cc] = p
             if not d[cc]:
                 del d[cc]
-        # Schur complement on d_i
+        # Schur complement on d_{i+1}
         for cc, rowp in row_entries.items():
             for rr, colp in col_entries.items():
                 upd = d.setdefault(cc, {})

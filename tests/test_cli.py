@@ -360,6 +360,16 @@ class TestKernelCommand:
     def test_missing_args(self, capsys):
         assert run(["kernel"]) == 2
 
+    def test_gens_file_with_weighted_header(self, tmp_path, capsys):
+        path = tmp_path / "gens.txt"
+        path.write_text("ring x y ; weights 1 2 ;\nx^2\ny\nx^2*y\n")
+        assert run(["kernel", "--gens", str(path), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "source_weights": [2, 2, 4],
+            "relation_degrees": [4],
+            "generators": ["f1*f2 - f3"],
+        }
+
     def test_weights_disagreeing_with_image_degrees(self, tmp_path, capsys):
         path = tmp_path / "gens.txt"
         path.write_text("ring x y ;\nx^2\ny^2\n")

@@ -110,6 +110,16 @@ class TestKernelElimination:
         for g in ker.generators:
             assert substitute(amap, g).is_zero()
 
+    def test_weighted_target_ring(self):
+        # x weighs 1 and y weighs 2: z_i - f_i is homogeneous only when the
+        # elimination ring grades the target variables by the same weights
+        T = GradedRing(("x", "y"), (1, 2))
+        x, y = T.variable(0), T.variable(1)
+        S = GradedRing(("f1", "f2", "f3"), (2, 2, 4))
+        f1, f2, f3 = (S.variable(i) for i in range(3))
+        ker = kernel(AlgebraMap(S, [x * x, y, x * x * y]))
+        assert ideals_equal(Ideal(S, ker.generators), Ideal(S, [f1 * f2 - f3]))
+
     def test_soundness_and_homogeneity(self):
         gs = minimal_invariant_generators(ProblemSpec((1, 1, 2), 3))
         amap = algebra_map_from_generators(gs)
