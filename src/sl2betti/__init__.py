@@ -3,7 +3,7 @@ for algebras of SL2-invariants of binary forms."""
 
 from .poly import GradedRing, MonomialOrder, Polynomial, WEIGHTED, LEX, elimination_order
 from .groebner import Ideal, GroebnerBasis, RationalSeries, buchberger, normal_form, minimal_generators, hilbert_series_quotient
-from .invariants import ProblemSpec, CoefficientRing, GeneratorSet, apply_operator, invariant_basis, cayley_sylvester_dim, minimal_invariant_generators, verify_completeness
+from .invariants import ProblemSpec, CoefficientRing, GeneratorSet, apply_operator, invariant_basis, cayley_sylvester_dim, minimal_invariant_generators
 from .presentation import AlgebraMap, kernel, present, substitute
 from .resolution import FreeModule, Resolution, BettiTable, resolve, minimize, betti, koszul_betti, verify_complex
 from .report import PalindromyVerdict, check_palindromy, poincare_from_betti, render_betti, expected_hd
@@ -16,7 +16,6 @@ __all__ = [
     "minimal_generators", "hilbert_series_quotient",
     "ProblemSpec", "CoefficientRing", "GeneratorSet", "apply_operator",
     "invariant_basis", "cayley_sylvester_dim", "minimal_invariant_generators",
-    "verify_completeness",
     "AlgebraMap", "kernel", "present", "substitute",
     "FreeModule", "Resolution", "BettiTable", "resolve", "minimize", "betti",
     "koszul_betti", "verify_complex",

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .linalg import Echelon, nullspace, primitive
 from .poly import (
@@ -495,36 +495,3 @@ def minimal_invariant_generators(spec: ProblemSpec) -> GeneratorSet:
                 if ech.rank == dim_inv:
                     break
     return GeneratorSet(cring, spec, gens, degs, mdegs)
-
-
-@dataclass
-class CompletenessReport:
-    agree: bool
-    checked_to: int
-    first_discrepancy: Optional[Tuple[int, int, int]] = None  # (degree, got, expected)
-
-    def __str__(self) -> str:
-        if self.agree:
-            return f"dimensions agree for all degrees <= {self.checked_to}"
-        e, got, want = self.first_discrepancy
-        return f"first discrepancy at degree {e}: subalgebra {got} != invariants {want}"
-
-
-def verify_completeness(
-    genset: GeneratorSet, spec: ProblemSpec, check_bound: int
-) -> CompletenessReport:
-    """Compare the dimensions of the subalgebra spanned by the products of
-    the generators with the combinatorial count, degree by degree."""
-    want = cs_total_dims(spec, check_bound)
-    span = _ImageCache(genset.cring.ring, genset.generators)
-    for e in range(1, check_bound + 1):
-        total = 0
-        for md in graded_monomials([(1,)] * spec.n_forms, (e,)):
-            dim_inv = cayley_sylvester_dim(spec, md)
-            if dim_inv:
-                cols = _weight_zero_columns(spec.degrees, md)
-                ech, _ = _product_span(span, genset.multidegrees, md, cols, dim_inv)
-                total += ech.rank
-        if total != want[e]:
-            return CompletenessReport(False, check_bound, (e, total, want[e]))
-    return CompletenessReport(True, check_bound)

@@ -8,12 +8,20 @@ each level from a minimal generating set makes the resulting chain minimal,
 and this level-minimal mode is the only one the pipeline uses.  The raw mode
 keeps every Schreyer syzygy instead; raw mode followed by `minimize` is an
 independent cross-check of the Betti numbers, used by the tests.
+
+A `Resolution` holds each differential as its columns, each one a sparse
+module vector {(row, exponent): coefficient} over the generators of the
+module below: the integer vectors `resolve` computes, as the Groebner engine
+keys them.  Coefficients are ints, except that `minimize` leaves a Fraction
+where it divides by a unit other than +-1.  The consumers read the columns
+as they are; `format_resolution` alone builds polynomial entries, to print
+them.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -22,7 +30,7 @@ from .groebner import (
     BuchbergerEngine,
     GroebnerBasis,
     Ideal,
-    ModMono,
+    MVec,
     RationalSeries,
     Reducer,
     _poly_to_mvec,
@@ -52,33 +60,29 @@ class FreeModule:
         return len(self.shifts)
 
 
-Matrix = Dict[int, Dict[int, Polynomial]]  # column -> row -> entry
-
-
 @dataclass
 class Resolution:
-    """Chain F_l -> ... -> F_1 -> F_0 = R with differentials d_i: F_i -> F_{i-1}."""
+    """Chain F_l -> ... -> F_1 -> F_0 = R with differentials d_i: F_i -> F_{i-1}.
+
+    differentials[i][c] is column c of d_{i+1}, the image of generator c of
+    F_{i+1} as a module vector over F_i (see the module docstring).
+    """
 
     ring: GradedRing
     modules: List[FreeModule]
-    differentials: List[Matrix]  # differentials[i] = d_{i+1}: F_{i+1} -> F_i
-    flags: List[str] = field(default_factory=list)
+    differentials: List[List[MVec]]
 
     @property
     def length(self) -> int:
         return len(self.modules) - 1
 
-    def differential(self, i: int) -> Matrix:
-        """d_i: F_i -> F_{i-1}, for 1 <= i <= length."""
+    def differential(self, i: int) -> List[MVec]:
+        """The columns of d_i: F_i -> F_{i-1}, for 1 <= i <= length."""
         return self.differentials[i - 1]
 
     def is_minimal(self) -> bool:
-        for d in self.differentials:
-            for col in d.values():
-                for p in col.values():
-                    if not p.is_zero() and p.weighted_degree() == 0:
-                        return False
-        return True
+        """No column has a constant term."""
+        return all(any(m) for d in self.differentials for col in d for _, m in col)
 
 
 @dataclass
@@ -120,19 +124,16 @@ def resolve(I: Ideal, *, minimalize_levels: bool = True) -> Resolution:
     """
     ring = I.ring
     gens = I.nonzero_generators()
-    flags: List[str] = []
-    if len(gens) != len(I.generators):
-        flags.append("zero generators dropped")
     modules = [FreeModule((0,))]
-    diffs: List[Matrix] = []
+    diffs: List[List[MVec]] = []
     if not gens:
-        return Resolution(ring, modules, diffs, flags)
+        return Resolution(ring, modules, diffs)
     for g in gens:
         if not g.is_homogeneous():
             raise ValueError("resolve requires homogeneous generators")
 
     # level data: inputs as mvecs over the previous module
-    inputs: List[Dict[ModMono, int]] = []
+    inputs: List[MVec] = []
     input_degrees: List[int] = []
     for g in gens:
         inputs.append(primitive(_poly_to_mvec(g), (0, g.leading_monomial()))[0])
@@ -153,35 +154,24 @@ def resolve(I: Ideal, *, minimalize_levels: bool = True) -> Resolution:
         res = engine.run()
         if minimalize_levels:
             kept = [i for i in range(len(inputs)) if i not in res.redundant_inputs]
-            if res.redundant_inputs and level == 1:
-                flags.append("input generators were not minimal")
             traces = list(res.syzygies)
         else:
             kept = list(range(len(inputs)))
             traces = list(res.syzygies) + [t for _, t in res.input_traces]
         pos_of_input = {idx: pos for pos, idx in enumerate(kept)}
         module = FreeModule(tuple(input_degrees[i] for i in kept))
-        matrix: Matrix = {}
-        for pos, idx in enumerate(kept):
-            col: Dict[int, Dict[Exponent, Fraction]] = {}
-            for (row, m), c in inputs[idx].items():
-                col.setdefault(row, {})[m] = Fraction(c)
-            matrix[pos] = {
-                row: Polynomial._raw(ring, d) for row, d in col.items()
-            }
         modules.append(module)
-        diffs.append(matrix)
+        diffs.append([inputs[idx] for idx in kept])
 
         # syzygies of the kept inputs become the next level's inputs
-        next_inputs: List[Dict[ModMono, int]] = []
+        next_inputs: List[MVec] = []
         next_degrees: List[int] = []
-        tagged: List[Tuple[int, Dict[ModMono, int]]] = []
+        tagged: List[Tuple[int, MVec]] = []
         for t in traces:
             try:
                 vec = {(pos_of_input[idx], m): c for (idx, m), c in t.items()}
             except KeyError:
-                # trace touching a dropped input: only possible in raw mode,
-                # where nothing is dropped
+                # the engine never emits a syzygy that touches a redundant input
                 raise AssertionError("syzygy references a dropped generator") from None
             if not vec:
                 continue
@@ -197,10 +187,10 @@ def resolve(I: Ideal, *, minimalize_levels: bool = True) -> Resolution:
         inputs = next_inputs
         input_degrees = next_degrees
         level += 1
-    return Resolution(ring, modules, diffs, flags)
+    return Resolution(ring, modules, diffs)
 
 
-def _mvec_degree(ring: GradedRing, module: FreeModule, vec: Dict[ModMono, int]) -> int:
+def _mvec_degree(ring: GradedRing, module: FreeModule, vec: MVec) -> int:
     degs = {
         ring.weighted_degree(m) + module.shifts[pos] for (pos, m) in vec
     }
@@ -213,41 +203,35 @@ def _mvec_degree(ring: GradedRing, module: FreeModule, vec: Dict[ModMono, int]) 
 # minimization by unit cancellation
 # ---------------------------------------------------------------------------
 
-def _constant_value(p: Polynomial) -> Optional[Fraction]:
-    if len(p.terms) != 1:
-        return None
-    (m, c), = p.terms.items()
-    if any(m):
-        return None
-    return c
-
-
 def minimize(res: Resolution, rng: Optional[random.Random] = None) -> Resolution:
-    """Cancel scalar differential entries until the complex is minimal.
+    """Cancel the constant terms of the differentials until the complex is
+    minimal.
 
-    Cancelling a unit u = d_{i+1}[c][r] is Gaussian elimination: it removes
-    e_c from F_{i+1} and e_r from F_i, d_{i+1} becomes its Schur complement
-    on u, d_{i+2} loses row c and d_i loses column r.
+    In a graded complex the constant term u of column c of d_{i+1} at row r
+    is that column's whole entry in row r, a unit.  Cancelling it is
+    Gaussian elimination: it removes e_c from F_{i+1} and e_r from F_i,
+    d_{i+1} becomes its Schur complement on u, d_{i+2} loses row c and d_i
+    loses column r.  The Schur complement divides by u, so a unit other
+    than +-1 leaves Fraction coefficients.
 
     Deterministic scan from the highest homological index downward unless an
     rng is supplied, in which case the cancellation order is randomized; the
     Betti data of the output is independent of that order.
     """
-    ring = res.ring
+    zero = res.ring.zero_exponent()
     mods: List[Dict[int, int]] = [
         {k: s for k, s in enumerate(m.shifts)} for m in res.modules
     ]
-    diffs: List[Dict[int, Dict[int, Polynomial]]] = [
-        {c: dict(rows) for c, rows in d.items()} for d in res.differentials
+    diffs: List[Dict[int, MVec]] = [
+        {c: dict(col) for c, col in enumerate(d)} for d in res.differentials
     ]
 
     def find_units() -> List[Tuple[int, int, int]]:
         found = []
         for i in range(len(diffs) - 1, -1, -1):
             for c in sorted(diffs[i]):
-                for r in sorted(diffs[i][c]):
-                    if _constant_value(diffs[i][c][r]) is not None:
-                        found.append((i, r, c))
+                for r in sorted(r for r, m in diffs[i][c] if not any(m)):
+                    found.append((i, r, c))
         return found
 
     while True:
@@ -258,38 +242,30 @@ def minimize(res: Resolution, rng: Optional[random.Random] = None) -> Resolution
             i, r, c = units[0]
         else:
             i, r, c = units[rng.randrange(len(units))]
-        u = _constant_value(diffs[i][c][r])
         d = diffs[i]
         col_c = d.pop(c)
-        col_entries = {rr: p for rr, p in col_c.items() if rr != r}
-        row_entries = {}
-        for cc in list(d):
-            p = d[cc].pop(r, None)
-            if p is not None and not p.is_zero():
-                row_entries[cc] = p
-            if not d[cc]:
-                del d[cc]
-        # Schur complement on d_{i+1}
-        for cc, rowp in row_entries.items():
-            for rr, colp in col_entries.items():
-                upd = d.setdefault(cc, {})
-                cur = upd.get(rr, ring.zero())
-                new = cur - colp * rowp.scale(Fraction(1) / u)
-                if new.is_zero():
-                    upd.pop(rr, None)
-                    if not upd:
-                        del d[cc]
-                else:
-                    upd[rr] = new
+        u = col_c.pop((r, zero))
+        inv = u if u in (1, -1) else 1 / Fraction(u)
+        # Schur complement on d_{i+1}: every other column loses its row r
+        # entry g and gains -g / u times the rest of column c
+        for col in d.values():
+            row_entry = [(m, b) for (rr, m), b in col.items() if rr == r]
+            for m, b in row_entry:
+                del col[(r, m)]
+                for (rr, ma), a in col_c.items():
+                    key = (rr, monomial_mul(ma, m))
+                    new = col.get(key, 0) - a * b * inv
+                    if new:
+                        col[key] = new
+                    else:
+                        del col[key]
         # d_{i+2} loses row c and d_i loses column r
         if i + 1 < len(diffs):
-            dn = diffs[i + 1]
-            for t in list(dn):
-                dn[t].pop(c, None)
-                if not dn[t]:
-                    del dn[t]
+            for col in diffs[i + 1].values():
+                for key in [key for key in col if key[0] == c]:
+                    del col[key]
         if i >= 1:
-            diffs[i - 1].pop(r, None)
+            del diffs[i - 1][r]
         del mods[i + 1][c]
         del mods[i][r]
 
@@ -300,19 +276,18 @@ def minimize(res: Resolution, rng: Optional[random.Random] = None) -> Resolution
         remap = {old: new for new, old in enumerate(sorted(live))}
         remaps.append(remap)
         new_modules.append(FreeModule(tuple(live[old] for old in sorted(live))))
-    new_diffs: List[Matrix] = []
-    for i, d in enumerate(diffs):
-        out: Matrix = {}
-        for c, rows in d.items():
-            out[remaps[i + 1][c]] = {
-                remaps[i][r]: p for r, p in rows.items() if not p.is_zero()
-            }
-        new_diffs.append(out)
+    new_diffs = [
+        [
+            {(remaps[i][r], m): a for (r, m), a in d[c].items()}
+            for c in sorted(mods[i + 1])
+        ]
+        for i, d in enumerate(diffs)
+    ]
     while new_modules and new_modules[-1].rank == 0:
         new_modules.pop()
         if new_diffs:
             new_diffs.pop()
-    return Resolution(ring, new_modules, new_diffs, list(res.flags))
+    return Resolution(res.ring, new_modules, new_diffs)
 
 
 def betti(res: Resolution) -> BettiTable:
@@ -486,16 +461,13 @@ def _koszul_complex(ring: GradedRing) -> Resolution:
         for level in subsets
     ]
     units = [tuple(int(v == t) for v in range(m)) for t in range(m)]
-    diffs: List[Matrix] = []
+    diffs: List[List[MVec]] = []
     for i in range(1, m + 1):
         row = {S: r for r, S in enumerate(subsets[i - 1])}
-        diffs.append({
-            c: {
-                row[S[:k] + S[k + 1:]]: Polynomial._raw(ring, {units[t]: Fraction((-1) ** k)})
-                for k, t in enumerate(S)
-            }
-            for c, S in enumerate(subsets[i])
-        })
+        diffs.append([
+            {(row[S[:k] + S[k + 1:]], units[t]): (-1) ** k for k, t in enumerate(S)}
+            for S in subsets[i]
+        ])
     return Resolution(ring, modules, diffs)
 
 
@@ -521,13 +493,7 @@ def _strand_homology(
     top = res.length
     shifts = [mod.shifts for mod in res.modules]
     # d_i's columns as coprime integers: scaling a column does not change the rank
-    cols = [
-        [
-            primitive({(r, m): a for r, p in d.get(c, {}).items() for m, a in p.terms.items()})[0]
-            for c in range(mod.rank)
-        ]
-        for d, mod in zip(res.differentials, res.modules[1:])
-    ]
+    cols = [[primitive(col)[0] for col in d] for d in res.differentials]
     out: Dict[Tuple[int, int], Tuple[int, int]] = {}
     for j in degrees:
 
@@ -611,7 +577,8 @@ def koszul_betti(gb: GroebnerBasis, j_cap: int) -> BettiTable:
 
 def format_resolution(res: Resolution) -> str:
     """Dump: per homological index the shift list, then each differential as
-    sparse (row, col, polynomial) triples in the text grammar."""
+    sparse (row, col, polynomial) triples in the text grammar.  A column's
+    terms of one row become a polynomial here, for printing only."""
     from .poly import format_polynomial
 
     lines = []
@@ -619,12 +586,13 @@ def format_resolution(res: Resolution) -> str:
         lines.append(f"module {i} shifts {' '.join(map(str, mod.shifts))}")
     for i in range(1, res.length + 1):
         lines.append(f"differential {i}")
-        d = res.differential(i)
-        for c in sorted(d):
-            for r in sorted(d[c]):
-                p = d[c][r]
-                if not p.is_zero():
-                    lines.append(f"  {r} {c} {format_polynomial(p)}")
+        for c, col in enumerate(res.differential(i)):
+            entries: Dict[int, Dict[Exponent, Fraction]] = {}
+            for (r, m), a in col.items():
+                entries.setdefault(r, {})[m] = Fraction(a)
+            for r in sorted(entries):
+                p = Polynomial._raw(res.ring, entries[r])
+                lines.append(f"  {r} {c} {format_polynomial(p)}")
     return "\n".join(lines) + "\n"
 
 
@@ -675,30 +643,25 @@ def verify_complex(res: Resolution, e_cap: int) -> ComplexReport:
     Betti numbers of R/I in fewer variables.
     """
     ring = res.ring
-    # composition check
+    # d_{i-1} o d_i = 0, column by column, as sparse products
     for i in range(2, res.length + 1):
-        d_hi = res.differential(i)
         d_lo = res.differential(i - 1)
-        for c, rows in d_hi.items():
-            acc: Dict[int, Polynomial] = {}
-            for mid, p in rows.items():
-                for r, q in d_lo.get(mid, {}).items():
-                    cur = acc.get(r, ring.zero())
-                    acc[r] = cur + q * p
-            for r, p in acc.items():
-                if not p.is_zero():
-                    return ComplexReport(
-                        False, f"d_{i-1} o d_{i} != 0 at column {c}", ("dd", i, -1)
-                    )
-    # homogeneity of entries
+        for c, col in enumerate(res.differential(i)):
+            acc: Dict[Tuple[int, Exponent], object] = {}
+            for (mid, m), a in col.items():
+                for (r, mm), b in d_lo[mid].items():
+                    key = (r, monomial_mul(m, mm))
+                    acc[key] = acc.get(key, 0) + a * b
+            if any(acc.values()):
+                return ComplexReport(
+                    False, f"d_{i-1} o d_{i} != 0 at column {c}", ("dd", i, -1)
+                )
+    # homogeneity: every term of column c of d_i has degree shift c
     for i in range(1, res.length + 1):
-        d = res.differential(i)
-        hi, lo = res.modules[i], res.modules[i - 1]
-        for c, rows in d.items():
-            for r, p in rows.items():
-                if p.is_zero():
-                    continue
-                if not p.is_homogeneous() or p.weighted_degree() != hi.shifts[c] - lo.shifts[r]:
+        hi, lo = res.modules[i].shifts, res.modules[i - 1].shifts
+        for c, col in enumerate(res.differential(i)):
+            for r, m in col:
+                if ring.weighted_degree(m) + lo[r] != hi[c]:
                     return ComplexReport(
                         False,
                         f"entry ({r},{c}) of d_{i} is not homogeneous of the right degree",

@@ -20,11 +20,11 @@ from sl2betti.invariants import (
     cs_total_dims,
     invariant_basis,
     minimal_invariant_generators,
-    verify_completeness,
     weight_multiplicity,
 )
 from sl2betti.linalg import Echelon, primitive
 from sl2betti.poly import GradedRing, Polynomial, WEIGHTED, graded_monomials
+from sl2betti.presentation import algebra_map_from_generators, kernel_by_degrees
 
 
 def monomials_of_weight(cr, md, weight):
@@ -401,13 +401,10 @@ class TestGeneratorSearch:
 
 
 class TestCompleteness:
-    def test_quadratic_agrees_to_eight(self):
-        gs = minimal_invariant_generators(ProblemSpec((2,), 2))
-        rep = verify_completeness(gs, ProblemSpec((2,), 2), 8)
-        assert rep.agree and rep.checked_to == 8
-
     def test_missing_generator_detected(self):
-        # the bracket algebra of three linear forms needs all three brackets
+        # the bracket algebra of three linear forms needs all three brackets;
+        # without one, the kernel's dimension certificate fails in the
+        # dropped generator's degree
         spec = ProblemSpec((1, 1, 1), 2)
         gs = minimal_invariant_generators(spec)
         assert len(gs) == 3
@@ -415,12 +412,8 @@ class TestCompleteness:
             gs.cring, spec, gs.generators[:2], gs.degrees[:2],
             gs.multidegrees[:2],
         )
-        rep = verify_completeness(crippled, spec, 6)
-        assert not rep.agree
-        assert rep.first_discrepancy[0] == 2  # the dropped generator's degree
-
-    def test_worked_case_to_eight(self):
-        spec = ProblemSpec((1, 1, 1, 2), 3)
-        gs = minimal_invariant_generators(spec)
-        rep = verify_completeness(gs, spec, 8)
-        assert rep.agree
+        amap = algebra_map_from_generators(crippled)
+        with pytest.raises(
+            ValueError, match="at degree 2; the generator set upstream is incomplete"
+        ):
+            kernel_by_degrees(amap, spec, 6)

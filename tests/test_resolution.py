@@ -21,7 +21,7 @@ from sl2betti.groebner import (
     monomials_of_degree,
 )
 from sl2betti.invariants import ProblemSpec, minimal_invariant_generators
-from sl2betti.linalg import Echelon
+from sl2betti.linalg import Echelon, primitive
 from sl2betti.poly import LEX, WEIGHTED, GradedRing, Polynomial, monomial_mul
 from sl2betti.presentation import present
 from sl2betti.resolution import (
@@ -44,6 +44,23 @@ from conftest import WORKED_BETTI, tuple_weighted_key
 def minimal_ideal(ring, gens):
     mg = minimal_generators(Ideal(ring, gens))
     return Ideal(ring, [g for g, _ in mg])
+
+
+def column(entries):
+    """The column {(row, exponent): coefficient} of polynomial entries {row: p}."""
+    return {
+        (r, m): int(c) if c.denominator == 1 else c
+        for r, p in entries.items()
+        for m, c in p.terms.items()
+    }
+
+
+def entries(ring, col):
+    """Column col as polynomial entries {row: p}."""
+    rows = {}
+    for (r, m), c in col.items():
+        rows.setdefault(r, {})[m] = Fraction(c)
+    return {r: Polynomial(ring, terms) for r, terms in rows.items()}
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +112,7 @@ class TestSyzygies:
         res = resolve(Ideal(R, [x, y]))
         assert res.modules[2].shifts == (2,)
         # the single second syzygy is (y, -x) up to sign
-        col = res.differential(2)[0]
+        col = entries(R, res.differential(2)[0])
         comps = [str(col[r]) for r in (0, 1)]
         assert comps in (["y", "-x"], ["-y", "x"])
 
@@ -149,10 +166,7 @@ class TestSchreyerKey:
         nested = lambda mm: ring_key(mm[1])
         variables = [tuple(int(k == v) for k in range(R.nvars)) for v in range(R.nvars)]
         for i in range(1, res.length + 1):
-            columns = [
-                {(r, m): c for r, p in col.items() for m, c in p.terms.items()}
-                for _, col in sorted(res.differential(i).items())
-            ]
+            columns = res.differential(i)
             monos = {mm for col in columns for mm in col}
             monos |= {(pos, monomial_mul(m, v)) for pos, m in monos for v in variables}
             monos = sorted(monos)
@@ -197,9 +211,20 @@ class TestResolve:
         ]
 
     def test_non_minimal_input_flagged(self, paper_ring, paper_J):
+        # the redundant generators of J are dropped from F_1
         res = resolve(Ideal(paper_ring, paper_J))
-        assert "input generators were not minimal" in res.flags
+        assert res.modules[1].rank < len(paper_J)
         assert betti(minimize(res)).entries == WORKED_BETTI
+
+    def test_columns_are_primitive_integer_vectors(self, paper_ring, paper_J):
+        # resolve stores the engine's vectors as they are: integer columns
+        # with content 1, in both modes
+        I = minimal_ideal(paper_ring, paper_J)
+        for res in (resolve(I), resolve(I, minimalize_levels=False)):
+            for d in res.differentials:
+                for col in d:
+                    assert col and all(type(a) is int for a in col.values())
+                    assert primitive(col)[0] == col
 
     def test_length_bound(self):
         rng = random.Random(31)
@@ -234,9 +259,9 @@ def _random_form(R, rng, degree):
             return p
 
 
-def _entangled_pair(res, level, seed):
-    """res with a trivial pair R(-s) --1--> R(-s) added from F_{level+1} to
-    F_level, then conjugated by elementary graded automorphisms of both
+def _entangled_pair(res, level, seed, unit=1):
+    """res with a trivial pair R(-s) --unit--> R(-s) added from F_{level+1}
+    to F_level, then conjugated by elementary graded automorphisms of both
     modules that mix the pair's generators into the others and back.
 
     Conjugation keeps a complex a complex with the same homology, so the
@@ -247,9 +272,9 @@ def _entangled_pair(res, level, seed):
     R = res.ring
     rng = random.Random(seed)
     shifts = [list(m.shifts) for m in res.modules]
-    diffs = [{c: dict(rows) for c, rows in d.items()} for d in res.differentials]
+    diffs = [{c: entries(R, col) for c, col in enumerate(d)} for d in res.differentials]
     s = rng.choice(sorted(set(shifts[level] + shifts[level + 1])))
-    diffs[level][len(shifts[level + 1])] = {len(shifts[level]): R.one()}
+    diffs[level][len(shifts[level + 1])] = {len(shifts[level]): R.constant(unit)}
     shifts[level].append(s)
     shifts[level + 1].append(s)
 
@@ -275,7 +300,11 @@ def _entangled_pair(res, level, seed):
             for a, b in ((new, rng.randrange(new)), (rng.randrange(new), new)):
                 if shifts[j][b] >= shifts[j][a]:
                     elementary(j, a, b, _random_form(R, rng, shifts[j][b] - shifts[j][a]))
-    return Resolution(R, [FreeModule(tuple(sh)) for sh in shifts], diffs)
+    columns = [
+        [column(d.get(c, {})) for c in range(len(shifts[i + 1]))]
+        for i, d in enumerate(diffs)
+    ]
+    return Resolution(R, [FreeModule(tuple(sh)) for sh in shifts], columns)
 
 
 class TestMinimize:
@@ -296,6 +325,27 @@ class TestMinimize:
                     assert mn.is_minimal()
                     assert betti(mn).entries == want
                     assert verify_complex(mn, 7).ok
+
+    def test_unit_two_cancels_over_the_rationals(self):
+        # the junk pair's unit is 2: the Schur complement divides by it and
+        # leaves Fraction coefficients, and the complex still minimizes to
+        # the table of the resolution
+        R = GradedRing(("x", "y", "z"), (1, 1, 1))
+        x, y, z = (R.variable(i) for i in range(3))
+        res = resolve(Ideal(R, [x * y - z * z, y * y, x * z]))
+        want = betti(res).entries
+        rational = 0
+        for level in (1, 2):
+            for seed in range(4):
+                junk = _entangled_pair(res, level, seed, unit=2)
+                assert verify_complex(junk, 7).ok
+                mn = minimize(junk)
+                assert betti(mn).entries == want
+                assert verify_complex(mn, 7).ok
+                rational += any(
+                    type(a) is Fraction for d in mn.differentials for col in d for a in col.values()
+                )
+        assert rational
 
     def test_fixpoint_on_minimal(self, worked_resolution):
         again = minimize(worked_resolution)
@@ -319,8 +369,8 @@ class TestMinimize:
             FreeModule((2, 3)),
             FreeModule((3,)),
         ]
-        d1 = {0: {0: x * x}, 1: {0: x * x * x}}
-        d2 = {0: {1: R.one()}}
+        d1 = [column({0: x * x}), column({0: x * x * x})]
+        d2 = [column({1: R.one()})]
         res = Resolution(R, modules, [d1, d2])
         mn = minimize(res)
         assert mn.length == 1
@@ -362,7 +412,7 @@ class TestBetti:
         R = GradedRing(("x",), (1,))
         x = R.variable(0)
         modules = [FreeModule((0,)), FreeModule((0,))]
-        res = Resolution(R, modules, [{0: {0: R.one()}}])
+        res = Resolution(R, modules, [[column({0: R.one()})]])
         with pytest.raises(ValueError):
             betti(res)
 
@@ -453,9 +503,10 @@ class TestKoszulComplex:
         K = _koszul_complex(self.R)
         assert [m.shifts for m in K.modules] == [(0,), (1, 2, 3), (3, 4, 5), (6,)]
         assert K.is_minimal() and betti(K).entries == dict(self.SUBSETS)
-        x, y, z = (self.R.variable(t) for t in range(3))
-        # d(e_xyz) = z e_xy - y e_xz + x e_yz
-        assert K.differential(3) == {0: {0: z, 1: -y, 2: x}}
+        # d(e_xyz) = z e_xy - y e_xz + x e_yz, as a signed unit column
+        d3 = K.differential(3)
+        assert d3 == [{(0, (0, 0, 1)): 1, (1, (0, 1, 0)): -1, (2, (1, 0, 0)): 1}]
+        assert all(type(a) is int for a in d3[0].values())
 
     def test_exact(self):
         rep = verify_complex(_koszul_complex(self.R), 8)
@@ -647,7 +698,7 @@ class TestResolutionDump:
         assert "differential 1" in lines
         # triples are row col polynomial; count entries of d_1
         d1 = worked_resolution.differential(1)
-        n_entries = sum(len(rows) for rows in d1.values())
+        n_entries = sum(len({r for r, _ in col}) for col in d1)
         start = lines.index("differential 1") + 1
         got = 0
         while start + got < len(lines) and lines[start + got].startswith("  "):
@@ -660,13 +711,12 @@ class TestVerifyComplex:
         assert verify_complex(worked_resolution, 20).ok
 
     def test_corrupted_sign_detected(self, worked_resolution):
-        bad_diffs = [
-            {c: dict(rows) for c, rows in d.items()}
-            for d in worked_resolution.differentials
-        ]
-        c0 = sorted(bad_diffs[1])[0]
-        r0 = sorted(bad_diffs[1][c0])[0]
-        bad_diffs[1][c0][r0] = -bad_diffs[1][c0][r0]
+        R = worked_resolution.ring
+        bad_diffs = [list(d) for d in worked_resolution.differentials]
+        col = entries(R, bad_diffs[1][0])
+        r0 = min(col)
+        col[r0] = -col[r0]
+        bad_diffs[1][0] = column(col)
         bad = Resolution(
             worked_resolution.ring, list(worked_resolution.modules), bad_diffs
         )
@@ -714,6 +764,6 @@ class TestVerifyComplex:
         R = GradedRing(("x", "y"), (1, 1))
         x = R.variable(0)
         modules = [FreeModule((0,)), FreeModule((3,))]
-        res = Resolution(R, modules, [{0: {0: x}}])  # entry degree 1 != 3
+        res = Resolution(R, modules, [[column({0: x})]])  # entry degree 1 != 3
         rep = verify_complex(res, 4)
         assert not rep.ok and rep.failure[0] == "degree"
