@@ -158,8 +158,8 @@ def verify_case(
     out = CaseResult(rec.label)
     say = out.checks.append
 
-    spec = ProblemSpec(rec.degrees, rec.bound)
-    genset = minimal_invariant_generators(spec)
+    genset, ideal, info = _pipeline(rec.degrees, rec.bound)
+    spec = genset.spec
     got_w = tuple(sorted(genset.degrees))
     say(
         CheckResult(
@@ -168,7 +168,6 @@ def verify_case(
             f"degree multiset {got_w}",
         )
     )
-    _, ideal, info = present(spec, genset=genset, horizon=rec.horizon)
     rel = sorted(info.relation_degrees)
     say(
         CheckResult(
@@ -350,7 +349,7 @@ def _kernel_of_file(path: str, weights_arg: Optional[str]) -> Tuple[Ideal, List[
             )
     source = GradedRing(tuple(f"f{i+1}" for i in range(len(images))), weights)
     ker = kernel(AlgebraMap(source, list(images)))
-    mins = minimal_generators(ker) if ker.generators else []
+    mins = minimal_generators(ker)
     return Ideal(source, [g for g, _ in mins]), [d for _, d in mins]
 
 
@@ -450,7 +449,7 @@ def _cmd_betti(args) -> int:
     for g in gens:
         if not g.is_homogeneous():
             raise UsageError(f"inhomogeneous generator: {format_polynomial(g)}")
-    mins = minimal_generators(Ideal(ring, gens)) if gens else []
+    mins = minimal_generators(Ideal(ring, gens))
     header = (f"# minimal generators: {len(mins)} of {len(gens)} given; degrees "
               f"{' '.join(str(d) for _, d in mins) or '(none)'}")
     return _print_resolution(args, Ideal(ring, [g for g, _ in mins]), ring.weights, None, header)

@@ -25,7 +25,7 @@ from math import gcd, lcm
 from operator import add, mul, sub
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .linalg import Echelon, primitive
+from .linalg import primitive
 from .poly import (
     FIELD_BITS,
     MAX_EXPONENT,
@@ -203,14 +203,6 @@ def _add_offset(acc: KVec, vec: KVec, offset: int, scale: int, guard: int) -> No
 # ---------------------------------------------------------------------------
 # the engine
 # ---------------------------------------------------------------------------
-
-@dataclass
-class EngineResult:
-    basis: List[KVec]
-    redundant_inputs: Set[int]
-    syzygies: List[MVec]        # traces: module elements over the input indices
-    input_traces: List[Tuple[int, MVec]]
-
 
 class Reducer:
     """Full division of integer module elements by a growing list of divisors.
@@ -536,12 +528,13 @@ class BuchbergerEngine(Reducer):
 
     # -- main loop ----------------------------------------------------------------
 
-    def run(self, upto: Optional[int] = None) -> EngineResult:
+    def run(self, upto: Optional[int] = None) -> "BuchbergerEngine":
         """Treat the queued tasks, with upto only those of degree <= upto;
-        the basis is then complete through degree upto.
+        the basis is then complete through degree upto.  Returns the engine:
+        callers read `basis`, `redundant`, `syzygies` and `input_traces`.
 
         Product-criterion syzygies are emitted once the queue is empty, each
-        once, so a truncated run's result holds only the syzygies so far.
+        once, so a truncated run holds only the syzygies so far.
         """
         tasks = self._tasks
         while tasks and (upto is None or tasks[0][0] <= upto):
@@ -557,12 +550,7 @@ class BuchbergerEngine(Reducer):
             for (i, j) in self._koszul_pairs:
                 self._emit_koszul(i, j)
             self._koszul_pairs = []
-        return EngineResult(
-            basis=self.basis,
-            redundant_inputs=self.redundant,
-            syzygies=self.syzygies,
-            input_traces=self.input_traces,
-        )
+        return self
 
     def _process_input(self, idx: int) -> None:
         vec = self.keyed_inputs[idx]
@@ -739,13 +727,16 @@ def buchberger(gens: Ideal, order: MonomialOrder = WEIGHTED) -> GroebnerBasis:
 
 
 def ideals_equal(a: Ideal, b: Ideal, order: MonomialOrder = WEIGHTED) -> bool:
-    """Mutual reduction to zero of generators against the other's basis; both
-    ideals must be homogeneous (see `buchberger`)."""
-    gb_a = buchberger(a, order)
-    gb_b = buchberger(b, order)
-    return all(gb_a.contains(g) for g in b.generators) and all(
-        gb_b.contains(g) for g in a.generators
-    )
+    """Equality of the two reduced bases, each as {lead: terms}; a reduced
+    basis scaled as `buchberger` scales it is unique, so this is exact.
+    Both ideals must be homogeneous and in one ring."""
+    if a.ring != b.ring:
+        raise RingMismatchError("ideals from different rings")
+
+    def reduced(I: Ideal) -> Dict[Exponent, Dict[Exponent, Fraction]]:
+        return {g.leading_monomial(order): g.terms for g in buchberger(I, order).elements}
+
+    return reduced(a) == reduced(b)
 
 
 # ---------------------------------------------------------------------------
@@ -758,50 +749,26 @@ def monomials_of_degree(ring: GradedRing, degree: int) -> List[Exponent]:
 
 
 def minimal_generators(I: Ideal) -> List[Tuple[Polynomial, int]]:
-    """Minimal homogeneous generating set with degrees, ascending.
+    """Minimal homogeneous generating set with degrees: the generators the
+    engine does not find redundant, normalized, by (degree, position).
 
-    Per weighted degree, the span of monomial multiples of lower-degree
-    output elements is computed inside the degree piece and a complement
-    basis of the ideal's piece is appended; the degree multiset of the
-    output is independent of all choices.
+    One `BuchbergerEngine` runs on the nonzero generators up to their top
+    degree.  Each input is treated at its degree after every S-pair of that
+    degree, so it reduces to zero exactly when the inputs treated before it
+    generate it.  By graded Nakayama the kept inputs are then a minimal
+    generating set; `resolve` applies the same rule at every level.
     """
-    ring = I.ring
     gens = I.nonzero_generators()
     if not gens:
         return []
     if not I.is_homogeneous():
         raise ValueError("minimal_generators requires a homogeneous ideal")
-    gb = buchberger(I)
-    degrees = sorted({g.weighted_degree() for g in gens})
-    max_deg = degrees[-1]
-    min_deg = degrees[0]
-    keyfn = WEIGHTED.key_function(ring)
-    chosen: List[Tuple[Polynomial, int]] = []
-    for e in range(min_deg, max_deg + 1):
-        monos = monomials_of_degree(ring, e)
-        if not monos:
-            continue
-        monos.sort(key=keyfn, reverse=True)
-        index = {m: i for i, m in enumerate(monos)}
-        ech = Echelon()
-        for g, d in chosen:
-            ints, _ = primitive(g.terms)
-            for mult in monomials_of_degree(ring, e - d):
-                ech.add({index[monomial_mul(m, mult)]: c for m, c in ints.items()})
-        new_rows: List[Dict[int, int]] = []
-        for g in gb.elements:
-            d = g.weighted_degree()
-            if d > e:
-                continue
-            ints, _ = primitive(g.terms)
-            for mult in monomials_of_degree(ring, e - d):
-                rem = ech.add({index[monomial_mul(m, mult)]: c for m, c in ints.items()})
-                if rem is not None:
-                    new_rows.append(rem)
-        for row in new_rows:
-            terms = {monos[i]: Fraction(c) for i, c in row.items()}
-            chosen.append((Polynomial._raw(ring, terms).normalize(WEIGHTED), e))
-    return chosen
+    ring = I.ring
+    degrees = [g.weighted_degree() for g in gens]
+    engine = BuchbergerEngine(ring, [_poly_to_mvec(g) for g in gens], [0], base_keyfn(ring))
+    engine.run(upto=max(degrees))
+    kept = sorted((d, i) for i, d in enumerate(degrees) if i not in engine.redundant)
+    return [(gens[i].normalize(WEIGHTED), d) for d, i in kept]
 
 
 # ---------------------------------------------------------------------------

@@ -151,13 +151,13 @@ def resolve(I: Ideal, *, minimalize_levels: bool = True) -> Resolution:
             keyfn,
             want_syzygies=True,
         )
-        res = engine.run()
+        engine.run()
         if minimalize_levels:
-            kept = [i for i in range(len(inputs)) if i not in res.redundant_inputs]
-            traces = list(res.syzygies)
+            kept = [i for i in range(len(inputs)) if i not in engine.redundant]
+            traces = engine.syzygies
         else:
             kept = list(range(len(inputs)))
-            traces = list(res.syzygies) + [t for _, t in res.input_traces]
+            traces = engine.syzygies + [t for _, t in engine.input_traces]
         pos_of_input = {idx: pos for pos, idx in enumerate(kept)}
         module = FreeModule(tuple(input_degrees[i] for i in kept))
         modules.append(module)
@@ -173,8 +173,6 @@ def resolve(I: Ideal, *, minimalize_levels: bool = True) -> Resolution:
             except KeyError:
                 # the engine never emits a syzygy that touches a redundant input
                 raise AssertionError("syzygy references a dropped generator") from None
-            if not vec:
-                continue
             deg = _mvec_degree(ring, module, vec)
             tagged.append((deg, vec))
         tagged.sort(key=lambda dv: dv[0])

@@ -64,6 +64,15 @@ class TestBettiCommand:
         assert code == 0
         assert capsys.readouterr().out == (data / "betti_J.txt").read_text()
 
+    def test_dump_matches_recorded_output(self, j_file, tmp_path, capsys):
+        # nine of the ten relations are kept; the dump resolves them over
+        # the full ring
+        data = Path(__file__).parent / "data"
+        dump = tmp_path / "dump.txt"
+        assert run(["betti", "--gens", j_file, "--dump", str(dump)]) == 0
+        assert capsys.readouterr().out == (data / "betti_J.txt").read_text()
+        assert dump.read_bytes() == (data / "betti_J.dump").read_bytes()
+
     def test_deterministic_output(self, j_file, capsys):
         run(["betti", "--gens", j_file])
         first = capsys.readouterr().out
@@ -356,6 +365,15 @@ class TestKernelCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "minimal kernel generators: 1" in out
+
+    def test_gens_file_matches_recorded_output(self, tmp_path, capsys):
+        # the invariants of 1,1,1,2 read back: nine minimal relations
+        path = tmp_path / "gens.txt"
+        assert run(["invariants", "1,1,1,2"]) == 0
+        path.write_text(capsys.readouterr().out)
+        assert run(["kernel", "--gens", str(path)]) == 0
+        data = Path(__file__).parent / "data"
+        assert capsys.readouterr().out == (data / "kernel_gens_1112.txt").read_text()
 
     def test_missing_args(self, capsys):
         assert run(["kernel"]) == 2

@@ -62,7 +62,7 @@ class _Recorder:
                 if not self._tasks:
                     rec.runs.append({
                         "basis": [_mvec(self.keyfn.decode_vec(v)) for v in self.basis],
-                        "redundant_inputs": sorted(out.redundant_inputs),
+                        "redundant_inputs": sorted(out.redundant),
                         "syzygies": [_mvec(s) for s in out.syzygies],
                         "input_traces": [[i, _mvec(t)] for i, t in out.input_traces],
                     })

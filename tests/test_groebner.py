@@ -25,11 +25,13 @@ from sl2betti.groebner import (
     standard_monomials,
 )
 from sl2betti.linalg import Echelon, primitive
+from sl2betti.resolution import koszul_betti
 from sl2betti.poly import (
     LEX,
     MAX_EXPONENT,
     GradedRing,
     Polynomial,
+    RingMismatchError,
     WEIGHTED,
     elimination_order,
     monomial_mul,
@@ -494,6 +496,12 @@ class TestIdealsEqual:
         assert ideals_equal(Ideal(R, [x, y]), Ideal(R, [x + y, y]))
         assert not ideals_equal(Ideal(R, [x]), Ideal(R, [y]))
 
+    def test_different_rings_rejected(self):
+        R = GradedRing(("x", "y"), (1, 1))
+        S = GradedRing(("x", "y"), (1, 2))
+        with pytest.raises(RingMismatchError):
+            ideals_equal(Ideal(R, [R.variable(0)]), Ideal(S, [S.variable(0)]))
+
 
 class TestMinimalGenerators:
     def test_redundancy_removal(self):
@@ -524,6 +532,36 @@ class TestMinimalGenerators:
         x, y = R.variable(0), R.variable(1)
         with pytest.raises(ValueError):
             minimal_generators(Ideal(R, [x + x * y]))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_planted_redundancy(self, seed):
+        # random generators plus a combination of them one degree up and a
+        # rescaled duplicate, given in shuffled degree order; beta_1 from the
+        # Koszul oracle is the independent count
+        rng = random.Random(seed)
+        R = GradedRing(("x", "y", "z"), (1, 1, 2))
+        base = [_random_homogeneous(R, rng, rng.randint(2, 3)) for _ in range(3)]
+        base = [g for g in base if not g.is_zero()]
+        top = max(g.weighted_degree() for g in base) + 1
+        combo = R.zero()
+        for g in base:
+            combo = combo + _random_homogeneous(R, rng, top - g.weighted_degree()) * g
+        gens = base + [Fraction(-3, 2) * rng.choice(base)]
+        if not combo.is_zero():
+            gens.append(combo)
+        rng.shuffle(gens)
+        I = Ideal(R, gens)
+
+        mg = minimal_generators(I)
+        normalized = [str(g.normalize()) for g in gens]
+        assert all(str(g) == str(g.normalize()) and str(g) in normalized for g, _ in mg)
+        assert len(mg) < len(gens)
+        degrees = [d for _, d in mg]
+        assert degrees == sorted(degrees)
+        assert [d for g, d in mg] == [g.weighted_degree() for g, _ in mg]
+        beta1 = koszul_betti(buchberger(I), top).entries
+        assert degrees == sorted(j for (i, j), b in beta1.items() if i == 1 for _ in range(b))
+        assert ideals_equal(Ideal(R, [g for g, _ in mg]), I)
 
 
 class TestHilbertSeries:

@@ -11,12 +11,14 @@ Two trees written by two versions of the program are byte-identical iff
 - `resolve <d>` on the non-stretch cases plus 6V1 and 2V1+2V2;
 - `resolve 1,1,1,2 --dump` and `resolve 2,2,2,2 --dump`, the dump files;
 - `verify all` and `verify 2V1+2V2`, each with the `seconds` fields removed;
-- the `--gens` paths: the table outputs of `invariants 1,1,2` and
-  `kernel 1,1,2,2` are written as generator files, then read back by
-  `resolve --gens` and `betti --gens` respectively.
+- the `--gens` paths: the table outputs of `invariants 1,1,2`,
+  `invariants 1,1,1,2` and `kernel 1,1,2,2` are written as generator
+  files, then read back by `resolve --gens`, `kernel --gens` and
+  `betti --gens` respectively; the `betti --gens` read-back runs once more
+  with `--dump`, and its dump file is kept.
 
-Each file holds the exit code on its first line, then stdout; the two
-generator files hold stdout alone.
+Each file holds the exit code on its first line, then stdout; the
+generator files and the dump files hold their contents alone.
 """
 
 from __future__ import annotations
@@ -35,7 +37,11 @@ RESOLVE_STRETCH = ("6V1", "2V1+2V2")
 DUMPS = ("1,1,1,2", "2,2,2,2")
 VERIFY = ("all", "2V1+2V2")
 # (command writing a generator file, degrees, command reading it back)
-GENS = (("invariants", "1,1,2", "resolve"), ("kernel", "1,1,2,2", "betti"))
+GENS = (
+    ("invariants", "1,1,2", "resolve"),
+    ("invariants", "1,1,1,2", "kernel"),
+    ("kernel", "1,1,2,2", "betti"),
+)
 
 
 def _capture(argv: List[str]) -> str:
@@ -85,6 +91,9 @@ def record(outdir: Path) -> None:
         gens.write_text(body)
         write(f"{reader}_gens_{d.replace(',', '')}.json",
               [reader, "--gens", str(gens), "--format", "json"])
+        if reader == "betti":
+            dump = outdir / f"dump_betti_gens_{d.replace(',', '')}.txt"
+            write(f"{dump.stem}.stdout", [reader, "--gens", str(gens), "--dump", str(dump)])
 
 
 if __name__ == "__main__":
