@@ -126,8 +126,8 @@ CASES: List[CaseRecord] = [
             }
         ),
         stretch=True,
-        note="runs in about 15 s; the slice products of the "
-        "degree-certified kernel are its largest part",
+        note="runs in about 6 s; the Groebner basis of the "
+        "degree-certified kernel is its largest part",
     ),
     CaseRecord(
         label="5V1",

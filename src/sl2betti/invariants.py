@@ -334,18 +334,19 @@ class _ImageCache:
     appends a polynomial; products cached before keep their keys, because
     alpha is read without its trailing zeros.
 
-    With `on_slice`, every normalized f_i is first restricted to the slice
-    a0 = 1, a1 = 0 (see `_on_slice`), so the cache holds the restrictions of
-    the products.  Only invariants may be restricted.
+    With a nonempty `zeros`, every normalized f_i is first restricted to the
+    slice a0 = 1 and a_v = 0 for the ring variables v in `zeros` (see
+    `_on_slice`), so the cache holds the restrictions of the products.  Only
+    invariants may be restricted.
     """
 
     PACK_BITS = MAX_EXPONENT.bit_length()
 
     def __init__(
-        self, ring: GradedRing, images: Sequence[Polynomial] = (), on_slice: bool = False
+        self, ring: GradedRing, images: Sequence[Polynomial] = (), zeros: Sequence[int] = ()
     ):
         self.nvars = ring.nvars
-        self.on_slice = on_slice
+        self.zeros = tuple(zeros)
         self.images: List[Dict[int, int]] = []
         self.image_factors: List[Fraction] = []
         # per image, the largest exponent of any variable in any term
@@ -356,8 +357,8 @@ class _ImageCache:
 
     def add(self, f: Polynomial) -> None:
         ints, (den, g) = primitive(f.terms, f.leading_monomial())
-        if self.on_slice:
-            ints = _on_slice(ints)
+        if self.zeros:
+            ints = _on_slice(ints, self.zeros)
         top = max((max(m, default=0) for m in ints), default=0)
         self._guard(top)
         self.max_exps.append(top)
@@ -429,14 +430,41 @@ class _ImageCache:
         return out
 
 
-def _on_slice(terms: Dict[Exponent, int]) -> Dict[Exponent, int]:
-    """Restriction to a0 = 1, a1 = 0, ring variables 0 and 1: terms with
-    a1 > 0 are dropped and the exponent of a0 is set to 0.  This is a ring
-    homomorphism, so it commutes with the products of the cache, and it
-    never raises an exponent, so the exponent guard stays sound."""
+def _on_slice(terms: Dict[Exponent, int], zeros: Sequence[int]) -> Dict[Exponent, int]:
+    """Restriction to the slice a0 = 1 (ring variable 0) and a_v = 0 for v in
+    `zeros`: terms with a positive exponent of some a_v are dropped and the
+    exponent of a0 is set to 0.  This is a ring homomorphism, so it commutes
+    with the products of the cache, and it never raises an exponent, so the
+    exponent guard stays sound.
+
+    `kernel_by_degrees` restricts the invariants f_i to the slice of the
+    first form, of degree d: zeros (a1, a_{d-1}) when d >= 3, and (a1,) when
+    d <= 2, where a_{d-1} is a0 or a1.  A combination G of products of the
+    f_i is itself an invariant, and two independent arguments show that G
+    vanishes exactly when its restriction to the slice S does.
+
+    - Geometry.  S has codimension 3 (2 when d <= 2) and SL2 has dimension
+      3.  At a point p of S, the (a0, a1, a_{d-1}) components of h.p, e.p
+      and f.p, for the weight, raising and lowering operators, form the
+      matrix [[d, 0, 0], [0, 1, (d-1) a_{d-2}], [0, (d-1) a2, a_d]], of
+      determinant d (a_d - (d-1)^2 a2 a_{d-2}), which is not identically 0
+      on S.  So the action map SL2 x S -> V_d (times the other forms, which
+      it moves along) is dominant, the orbits through S are dense, and an
+      invariant that vanishes on S vanishes everywhere.  For d <= 2 the
+      unipotent x -> x + s*y clears a1 and the torus scales a0 to 1 on the
+      dense set a0 != 0 (the Tschirnhaus reduction; Olver, Classical
+      Invariant Theory, 1999, on canonical forms).
+    - Counting, which needs no geometry.  Restriction can only enlarge the
+      kernel of the degree-e matrix of products, and the unrestricted
+      matrix has rank at most the invariant dimension cs[e], so nullity at
+      least hf[e] - cs[e].  A restricted nullity of exactly hf[e] - cs[e],
+      which `kernel_by_degrees` asserts, therefore proves that the two
+      kernels are equal.  Any slice is certified whenever it succeeds; a
+      slice that is too small raises instead.
+    """
     out: Dict[Exponent, int] = {}
     for m, c in terms.items():
-        if not m[1]:
+        if not any(m[v] for v in zeros):
             key = (0,) + m[1:]
             out[key] = out.get(key, 0) + c
     return {m: c for m, c in out.items() if c}

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from sl2betti import groebner, presentation, resolution
+from sl2betti import groebner, invariants, presentation, resolution
 from sl2betti.cases import BY_LABEL
 from sl2betti.cli import run, verify_case
 from sl2betti.invariants import ProblemSpec
@@ -302,11 +302,16 @@ class TestResolveCommand:
         assert code == 0
         assert capsys.readouterr().out == (data / f"kernel_{name}.json").read_text()
 
-    @pytest.mark.parametrize("degrees, name", [("5", "5"), ("4,4", "44")])
+    @pytest.mark.parametrize(
+        "degrees, name", [("5", "5"), ("6", "6"), ("4,4", "44"), ("3,3", "33")]
+    )
     def test_sliced_kernel_matches_recorded_outputs(self, degrees, name, capsys):
-        # the degree-certified kernel runs on the slice a0 = 1, a1 = 0 of the
-        # first form; V5 has the degree-36 relation, and for V4+V4 the slice
-        # fixes only the first of the two forms
+        # the degree-certified kernel runs on the slice a0 = 1, a1 = 0,
+        # a_{d-1} = 0 of the first form, of degree d >= 3; V5 has the
+        # degree-36 relation and V6 the degree-30 one, V3+V3 is the smallest
+        # d = 3 case (a_{d-1} = a2), and for V4+V4 and V3+V3 the slice fixes
+        # only the first of the two forms; recorded with the slice
+        # a0 = 1, a1 = 0 and a substitution check on every relation
         data = Path(__file__).parent / "data"
         code = run(["kernel", degrees, "--format", "json"])
         assert code == 0
@@ -335,20 +340,17 @@ class TestResolveCommand:
         assert capsys.readouterr().out == (data / f"invariants_{name}.json").read_text()
 
     def test_failed_certificate_exits_one_and_names_it(self, monkeypatch, capsys):
-        # an invariant count one short at degree 4 makes the degree-4 kernel
-        # search return a vector that the substitution check rejects
-        true_dims = presentation.cs_total_dims
-
-        def short(spec, upto):
-            dims = true_dims(spec, upto)
-            dims[4] -= 1
-            return dims
-
-        monkeypatch.setattr(presentation, "cs_total_dims", short)
+        # a slice that also sets a1 of the second linear form to 0 is too
+        # small: the degree-6 restricted matrix has more kernel vectors than
+        # the dimension count allows, and the nullity certificate says so
+        true_slice = invariants._on_slice
+        monkeypatch.setattr(
+            invariants, "_on_slice", lambda terms, zeros: true_slice(terms, (*zeros, 3))
+        )
         code = run(["kernel", "1,1,2"])
         captured = capsys.readouterr()
         assert code == 1
-        assert captured.err == "check failed: degree 4: kernel vector not in the kernel\n"
+        assert captured.err == "check failed: degree 6: found 4 kernel vectors, expected 1\n"
         assert "Traceback" not in captured.err
 
 

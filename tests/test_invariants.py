@@ -273,11 +273,11 @@ def _nonzero_poly(ring, data):
     return Polynomial(ring, terms)
 
 
-def _on_slice_oracle(p):
-    """p at a0 = 1, a1 = 0, in the same ring."""
+def _on_slice_oracle(p, zeros):
+    """p at a0 = 1 and a_v = 0 for v in zeros, in the same ring."""
     out = {}
     for m, c in p.terms.items():
-        if not m[1]:
+        if not any(m[v] for v in zeros):
             key = (0,) + m[1:]
             out[key] = out.get(key, 0) + c
     return Polynomial(p.ring, out)
@@ -287,23 +287,24 @@ class TestImageCache:
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_products_match_polynomial_arithmetic(self, data):
-        # factor(alpha) * image(alpha) is f^alpha (restricted on the slice),
-        # also for products cached before further images were added
+        # factor(alpha) * image(alpha) is f^alpha (restricted to the slice
+        # when the zero set is nonempty: a0 = 1 and a1, a2 or both 0), also
+        # for products cached before further images were added
         R = GradedRing(("a", "b", "c"), (1, 1, 1))
         polys = [_nonzero_poly(R, data) for _ in range(data.draw(st.integers(1, 3)))]
-        on_slice = data.draw(st.booleans())
+        zeros = tuple(sorted(data.draw(st.sets(st.integers(1, 2)))))
         first = data.draw(st.integers(0, len(polys)))
         alphas = data.draw(st.lists(
             st.tuples(*(st.integers(0, 3) for _ in polys)), min_size=1, max_size=4
         ))
-        cache = _ImageCache(R, polys[:first], on_slice=on_slice)
+        cache = _ImageCache(R, polys[:first], zeros=zeros)
 
         def check(alpha):
             want = R.one()
             for f, e in zip(polys, alpha):
                 want = want * f ** e
-            if on_slice:
-                want = _on_slice_oracle(want)
+            if zeros:
+                want = _on_slice_oracle(want, zeros)
             got = {cache.unpack(m): c * cache.factor(alpha) for m, c in cache.image(alpha).items()}
             assert Polynomial(R, got) == want
 
@@ -314,6 +315,29 @@ class TestImageCache:
         for alpha in alphas:
             check(alpha)
             check(alpha[:first])
+
+
+class TestSlice:
+    @pytest.mark.parametrize("d", range(3, 11))
+    def test_orbits_through_the_slice_are_dense(self, d):
+        # at a point p with a0 = 1, a1 = a_{d-1} = 0, the (a0, a1, a_{d-1})
+        # block of (h.p, e.p, f.p) has rank 3, so SL2 moves the slice of
+        # `kernel_by_degrees` onto a dense set of V_d; an operator move
+        # (v, w, c) adds c * p[w] to the a_v-component of its vector
+        rng = random.Random(d)
+        cr = CoefficientRing((d,))
+        p = [1, 0] + [rng.randint(-9, 9) for _ in range(d - 1)]
+        p[d - 1] = 0
+        vectors = [{v: cr.sl2_weights[v] * p[v] for v in range(cr.nvars)}]
+        for kind in ("raising", "lowering"):
+            vec = dict.fromkeys(range(cr.nvars), 0)
+            for v, w, c in invariants._operator_moves(cr, kind):
+                vec[v] += c * p[w]
+            vectors.append(vec)
+        ech = Echelon()
+        for vec in vectors:
+            ech.add({j: vec[v] for j, v in enumerate((0, 1, d - 1)) if vec[v]})
+        assert ech.rank == 3
 
 
 class TestGeneratorSearch:

@@ -11,7 +11,8 @@ from sl2betti.invariants import (
     cs_total_dims,
     minimal_invariant_generators,
 )
-from sl2betti import presentation
+from sl2betti import invariants, presentation
+from sl2betti.cases import BY_LABEL
 from sl2betti.poly import GradedRing
 from sl2betti.presentation import (
     AlgebraMap,
@@ -189,6 +190,20 @@ class TestKernelByDegrees:
         amap, _ = twisted_cubic_map()
         with pytest.raises(ValueError, match="coefficient ring"):
             kernel_by_degrees(amap, spec, 6)
+
+    def test_too_small_slice_raises(self, monkeypatch):
+        # a slice that also sets a2 of the quintic to 0 meets too few orbits:
+        # the degree-36 restricted matrix has six kernel vectors where the
+        # dimension count allows one, and the nullity certificate raises
+        # rather than return wrong relations
+        spec = ProblemSpec((5,), BY_LABEL["V5"].bound)
+        amap = algebra_map_from_generators(minimal_invariant_generators(spec))
+        true_slice = invariants._on_slice
+        monkeypatch.setattr(
+            invariants, "_on_slice", lambda terms, zeros: true_slice(terms, (*zeros, 2))
+        )
+        with pytest.raises(AssertionError, match="degree 36: found 6 kernel vectors, expected 1"):
+            kernel_by_degrees(amap, spec)
 
 
 class TestPresent:

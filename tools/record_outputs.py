@@ -7,8 +7,8 @@ Two trees written by two versions of the program are byte-identical iff
 `--format json`:
 
 - `invariants <d> --bound <b>` on every catalog case;
-- `kernel <d>` on every case but V8;
-- `resolve <d>` on the non-stretch cases plus 6V1 and 2V1+2V2;
+- `kernel <d>` on every case;
+- `resolve <d>` on the non-stretch cases plus 6V1, 2V1+2V2 and V8;
 - `resolve 1,1,1,2 --dump` and `resolve 2,2,2,2 --dump`, the dump files;
 - `verify all` and `verify 2V1+2V2`, each with the `seconds` fields removed;
 - the `--gens` paths: the table outputs of `invariants 1,1,2`,
@@ -33,7 +33,7 @@ from typing import List
 from sl2betti.cases import CASES
 from sl2betti.cli import run
 
-RESOLVE_STRETCH = ("6V1", "2V1+2V2")
+RESOLVE_STRETCH = ("6V1", "2V1+2V2", "V8")
 DUMPS = ("1,1,1,2", "2,2,2,2")
 VERIFY = ("all", "2V1+2V2")
 # (command writing a generator file, degrees, command reading it back)
@@ -66,8 +66,7 @@ def record(outdir: Path) -> None:
         d = ",".join(map(str, rec.degrees))
         write(f"invariants_{_name(rec.label)}.json",
               ["invariants", d, "--bound", str(rec.bound), "--format", "json"])
-        if rec.label != "V8":
-            write(f"kernel_{_name(rec.label)}.json", ["kernel", d, "--format", "json"])
+        write(f"kernel_{_name(rec.label)}.json", ["kernel", d, "--format", "json"])
         if not rec.stretch or rec.label in RESOLVE_STRETCH:
             write(f"resolve_{_name(rec.label)}.json", ["resolve", d, "--format", "json"])
     for d in DUMPS:
