@@ -460,7 +460,9 @@ def _on_slice(terms: Dict[Exponent, int], zeros: Sequence[int]) -> Dict[Exponent
       least hf[e] - cs[e].  A restricted nullity of exactly hf[e] - cs[e],
       which `kernel_by_degrees` asserts, therefore proves that the two
       kernels are equal.  Any slice is certified whenever it succeeds; a
-      slice that is too small raises instead.
+      slice that is too small raises instead.  The count cs[e] must be
+      right: one that is too small is caught by the substitution of each
+      relation, not by the nullity.
     """
     out: Dict[Exponent, int] = {}
     for m, c in terms.items():

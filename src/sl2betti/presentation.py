@@ -15,8 +15,9 @@ SL2-orbits through the slice and once from the dimension count that
 `kernel_by_degrees` asserts in every degree.  Products restricted to the
 slice have far fewer terms.  The argument needs invariant images, so
 `kernel_by_degrees` checks them first; `kernel` and `substitute` without a
-cache, which take arbitrary images, keep the full products, and `kernel`
-checks each of its outputs with `substitute`.
+cache, which take arbitrary images, keep the full products.  Both kernels
+check each relation they return with `substitute`: `kernel_by_degrees` on
+the slice products, which also catches an invariant count that is too small.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ def _check_invariant(amap: AlgebraMap, spec: ProblemSpec) -> None:
 
 
 def substitute(amap: AlgebraMap, p: Polynomial, cache: Optional[_ImageCache] = None) -> Polynomial:
-    """phi(p), exact, from the products of cache (a new one by default)."""
+    """phi(p), exact; with a cache built on a slice, its restriction there."""
     if p.ring != amap.source:
         raise ValueError("polynomial is not in the source ring of the map")
     cache = cache or _ImageCache(amap.target_ring, amap.images)
@@ -203,9 +204,12 @@ def kernel_by_degrees(
     arguments of `invariants._on_slice` apply: the degree-e matrices use the
     images restricted to a0 = 1, a1 = 0 and, when the first form has degree
     d >= 3, a_{d-1} = 0.  The nullity assertion below certifies that each
-    restricted matrix has the kernel of the full one, and `nullspace`
-    certifies each vector exactly against its rows, so the normalized
-    relations are the same polynomials as without the slice.
+    restricted matrix has the kernel of the full one, so the normalized
+    relations are the same polynomials as without the slice.  `nullspace`
+    stops once its rank reaches the count cs[e], so each relation is also
+    substituted into the restricted products: that check rejects a vector
+    outside the kernel, which an invariant count that is too small would
+    give.
 
     One `BuchbergerEngine` grows the basis of the kernel found so far: at
     degree e it runs to e, so its leading terms are complete through e and
@@ -265,6 +269,8 @@ def kernel_by_degrees(
                 for j, c in vec.items()
             }
             g = Polynomial._raw(src, terms).normalize(WEIGHTED)
+            if not substitute(amap, g, cache).is_zero():
+                raise AssertionError(f"degree {e}: kernel vector not in the kernel")
             gens.append(g)
             engine.add_input(_poly_to_mvec(g))
             relation_degrees.append(e)

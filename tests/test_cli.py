@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from sl2betti import groebner, invariants, presentation, resolution
+from sl2betti import groebner, presentation, resolution
 from sl2betti.cases import BY_LABEL
 from sl2betti.cli import run, verify_case
 from sl2betti.invariants import ProblemSpec
@@ -340,17 +340,20 @@ class TestResolveCommand:
         assert capsys.readouterr().out == (data / f"invariants_{name}.json").read_text()
 
     def test_failed_certificate_exits_one_and_names_it(self, monkeypatch, capsys):
-        # a slice that also sets a1 of the second linear form to 0 is too
-        # small: the degree-6 restricted matrix has more kernel vectors than
-        # the dimension count allows, and the nullity certificate says so
-        true_slice = invariants._on_slice
-        monkeypatch.setattr(
-            invariants, "_on_slice", lambda terms, zeros: true_slice(terms, (*zeros, 3))
-        )
+        # an invariant count one short at degree 4 makes the degree-4 kernel
+        # search return a vector that the substitution check rejects
+        true_dims = presentation.cs_total_dims
+
+        def short(spec, upto):
+            dims = true_dims(spec, upto)
+            dims[4] -= 1
+            return dims
+
+        monkeypatch.setattr(presentation, "cs_total_dims", short)
         code = run(["kernel", "1,1,2"])
         captured = capsys.readouterr()
         assert code == 1
-        assert captured.err == "check failed: degree 6: found 4 kernel vectors, expected 1\n"
+        assert captured.err == "check failed: degree 4: kernel vector not in the kernel\n"
         assert "Traceback" not in captured.err
 
 
