@@ -19,6 +19,7 @@ for the cofactor shifts.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -668,13 +669,6 @@ class GroebnerBasis:
     def leading_monomials(self) -> List[Exponent]:
         return [g.leading_monomial(self.order) for g in self.elements]
 
-    def reduce(self, p: Polynomial) -> Polynomial:
-        r, _ = normal_form(p, self.elements, self.order)
-        return r
-
-    def contains(self, p: Polynomial) -> bool:
-        return self.reduce(p).is_zero()
-
 
 def normal_form(
     p: Polynomial,
@@ -777,7 +771,8 @@ def minimal_generators(I: Ideal) -> List[Tuple[Polynomial, int]]:
 
 @dataclass
 class RationalSeries:
-    """numerator / prod(1 - z^w) with integer numerator coefficients."""
+    """numerator / prod(1 - z^w) with integer numerator coefficients; the
+    numerator stores no zero coefficient."""
 
     numerator: Dict[int, int]
     denominator_weights: Tuple[int, ...]
@@ -799,11 +794,14 @@ class RationalSeries:
         return [self.numerator.get(i, 0) for i in range(top + 1)]
 
     def equals(self, other: "RationalSeries") -> bool:
-        left = dict(self.numerator)
-        right = dict(other.numerator)
-        for w in other.denominator_weights:
+        # cross-multiply by the denominator factors the two do not share
+        mine = Counter(self.denominator_weights)
+        theirs = Counter(other.denominator_weights)
+        left = self.numerator
+        right = other.numerator
+        for w in (theirs - mine).elements():
             left = _poly1_mul_cyclotomic(left, w)
-        for w in self.denominator_weights:
+        for w in (mine - theirs).elements():
             right = _poly1_mul_cyclotomic(right, w)
         return left == right
 

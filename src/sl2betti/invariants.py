@@ -211,10 +211,18 @@ def cayley_sylvester_dim(spec: ProblemSpec, multidegree: Sequence[int]) -> int:
 
 def cs_total_dims(spec: ProblemSpec, upto: int) -> List[int]:
     """Sum of cayley_sylvester_dim over all multidegrees, per total degree."""
+    return list(_cs_total_dims(spec.degrees, upto))
+
+
+@lru_cache(maxsize=1)
+def _cs_total_dims(form_degrees: Tuple[int, ...], upto: int) -> Tuple[int, ...]:
+    """The table of `cs_total_dims`.  The degree-certified kernel and the
+    hilbert check of `verify_case` read the same table in a row, so one
+    entry is enough."""
     # acc[e] = weight distribution of the degree-e piece of the whole ring
-    weights = [d - 2 * k for d in spec.degrees for k in range(d + 1)]
+    weights = [d - 2 * k for d in form_degrees for k in range(d + 1)]
     acc = _weight_counts(weights, upto)
-    return [acc[e].get(0, 0) - acc[e].get(2, 0) for e in range(upto + 1)]
+    return tuple(acc[e].get(0, 0) - acc[e].get(2, 0) for e in range(upto + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ integers with a fixed sign goes through it.
 from __future__ import annotations
 
 from bisect import bisect_left
+from heapq import heapify, heappop, heappush
 from math import gcd, isqrt, lcm
 from typing import (
     Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar,
@@ -163,7 +164,7 @@ def nullspace(
                 break
             basis.append(primitive(v, min(v))[0])
         else:
-            if all(_annihilates(r, v) for r in rows[:used] for v in basis):
+            if _annihilates_all(rows[:used], basis):
                 return basis
 
 
@@ -179,10 +180,14 @@ def _kernel_mod(
     tails: Dict[int, Vector] = {}
     used = 0
     for used, r in enumerate(rows, 1):
-        # entries are reduced mod p only when they become the pivot
+        # entries are reduced mod p only when they become the pivot; a tail
+        # lies right of its pivot, so the heap pops each column of v once,
+        # in increasing order, as min(v) would
         v = dict(r)
-        while v:
-            c0 = min(v)
+        heap = list(v)
+        heapify(heap)
+        while heap:
+            c0 = heappop(heap)
             f = v.pop(c0) % p
             if not f:
                 continue
@@ -191,9 +196,12 @@ def _kernel_mod(
                 inv = pow(f, -1, p)
                 tails[c0] = {k: c * inv % p for k, c in v.items() if c % p}
                 break
-            get = v.get
             for k, c in tail.items():
-                v[k] = get(k, 0) - f * c
+                if k in v:
+                    v[k] -= f * c
+                else:
+                    v[k] = -f * c
+                    heappush(heap, k)
         if stop_rank is not None and len(tails) >= stop_rank:
             break
     pivots = sorted(tails)
@@ -268,14 +276,22 @@ def _reconstruct(a: int, m: int, bound: int) -> Optional[Tuple[int, int]]:
     return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
-def _annihilates(row: Vector, v: Vector) -> bool:
-    if len(row) > len(v):
-        row, v = v, row
-    s = 0
-    for k, c in row.items():
-        if k in v:
-            s += c * v[k]
-    return s == 0
+def _annihilates_all(rows: Iterable[Vector], basis: Sequence[Vector]) -> bool:
+    """Whether every vector of basis is 0 on every row, exactly over the
+    integers.  Through a column index of the basis, each row's products are
+    summed only over the columns it shares with the basis."""
+    index: Dict[int, List[Tuple[int, int]]] = {}
+    for i, v in enumerate(basis):
+        for k, c in v.items():
+            index.setdefault(k, []).append((i, c))
+    for r in rows:
+        acc = [0] * len(basis)
+        for k, c in r.items():
+            for i, e in index.get(k, ()):
+                acc[i] += c * e
+        if any(acc):
+            return False
+    return True
 
 
 def _is_prime(n: int) -> bool:

@@ -234,6 +234,40 @@ def test_nullspace_ignores_row_order(data):
         assert got == reference_nullspace(rows, range(ncols))
 
 
+def test_pivot_brought_in_by_elimination():
+    # the second row lacks column 2 until the first row's tail brings it in,
+    # and then column 2 is its pivot
+    rows = [{0: 1, 2: 1}, {0: 1, 3: 1}]
+    pivots, _, used = linalg._kernel_mod(rows, range(4), None, P0)
+    assert pivots == [0, 2] and used == 2
+    for stop in (None, 2):
+        got = nullspace(rows, range(4), stop_rank=stop)
+        assert got == reference_nullspace(rows, range(4), stop_rank=stop)
+        assert got == [{1: 1}, {0: 1, 2: -1, 3: -1}]
+
+
+_entries = st.integers(-9, 9).filter(bool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_certificate_agrees_with_pairwise_definition(data):
+    ncols = data.draw(st.integers(1, 6))
+    row = st.dictionaries(st.integers(0, ncols - 1), _entries, max_size=ncols)
+    rows = data.draw(st.lists(row, min_size=1, max_size=5))
+    basis = reference_nullspace(rows, range(ncols))
+    # bad vectors among the good ones: one, or one and its negative, whose
+    # products cancel in any sum taken across vectors
+    bad = data.draw(st.dictionaries(st.integers(0, ncols - 1), _entries, min_size=1))
+    for v in data.draw(st.sampled_from([[], [bad], [bad, {k: -c for k, c in bad.items()}]])):
+        basis.insert(data.draw(st.integers(0, len(basis))), v)
+    # rows that share no column with the basis
+    far = st.dictionaries(st.integers(ncols, ncols + 3), _entries)
+    rows = data.draw(st.permutations(rows + data.draw(st.lists(far, max_size=2))))
+    pairwise = all(sum(r.get(k, 0) * v[k] for k in v) == 0 for r in rows for v in basis)
+    assert linalg._annihilates_all(rows, basis) == pairwise
+
+
 def test_primes_are_the_primes_from_2_61():
     gen = linalg._primes()
     got = [next(gen) for _ in range(4)]
