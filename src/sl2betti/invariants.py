@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import Echelon, nullspace, primitive
 from .poly import (
@@ -257,13 +257,15 @@ def invariant_basis(
     """Basis of the invariants of one multidegree piece.
 
     Kernel of the raising operator on the weight-0 subspace, by the modular
-    nullspace with its exact certificate; deterministic and normalized.
-    Empty when the total weight sum(m_i * d_i) is odd.  The kernel
+    nullspace with its exact certificate; deterministic and normalized: the
+    certified vectors are coprime and positive on their leftmost column,
+    which is the leading monomial, so they are the coefficients as they
+    come.  Empty when the total weight sum(m_i * d_i) is odd.  The kernel
     dimension is the Cayley-Sylvester count, so the rank bound
     #columns - dimension lets the elimination stop once it is reached.
 
     The rows go to `nullspace` in Cayley's order: descending a0 + a1
-    exponent of the row's target monomial, ties in descending weighted
+    exponent of the row's target monomial, ties in ascending weighted
     order, where a0, a1 are the first two coefficients of the first form
     with a nonzero entry in the multidegree.  The raising operator is
     E = a0 d/da1 + E', and E' does not differentiate by a1, so each
@@ -271,7 +273,8 @@ def invariant_basis(
     a0 (Cayley's reconstruction of seminvariants: Olver, *Classical
     Invariant Theory*, 1999, ch. 2; Kung-Rota, *Bull. AMS* 10, 1984).  In
     this order the matrix is close to triangular, so the elimination is
-    far cheaper.  The order cannot change the result: the elimination
+    far cheaper; the ascending tie-break fills in less than the descending
+    one.  The order cannot change the result: the elimination
     always pivots on the leftmost column, so its pivot set is the
     canonical one of the row space whatever the order, and the basis
     `nullspace` returns depends only on the kernel.
@@ -293,9 +296,7 @@ def invariant_basis(
     a0, a1 = cring.var_index[(form, 0)], cring.var_index[(form, 1)]
     expected = cayley_sylvester_dim(spec, multidegree)
     kernel = nullspace(
-        [rows[t] for t in sorted(
-            rows, key=lambda t: (t[a0] + t[a1], keyfn(t)), reverse=True
-        )],
+        [rows[t] for t in sorted(rows, key=lambda t: (-t[a0] - t[a1], keyfn(t)))],
         range(len(cols)),
         stop_rank=len(cols) - expected,
     )
@@ -308,8 +309,7 @@ def invariant_basis(
     for vec in kernel:
         if _operator_image(cring, "raising", {cols[j]: c for j, c in vec.items()}):
             raise AssertionError("nullspace vector not annihilated by the operator")
-        terms = {cols[j]: Fraction(c) for j, c in vec.items()}
-        basis.append(Polynomial._raw(cring.ring, terms).normalize(WEIGHTED))
+        basis.append(Polynomial._raw(cring.ring, {cols[j]: Fraction(c) for j, c in vec.items()}))
     return basis
 
 
@@ -326,6 +326,8 @@ class GeneratorSet:
     generators: List[Polynomial]
     degrees: List[int]
     multidegrees: List[Tuple[int, ...]]
+    # each generator's terms with int coefficients, as the search found them
+    int_terms: Optional[List[Dict[Exponent, int]]] = None
 
     def __len__(self) -> int:
         return len(self.generators)
@@ -346,12 +348,19 @@ class _ImageCache:
     slice a0 = 1 and a_v = 0 for the ring variables v in `zeros` (see
     `_on_slice`), so the cache holds the restrictions of the products.  Only
     invariants may be restricted.
+
+    `int_images`, when given, holds each image's terms with int
+    coefficients (see `add`).
     """
 
     PACK_BITS = MAX_EXPONENT.bit_length()
 
     def __init__(
-        self, ring: GradedRing, images: Sequence[Polynomial] = (), zeros: Sequence[int] = ()
+        self,
+        ring: GradedRing,
+        images: Sequence[Polynomial] = (),
+        zeros: Sequence[int] = (),
+        int_images: Optional[Sequence[Dict[Exponent, int]]] = None,
     ):
         self.nvars = ring.nvars
         self.zeros = tuple(zeros)
@@ -360,11 +369,17 @@ class _ImageCache:
         # per image, the largest exponent of any variable in any term
         self.max_exps: List[int] = []
         self.cache: Dict[Exponent, Dict[int, int]] = {}
-        for f in images:
-            self.add(f)
+        for i, f in enumerate(images):
+            self.add(f, int_images[i] if int_images is not None else None)
 
-    def add(self, f: Polynomial) -> None:
-        ints, (den, g) = primitive(f.terms, f.leading_monomial())
+    def add(self, f: Polynomial, ints: Optional[Dict[Exponent, int]] = None) -> None:
+        """Append f.  `ints`, when given, must be f's terms with int
+        coefficients, held as the image with factor 1; otherwise the image
+        is the coprime integer multiple of f."""
+        if ints is None:
+            ints, (den, g) = primitive(f.terms, f.leading_monomial())
+        else:
+            den = g = 1
         if self.zeros:
             ints = _on_slice(ints, self.zeros)
         top = max((max(m, default=0) for m in ints), default=0)
@@ -507,6 +522,7 @@ def minimal_invariant_generators(spec: ProblemSpec) -> GeneratorSet:
     cring = CoefficientRing(spec.degrees)
     span = _ImageCache(cring.ring)
     gens: List[Polynomial] = []
+    int_terms: List[Dict[Exponent, int]] = []
     degs: List[int] = []
     mdegs: List[Tuple[int, ...]] = []
     for e in range(1, spec.degree_bound + 1):
@@ -523,13 +539,15 @@ def minimal_invariant_generators(spec: ProblemSpec) -> GeneratorSet:
                 rem = ech.add(vec)
                 if rem is None:
                     continue
-                g = Polynomial._raw(
-                    cring.ring, {cols[i]: Fraction(c) for i, c in rem.items()}
-                ).normalize(WEIGHTED)
+                # rem is coprime and positive on its leftmost column, the
+                # leading monomial: the generator is normalized as it is
+                ints = {cols[i]: c for i, c in rem.items()}
+                g = Polynomial._raw(cring.ring, {m: Fraction(c) for m, c in ints.items()})
                 gens.append(g)
+                int_terms.append(ints)
                 degs.append(e)
                 mdegs.append(md)
-                span.add(g)
+                span.add(g, ints)
                 if ech.rank == dim_inv:
                     break
-    return GeneratorSet(cring, spec, gens, degs, mdegs)
+    return GeneratorSet(cring, spec, gens, degs, mdegs, int_terms)

@@ -4,7 +4,7 @@ Vectors are dicts mapping column index to a nonzero coefficient.  Pivots
 are always the leftmost (smallest) column index, so results are
 deterministic and exact.  `Echelon` is fraction-free: rows are kept with
 coprime integer entries, and updates are cross-multiplications followed by
-content removal.  `nullspace` eliminates modulo word-size primes and
+content removal.  `nullspace` eliminates modulo 81-bit primes and
 returns a kernel only after checking it exactly over the integers.
 
 `primitive` is the package's one normalization: every layer that turns a
@@ -131,7 +131,7 @@ def nullspace(
     dependent, so they are skipped.  If the true rank is smaller the bound
     is simply never reached and every row is processed.
 
-    The elimination runs modulo primes from 2^61 - 1 upward.  The images
+    The elimination runs modulo the primes above 2^80.  The images
     of the kernel vectors are combined by CRT and lifted by rational
     reconstruction, and a lift is returned only once every vector satisfies
     every certifying row exactly over the integers.  The certifying rows are
@@ -143,6 +143,11 @@ def nullspace(
     above whatever pivots the primes gave.
     """
     rows = list(rows)
+    known = set(columns)
+    if min(known, default=0) < 0:
+        raise ValueError("columns must be nonnegative")
+    if not all(known.issuperset(r) for r in rows):
+        raise ValueError("a row has an entry outside the columns")
     best: Optional[List[int]] = None
     images: List[Vector] = []
     modulus = 1
@@ -175,30 +180,43 @@ def _kernel_mod(
 
     Leftmost pivots with the stop_rank early exit of `nullspace`; kernel
     vector f has entry 1 on free column f and 0 on the other free columns.
+    Every row entry must lie on one of the columns, which are nonnegative.
     """
     # tails[c]: the row with pivot column c, scaled to pivot 1, pivot dropped
     tails: Dict[int, Vector] = {}
+    # the working row, dense by column; all 0 between rows
+    v = [0] * (max(columns, default=-1) + 1)
     used = 0
     for used, r in enumerate(rows, 1):
         # entries are reduced mod p only when they become the pivot; a tail
-        # lies right of its pivot, so the heap pops each column of v once,
-        # in increasing order, as min(v) would
-        v = dict(r)
-        heap = list(v)
+        # lies right of its pivot, so the heap pops each column once in
+        # increasing order, as min(v) would.  A column that cancels to 0 and
+        # is refilled is pushed again; its second pop reads the 0 left by
+        # the first.
+        for k, c in r.items():
+            v[k] = c
+        heap = list(r)
         heapify(heap)
         while heap:
             c0 = heappop(heap)
-            f = v.pop(c0) % p
+            f = v[c0] % p
+            v[c0] = 0
             if not f:
                 continue
             tail = tails.get(c0)
             if tail is None:
                 inv = pow(f, -1, p)
-                tails[c0] = {k: c * inv % p for k, c in v.items() if c % p}
+                new = tails[c0] = {}
+                for k in heap:
+                    c = v[k] % p
+                    if c:
+                        new[k] = c * inv % p
+                    v[k] = 0
                 break
             for k, c in tail.items():
-                if k in v:
-                    v[k] -= f * c
+                x = v[k]
+                if x:
+                    v[k] = x - f * c
                 else:
                     v[k] = -f * c
                     heappush(heap, k)
@@ -295,8 +313,9 @@ def _annihilates_all(rows: Iterable[Vector], basis: Sequence[Vector]) -> bool:
 
 
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin with the first twelve prime bases, exact below 3.3e24."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    """Miller-Rabin with the first thirteen prime bases, 2 to 41: exact below
+    3317044064679887385961981 (Sorenson-Webster, Math. Comp. 86, 2017)."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
     if n < 2:
         return False
     for a in bases:
@@ -319,11 +338,21 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+# the primes `_primes` has found so far, in increasing order
+_FOUND: List[int] = []
+
+
 def _primes() -> Iterator[int]:
-    """The primes from 2^61 - 1 upward, without end; `_is_prime` stays exact
-    for more primes than any computation can use."""
-    n = (1 << 61) - 1
+    """The primes above 2^80 in increasing order, without end; each is found
+    once per process and kept in `_FOUND`.  They fit in three 30-bit CPython
+    digits, and one of them lifts kernel entries of up to 39 bits.
+    `_is_prime` stays exact for more primes than any computation can use."""
+    i = 0
     while True:
-        if _is_prime(n):
-            yield n
-        n += 2
+        if i == len(_FOUND):
+            n = _FOUND[-1] + 2 if _FOUND else (1 << 80) + 1
+            while not _is_prime(n):
+                n += 2
+            _FOUND.append(n)
+        yield _FOUND[i]
+        i += 1

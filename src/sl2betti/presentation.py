@@ -62,10 +62,18 @@ class AlgebraMap:
 
     source: GradedRing
     images: List[Polynomial]
+    # each image's terms with int coefficients, when the caller holds them
+    # (the generator search does); the kernels then skip the conversion
+    int_images: Optional[List[Dict[Exponent, int]]] = None
 
     def __post_init__(self) -> None:
         if len(self.images) != self.source.nvars:
             raise ValueError("image count must match source variable count")
+        if self.int_images is not None and (
+            len(self.int_images) != len(self.images)
+            or any(f.terms != t for f, t in zip(self.images, self.int_images))
+        ):
+            raise ValueError("int_images must be the terms of the images")
         for w, f in zip(self.source.weights, self.images):
             if f.is_zero() or not f.is_homogeneous():
                 raise ValueError("images must be nonzero and homogeneous")
@@ -80,7 +88,7 @@ class AlgebraMap:
 def algebra_map_from_generators(genset: GeneratorSet) -> AlgebraMap:
     names = tuple(f"f{i+1}" for i in range(len(genset.generators)))
     source = GradedRing(names, tuple(genset.degrees))
-    return AlgebraMap(source, list(genset.generators))
+    return AlgebraMap(source, list(genset.generators), genset.int_terms)
 
 
 def _check_invariant(amap: AlgebraMap, spec: ProblemSpec) -> None:
@@ -92,9 +100,8 @@ def _check_invariant(amap: AlgebraMap, spec: ProblemSpec) -> None:
     for i, f in enumerate(amap.images, 1):
         if f.ring != cring.ring:
             raise ValueError(f"image {i} is not in the coefficient ring of {spec.degrees}")
-        if any(map(cring.sl2_weight, f.terms)) or _operator_image(
-            cring, "raising", primitive(f.terms)[0]
-        ):
+        ints = amap.int_images[i - 1] if amap.int_images is not None else primitive(f.terms)[0]
+        if any(map(cring.sl2_weight, f.terms)) or _operator_image(cring, "raising", ints):
             raise ValueError(f"image {i} is not an SL2-invariant")
 
 
@@ -102,7 +109,7 @@ def substitute(amap: AlgebraMap, p: Polynomial, cache: Optional[_ImageCache] = N
     """phi(p), exact; with a cache built on a slice, its restriction there."""
     if p.ring != amap.source:
         raise ValueError("polynomial is not in the source ring of the map")
-    cache = cache or _ImageCache(amap.target_ring, amap.images)
+    cache = cache or _ImageCache(amap.target_ring, amap.images, int_images=amap.int_images)
     # phi(p) = sum c * factor(alpha) * image(alpha): fold the rational
     # scalars into integers over one denominator, accumulate in integers
     ints, (den, g) = primitive(
@@ -136,7 +143,7 @@ def kernel(amap: AlgebraMap) -> Ideal:
     if m == 0:
         return Ideal(src, [])
     # built first, so that its exponent guard runs before the elimination
-    cache = _ImageCache(amap.target_ring, amap.images)
+    cache = _ImageCache(amap.target_ring, amap.images, int_images=amap.int_images)
     tgt = amap.target_ring
     nc = tgt.nvars
     names = tuple(f"c{i}" for i in range(nc)) + tuple(f"z{i}" for i in range(m))
@@ -226,7 +233,9 @@ def kernel_by_degrees(
     cs = cs_total_dims(spec, horizon)
     _check_invariant(amap, spec)
     d = spec.degrees[0]
-    cache = _ImageCache(amap.target_ring, amap.images, zeros=(1, d - 1) if d >= 3 else (1,))
+    cache = _ImageCache(
+        amap.target_ring, amap.images, (1, d - 1) if d >= 3 else (1,), amap.int_images
+    )
     keyfn = WEIGHTED.key_function(src)
     engine = BuchbergerEngine(src, [], [0], base_keyfn(src))
     gens: List[Polynomial] = []

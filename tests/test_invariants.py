@@ -228,10 +228,21 @@ class TestInvariantBasis:
                     want = cayley_sylvester_dim(spec, md)
                     assert got == want, (degrees, md)
 
+    @pytest.mark.parametrize("degrees, md", [
+        ((2,), (2,)), ((4,), (3,)), ((5,), (8,)), ((1, 1, 1, 2), (1, 1, 0, 1)), ((2, 3), (3, 2)),
+    ])
+    def test_basis_is_normalized(self, degrees, md):
+        # the certified vectors are handed on as they are, without normalize
+        basis = invariant_basis(ProblemSpec(degrees, 1), md)
+        assert basis
+        for b in basis:
+            normal = b.normalize(WEIGHTED)
+            assert b == normal and b.terms == normal.terms
+
 
 class TestCayleyRowOrder:
     """`invariant_basis` hands its rows to `nullspace` by descending a0 + a1
-    exponent of the target, ties in descending weighted order, with a0, a1
+    exponent of the target, ties in ascending weighted order, with a0, a1
     the first two coefficients of the first form the multidegree involves."""
 
     @pytest.mark.parametrize("degrees, md, a0", [
@@ -258,7 +269,7 @@ class TestCayleyRowOrder:
             for t, c in invariants._apply_moves_int(m, moves):
                 row = by_target.setdefault(t, {})
                 row[j] = row.get(j, 0) + c
-        cayley = sorted(by_target, key=lambda t: (t[a0] + t[a0 + 1], keyfn(t)), reverse=True)
+        cayley = sorted(by_target, key=lambda t: (-t[a0] - t[a0 + 1], keyfn(t)))
         plain = sorted(by_target, key=keyfn, reverse=True)
         assert cayley != plain  # the piece tells the two orders apart
         assert seen == [[by_target[t] for t in cayley]]

@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from itertools import islice
 from math import gcd
 
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from sl2betti import linalg
 from sl2betti.linalg import Echelon, nullspace, primitive
 
-P0 = (1 << 61) - 1  # the first modulus of the modular nullspace
+P0 = (1 << 80) + 13  # the first modulus of the modular nullspace
 
 
 def reference_nullspace(rows, columns, stop_rank=None):
@@ -35,6 +37,47 @@ def reference_nullspace(rows, columns, stop_rank=None):
                 x[p] = -s / row[p]
         basis.append(primitive(x, min(x))[0])
     return basis
+
+
+def reference_kernel_mod(rows, columns, stop_rank, p):
+    """The modular elimination with the working row kept in a dict, as
+    `linalg._kernel_mod` was before its row became a dense list."""
+    tails = {}
+    used = 0
+    for used, r in enumerate(rows, 1):
+        v = dict(r)
+        heap = list(v)
+        heapify(heap)
+        while heap:
+            c0 = heappop(heap)
+            f = v.pop(c0) % p
+            if not f:
+                continue
+            tail = tails.get(c0)
+            if tail is None:
+                inv = pow(f, -1, p)
+                tails[c0] = {k: c * inv % p for k, c in v.items() if c % p}
+                break
+            for k, c in tail.items():
+                if k in v:
+                    v[k] -= f * c
+                else:
+                    v[k] = -f * c
+                    heappush(heap, k)
+        if stop_rank is not None and len(tails) >= stop_rank:
+            break
+    pivots = sorted(tails)
+    kernel = []
+    for f in columns:
+        if f in tails:
+            continue
+        x = {f: 1}
+        for c in reversed([c for c in pivots if c < f]):
+            s = sum(t * x[k] for k, t in tails[c].items() if k in x) % p
+            if s:
+                x[c] = p - s
+        kernel.append(x)
+    return pivots, kernel, used
 
 
 @pytest.fixture()
@@ -268,13 +311,82 @@ def test_certificate_agrees_with_pairwise_definition(data):
     assert linalg._annihilates_all(rows, basis) == pairwise
 
 
-def test_primes_are_the_primes_from_2_61():
+def test_primes_are_the_primes_from_2_80():
     gen = linalg._primes()
     got = [next(gen) for _ in range(4)]
-    assert got == [P0, P0 + 16, P0 + 22, P0 + 58]
+    assert got == [P0, P0 + 72, P0 + 222, P0 + 240]
     assert [n for n in range(1, 60) if linalg._is_prime(n)] == [
         2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
     ]
     # strong pseudoprimes to several small bases
     assert not linalg._is_prime(3215031751)
     assert not linalg._is_prime(3825123056546413051)
+
+
+def test_is_prime_exact_to_its_bound():
+    # the smallest strong pseudoprime to the bases 2..37 (Sorenson-Webster)
+    n = 318665857834031151167461
+    assert n == 399165290221 * 798330580441
+    assert not linalg._is_prime(n)
+    assert linalg._is_prime(399165290221) and linalg._is_prime(798330580441)
+
+
+def test_primes_are_found_once(monkeypatch):
+    first = list(islice(linalg._primes(), 3))
+
+    def searched(n):
+        raise AssertionError("the primes were searched again")
+
+    monkeypatch.setattr(linalg, "_is_prime", searched)
+    assert list(islice(linalg._primes(), 3)) == first
+
+
+def test_entries_up_to_39_bits_need_one_prime(primes_used):
+    rng = random.Random(3)
+    for bits in range(32, 40):
+        a = rng.randrange(1 << (bits - 1), 1 << bits)
+        b = rng.randrange(1 << (bits - 1), 1 << bits) | 1
+        a //= gcd(a, b)
+        rows = [{0: a, 1: b}, {0: 3 * a, 1: 3 * b}]
+        got = nullspace(rows, range(2))
+        assert got == reference_nullspace(rows, range(2)) == [{0: b, 1: -a}]
+        assert max(a, b).bit_length() >= 32
+        assert len(primes_used) == 1
+        primes_used.clear()
+
+
+@pytest.mark.parametrize("rows, columns", [
+    ([{0: 1, 3: 2}], range(3)),
+    ([{0: 1}, {-1: 1}], range(3)),
+    ([{1: 1}], [0, 2]),
+    ([{0: 1}], [-1, 0]),
+])
+def test_entry_outside_columns_raises(rows, columns):
+    with pytest.raises(ValueError):
+        nullspace(rows, columns)
+
+
+def test_column_cancelled_and_refilled():
+    # in the third row, column 2 cancels to 0 under pivot 0's tail, then
+    # pivot 1's tail fills it again, and it becomes the pivot
+    rows = [{0: 1, 1: 1, 2: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}]
+    for stop in (None, 3):
+        got = linalg._kernel_mod(rows, range(4), stop, P0)
+        assert got == reference_kernel_mod(rows, range(4), stop, P0)
+        assert got == ([0, 1, 2], [{3: 1}], 3)
+
+
+_small_primes = st.sampled_from([2, 3, 5, 7, 101, P0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_kernel_mod_matches_dict_reference(data):
+    # small entries, so that columns cancel to exactly 0 and are refilled
+    ncols = data.draw(st.integers(1, 8))
+    row = st.dictionaries(st.integers(0, ncols - 1), st.integers(-2, 2).filter(bool))
+    rows = data.draw(st.lists(row, max_size=9))
+    p = data.draw(_small_primes)
+    stop = data.draw(st.sampled_from([None, 0, 1, ncols // 2, ncols]))
+    got = linalg._kernel_mod(rows, range(ncols), stop, p)
+    assert got == reference_kernel_mod(rows, range(ncols), stop, p)

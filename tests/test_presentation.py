@@ -56,6 +56,25 @@ class TestAlgebraMap:
         assert substitute(amap, f * f) == gs.generators[0] ** 2
         assert len(substitute(amap, f).terms) == 2
 
+    def test_int_images_are_the_images(self):
+        # the search hands on its generators' terms as ints; a map built
+        # without them derives them and finds the same kernel
+        spec = ProblemSpec((1, 1, 2), 3)
+        gs = minimal_invariant_generators(spec)
+        amap = algebra_map_from_generators(gs)
+        assert amap.int_images == [g.terms for g in gs.generators]
+        assert all(type(c) is int for t in amap.int_images for c in t.values())
+        plain = AlgebraMap(amap.source, amap.images)
+        assert kernel_by_degrees(plain, spec, 12)[0].generators == (
+            kernel_by_degrees(amap, spec, 12)[0].generators
+        )
+        wrong = [dict(t) for t in amap.int_images]
+        m = next(iter(wrong[0]))
+        wrong[0][m] *= 2
+        for ints in (wrong, amap.int_images[:-1]):
+            with pytest.raises(ValueError, match="int_images"):
+                AlgebraMap(amap.source, amap.images, ints)
+
     def test_exponent_limit_guarded(self):
         # exponents above 4095 would carry into the neighbouring packed field
         cring = GradedRing(("s", "t"), (1, 1))
