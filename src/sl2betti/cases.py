@@ -234,8 +234,7 @@ CASES: List[CaseRecord] = [
             }
         ),
         stretch=True,
-        note="resolves in about 2.5 s modulo its 4 regular variables; the "
-        "exactness check is capped at degree 25 of 50",
+        note="verifies through j* = 50 in about 2 s modulo its 4 regular variables",
     ),
 ]
 

@@ -47,7 +47,6 @@ from .resolution import (
     Reduction,
     Resolution,
     betti,
-    exactness_cap,
     format_resolution,
     koszul_betti,
     regular_variables,
@@ -149,11 +148,7 @@ class CaseResult:
         return all(c.ok for c in self.checks if not c.informational)
 
 
-def verify_case(
-    rec: CaseRecord,
-    jcap: Optional[int] = None,
-    ecap: Optional[int] = None,
-) -> CaseResult:
+def verify_case(rec: CaseRecord) -> CaseResult:
     t0 = time.time()
     out = CaseResult(rec.label)
     say = out.checks.append
@@ -241,28 +236,18 @@ def verify_case(
     say(CheckResult("palindromy", verdict.holds, str(verdict)))
 
     # both certificates run modulo the variables that are regular on R/I,
-    # in the ring of the resolution; only the exactness check needs a cap
-    e_cap = ecap if ecap is not None else exactness_cap(res, table.j_star)
-    comp = verify_complex(res, e_cap)
-    say(
-        CheckResult(
-            "complex",
-            comp.ok,
-            comp.message
-            + ("" if e_cap >= table.j_star else f" (exactness capped at degree {e_cap})"),
-        )
-    )
+    # in the ring of the resolution, through j*
+    comp = verify_complex(res, table.j_star)
+    say(CheckResult("complex", comp.ok, comp.message))
 
     if m:
-        cap = jcap if jcap is not None else table.j_star
-        kt = koszul_betti(red.basis, cap)
-        want = {k: v for k, v in rec.betti.items() if k[1] <= cap}
+        kt = koszul_betti(red.basis, table.j_star)
+        want = {k: v for k, v in rec.betti.items() if k[1] <= table.j_star}
         say(
             CheckResult(
                 "koszul",
                 kt.entries == want,
-                ("full j*" if cap >= table.j_star else f"capped at shift {cap}")
-                + f", {len(kt.entries)} entries",
+                f"full j*, {len(kt.entries)} entries",
             )
         )
     else:
@@ -456,9 +441,6 @@ def _cmd_betti(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    for flag, cap in (("--jcap", args.jcap), ("--ecap", args.ecap)):
-        if cap is not None and cap < 0:
-            raise UsageError(f"{flag} must be a non-negative integer, got {cap}")
     if args.case == "all":
         records = [c for c in CASES if args.include_stretch or not c.stretch]
     else:
@@ -469,7 +451,7 @@ def _cmd_verify(args) -> int:
     all_ok = True
     results = []
     for rec in records:
-        result = verify_case(rec, jcap=args.jcap, ecap=args.ecap)
+        result = verify_case(rec)
         all_ok = all_ok and result.ok
         results.append(result)
         if args.format == "table":
@@ -544,8 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run the golden catalog checks")
     pv.add_argument("case", help="case label (e.g. 3V1+V2) or 'all'")
-    pv.add_argument("--jcap", type=int, default=None, help="Koszul shift cap")
-    pv.add_argument("--ecap", type=int, default=None, help="exactness degree cap")
     pv.add_argument("--include-stretch", action="store_true",
                     help="include the hd 6/8 stretch cases and V8")
     pv.add_argument("--format", choices=("table", "json"), default="table")

@@ -113,23 +113,6 @@ def render_betti(t: BettiTable) -> str:
     return "\n".join(lines)
 
 
-def parse_betti(text: str) -> BettiTable:
-    """Inverse of render_betti; round-trips exactly."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split()
-    if head[0] != "-j\\i":
-        raise ValueError("not a Betti diagram header")
-    cols = [int(c) for c in head[1:]]
-    entries: Dict[Tuple[int, int], int] = {}
-    for ln in lines[2:]:
-        parts = ln.split()
-        j = int(parts[0])
-        for i, cell in zip(cols, parts[1:]):
-            if cell != "-":
-                entries[(i, j)] = int(cell)
-    return BettiTable.from_entries(entries)
-
-
 # ---------------------------------------------------------------------------
 # machine-readable output
 # ---------------------------------------------------------------------------

@@ -21,10 +21,11 @@ them.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .groebner import (
     BuchbergerEngine,
@@ -36,6 +37,7 @@ from .groebner import (
     _poly_to_mvec,
     base_keyfn,
     buchberger,
+    hilbert_numerator_monomial,
     hilbert_series_quotient,
     standard_monomials,
 )
@@ -601,44 +603,58 @@ class ComplexReport:
     failure: Optional[Tuple[str, int, int]] = None  # (kind, level, degree)
 
 
-def _free_dims(res: Resolution, e_top: int) -> Callable[[int, int], int]:
-    """dim (F_i)_e for e <= e_top: the sum over the shifts s of F_i of the
-    number of monomials of degree e - s in the ring of the resolution."""
-    counts = RationalSeries({0: 1}, res.ring.weights).coefficients(e_top)
+def _image_dims(res: Resolution, e_cap: int) -> List[List[int]]:
+    """dim (M_i)_e for e <= e_cap, 1 <= i <= res.length, for M_i = im d_i.
 
-    def dim(i: int, e: int) -> int:
-        return sum(counts[e - s] for s in res.modules[i].shifts if e - s >= 0)
-
-    return dim
-
-
-# estimated exact row operations the exactness check may spend
-EXACTNESS_BUDGET = 60_000_000
-
-
-def exactness_cap(res: Resolution, e_star: int) -> int:
-    """Largest degree cap up to e_star whose estimated `verify_complex` work
-    fits EXACTNESS_BUDGET, counting sum_i dim (F_i)_e ** 2 row operations for
-    degree e; 0 when even degree 0 does not fit."""
-    dim = _free_dims(res, e_star)
-    total = 0
-    cap = 0
-    for e in range(e_star + 1):
-        total += sum(dim(i, e) ** 2 for i in range(res.length + 1))
-        if total > EXACTNESS_BUDGET:
-            break
-        cap = e
-    return cap
+    One engine per level runs on the nonzero columns of d_i through degree
+    e_cap, so its leading terms generate the initial module of M_i in those
+    degrees, and a module and its initial module have the same Hilbert
+    function (Eisenbud, Commutative Algebra, 1995, ch. 15).  The quotient
+    F_{i-1} / in(M_i) is one monomial quotient per position, shifted by its
+    degree.  The order is the Schreyer order `resolve` builds: the ring order
+    at level 1, then the order induced by the columns' leading terms, where
+    a zero column stands for the first position of the module below (any
+    module order gives the same dimensions).
+    """
+    ring = res.ring
+    base = keyfn = base_keyfn(ring)
+    out: List[List[int]] = []
+    for i in range(1, res.length + 1):
+        cols = res.differential(i)
+        shifts = res.modules[i - 1].shifts
+        engine = BuchbergerEngine(ring, [col for col in cols if col], shifts, keyfn)
+        engine.run(upto=e_cap)
+        leads: Dict[int, List[Exponent]] = {}
+        for pos, m in engine.leads:
+            leads.setdefault(pos, []).append(m)
+        # HS(M_i) = sum_p t^shift_p (1 - N_p) / prod(1 - t^w), N_p the
+        # numerator of R / (the leads at p)
+        num: Dict[int, int] = {}
+        for pos, monos in leads.items():
+            s = shifts[pos]
+            num[s] = num.get(s, 0) + 1
+            for d, v in hilbert_numerator_monomial(monos, ring).items():
+                num[d + s] = num.get(d + s, 0) - v
+        out.append(RationalSeries({d: v for d, v in num.items() if v}, ring.weights)
+                   .coefficients(e_cap))
+        tags = [keyfn.decode(max(map(keyfn, col))) if col else (0, ring.zero_exponent())
+                for col in cols]
+        # below a module of rank 0 the zero columns stand for the ring's 1
+        keyfn = (keyfn if shifts else base).induced(tags)
+    return out
 
 
 def verify_complex(res: Resolution, e_cap: int) -> ComplexReport:
     """Assert d.d = 0 exactly and degreewise exactness at F_i for i >= 1.
 
     The complex is checked as given, over its own ring, in every degree up
-    to e_cap; `exactness_cap` bounds e_cap by a work estimate.  To certify a
-    resolution of R/I cheaply, pass the resolution of
-    `regular_variables(I).ideal`, as `cli.verify_case` does: it has the
-    Betti numbers of R/I in fewer variables.
+    to e_cap.  Exactness comes from the Hilbert functions of the image
+    modules M_i = im d_i, by `_image_dims`: F is exact at F_i in degree e
+    iff dim (M_{i+1})_e = dim (F_i)_e - dim (M_i)_e, with M_{length+1} = 0,
+    since d o d = 0 puts M_{i+1} inside ker d_i.  To certify a resolution of
+    R/I cheaply, pass the resolution of `regular_variables(I).ideal`, as
+    `cli.verify_case` does: it has the Betti numbers of R/I in fewer
+    variables.
     """
     ring = res.ring
     # d_{i-1} o d_i = 0, column by column, as sparse products
@@ -665,13 +681,12 @@ def verify_complex(res: Resolution, e_cap: int) -> ComplexReport:
                         f"entry ({r},{c}) of d_{i} is not homogeneous of the right degree",
                         ("degree", i, -1),
                     )
-    # degreewise exactness at F_i, i >= 1: the strands of res (x) R/(0)
-    homology = _strand_homology(
-        res, _NormalFormTable(GroebnerBasis(ring, WEIGHTED, [])), range(e_cap + 1)
-    )
+    # degreewise exactness at F_i, i >= 1
+    images = _image_dims(res, e_cap) + [[0] * (e_cap + 1)]
     for i in range(1, res.length + 1):
-        for e in range(e_cap + 1):
-            ker, im_next = homology[(i, e)]
+        free = RationalSeries(dict(Counter(res.modules[i].shifts)), ring.weights)
+        for e, dim in enumerate(free.coefficients(e_cap)):
+            ker, im_next = dim - images[i - 1][e], images[i][e]
             if ker != im_next:
                 return ComplexReport(
                     False,

@@ -9,7 +9,6 @@ from sl2betti.invariants import ProblemSpec, cs_total_dims
 from sl2betti.report import (
     check_palindromy,
     expected_hd,
-    parse_betti,
     poincare_from_betti,
     render_betti,
     report_json,
@@ -81,8 +80,15 @@ class TestRender:
             {(0, 0): 1, (1, 4): 5, (2, 6): 5, (3, 10): 1},
             {(0, 0): 1, (1, 2): 2, (2, 5): 1},
         ):
+            # each cell of row j, column i reads back as beta_{i,j}
             t = table(entries)
-            assert parse_betti(render_betti(t)) == t
+            head, _, *rows = render_betti(t).splitlines()
+            assert head.split() == ["-j\\i"] + [str(i) for i in range(t.length + 1)]
+            got = {}
+            for row in rows:
+                j, *cells = row.split()
+                got.update({(i, int(j)): int(c) for i, c in enumerate(cells) if c != "-"})
+            assert got == t.entries
 
     def test_byte_stable(self):
         t = table(WORKED_BETTI)

@@ -27,8 +27,10 @@ from sl2betti.presentation import present
 from sl2betti.resolution import (
     FreeModule,
     Resolution,
+    _NormalFormTable,
     _koszul_complex,
     _set_to_zero,
+    _strand_homology,
     _without,
     betti,
     format_resolution,
@@ -767,3 +769,94 @@ class TestVerifyComplex:
         res = Resolution(R, modules, [[column({0: x})]])  # entry degree 1 != 3
         rep = verify_complex(res, 4)
         assert not rep.ok and rep.failure[0] == "degree"
+
+
+def _strand_verdict(res, e_cap):
+    """(ok, failure, message) of `verify_complex` with its exactness part
+    read from the strands of res (x) R/(0) by `_strand_homology`: dimensions
+    by exact ranks in each degree, not by Hilbert series."""
+    rep = verify_complex(res, e_cap)
+    if rep.failure is not None and rep.failure[0] != "exactness":
+        # the d o d = 0 and homogeneity checks run first either way
+        return rep.ok, rep.failure, rep.message
+    empty = _NormalFormTable(GroebnerBasis(res.ring, WEIGHTED, []))
+    homology = _strand_homology(res, empty, range(e_cap + 1))
+    for i in range(1, res.length + 1):
+        for e in range(e_cap + 1):
+            ker, im = homology[(i, e)]
+            if ker != im:
+                message = f"homology at F_{i} in degree {e}: ker {ker} != im {im}"
+                return False, ("exactness", i, e), message
+    return True, None, f"d o d = 0, homogeneous, exact for degrees <= {e_cap}"
+
+
+def _cut(res, top):
+    return Resolution(res.ring, res.modules[: top + 1], res.differentials[:top])
+
+
+def _dropped(res, i, c):
+    """res without generator c of F_i: column c of d_i and row c of d_{i+1}."""
+    shifts = [list(m.shifts) for m in res.modules]
+    diffs = [list(d) for d in res.differentials]
+    del shifts[i][c]
+    del diffs[i - 1][c]
+    if i < res.length:
+        diffs[i] = [
+            {(r - (r > c), m): a for (r, m), a in col.items() if r != c} for col in diffs[i]
+        ]
+    return Resolution(res.ring, [FreeModule(tuple(sh)) for sh in shifts], diffs)
+
+
+def _scaled(res, i, c, factor):
+    diffs = [list(d) for d in res.differentials]
+    diffs[i - 1][c] = {k: factor * a for k, a in diffs[i - 1][c].items()} if factor else {}
+    return Resolution(res.ring, list(res.modules), diffs)
+
+
+class TestExactnessMatchesStrands:
+    """The exactness check reads dimensions from the leading terms of the
+    image modules; the strands' exact ranks give the same verdict, failure
+    and message on complexes that are exact, inexact and not complexes."""
+
+    def check(self, res, e_cap):
+        rep = verify_complex(res, e_cap)
+        want = _strand_verdict(res, e_cap)
+        assert (rep.ok, rep.failure, rep.message) == want
+        return rep.failure[0] if rep.failure else None
+
+    def test_paper_resolutions_cut_after_each_level(self, paper_ring, paper_J):
+        J = Ideal(paper_ring, paper_J)
+        for ideal in (J, regular_variables(J).ideal):
+            res = resolve(ideal)
+            for top in range(1, res.length + 1):
+                self.check(_cut(res, top), 17)
+
+    def test_koszul_complex(self):
+        assert self.check(_koszul_complex(TestKoszulComplex.R), 8) is None
+
+    def test_module_of_rank_zero_below_another(self):
+        # 0 -> R(-2) -> 0 -> R: the zero column of d_2 has no row to stand for
+        R = GradedRing(("x", "y"), (1, 1))
+        modules = [FreeModule((0,)), FreeModule(()), FreeModule((2,))]
+        res = Resolution(R, modules, [[], [{}]])
+        assert self.check(res, 4) == "exactness"
+
+    @pytest.mark.parametrize("label", ["V3+V3", "5V1", "3V1+V2"])
+    def test_seeded_damage(self, label):
+        # cut after a random level, then drop, double or zero one column of
+        # the top two differentials: the top keeps d o d = 0, the level
+        # below mostly does not
+        rec = BY_LABEL[label]
+        *_, ideal, info = present(ProblemSpec(rec.degrees, rec.bound), horizon=rec.horizon)
+        res = resolve(regular_variables(ideal, info.basis).ideal)
+        j_star = betti(res).j_star
+        kinds = Counter()
+        for seed in range(8):
+            rng = random.Random(seed)
+            top = rng.randint(1, res.length)
+            cut = _cut(res, top)
+            i = rng.randint(max(1, top - 1), top)
+            c = rng.randrange(res.modules[i].rank)
+            for bad in (_dropped(cut, i, c), _scaled(cut, i, c, 2), _scaled(cut, i, c, 0)):
+                kinds[self.check(bad, j_star)] += 1
+        assert kinds["exactness"] and kinds[None]

@@ -10,7 +10,8 @@ Two trees written by two versions of the program are byte-identical iff
 - `kernel <d>` on every case;
 - `resolve <d>` on the non-stretch cases plus 6V1, 2V1+2V2 and V8;
 - `resolve 1,1,1,2 --dump` and `resolve 2,2,2,2 --dump`, the dump files;
-- `verify all` and `verify 2V1+2V2`, each with the `seconds` fields removed;
+- `verify all`, `verify 2V1+2V2`, `verify 6V1` and `verify 2V1+V3`, each
+  with the `seconds` fields removed;
 - the `--gens` paths: the table outputs of `invariants 1,1,2`,
   `invariants 1,1,1,2` and `kernel 1,1,2,2` are written as generator
   files, then read back by `resolve --gens`, `kernel --gens` and
@@ -35,7 +36,7 @@ from sl2betti.cli import run
 
 RESOLVE_STRETCH = ("6V1", "2V1+2V2", "V8")
 DUMPS = ("1,1,1,2", "2,2,2,2")
-VERIFY = ("all", "2V1+2V2")
+VERIFY = ("all", "2V1+2V2", "6V1", "2V1+V3")
 # (command writing a generator file, degrees, command reading it back)
 GENS = (
     ("invariants", "1,1,2", "resolve"),
