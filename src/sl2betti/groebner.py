@@ -657,7 +657,7 @@ def _poly_to_mvec(p: Polynomial) -> Dict[ModMono, Fraction]:
 
 
 def _mvec_to_poly(ring: GradedRing, vec: MVec) -> Polynomial:
-    return Polynomial._raw(ring, {mm[1]: Fraction(c) for mm, c in vec.items()})
+    return Polynomial._raw(ring, {mm[1]: c for mm, c in vec.items()})
 
 
 @dataclass

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .linalg import Echelon, nullspace, primitive
 from .poly import (
@@ -307,9 +307,10 @@ def invariant_basis(
         )
     basis = []
     for vec in kernel:
-        if _operator_image(cring, "raising", {cols[j]: c for j, c in vec.items()}):
+        terms = {cols[j]: c for j, c in vec.items()}
+        if _operator_image(cring, "raising", terms):
             raise AssertionError("nullspace vector not annihilated by the operator")
-        basis.append(Polynomial._raw(cring.ring, {cols[j]: Fraction(c) for j, c in vec.items()}))
+        basis.append(Polynomial._raw(cring.ring, terms))
     return basis
 
 
@@ -326,8 +327,6 @@ class GeneratorSet:
     generators: List[Polynomial]
     degrees: List[int]
     multidegrees: List[Tuple[int, ...]]
-    # each generator's terms with int coefficients, as the search found them
-    int_terms: Optional[List[Dict[Exponent, int]]] = None
 
     def __len__(self) -> int:
         return len(self.generators)
@@ -348,9 +347,6 @@ class _ImageCache:
     slice a0 = 1 and a_v = 0 for the ring variables v in `zeros` (see
     `_on_slice`), so the cache holds the restrictions of the products.  Only
     invariants may be restricted.
-
-    `int_images`, when given, holds each image's terms with int
-    coefficients (see `add`).
     """
 
     PACK_BITS = MAX_EXPONENT.bit_length()
@@ -360,7 +356,6 @@ class _ImageCache:
         ring: GradedRing,
         images: Sequence[Polynomial] = (),
         zeros: Sequence[int] = (),
-        int_images: Optional[Sequence[Dict[Exponent, int]]] = None,
     ):
         self.nvars = ring.nvars
         self.zeros = tuple(zeros)
@@ -369,17 +364,14 @@ class _ImageCache:
         # per image, the largest exponent of any variable in any term
         self.max_exps: List[int] = []
         self.cache: Dict[Exponent, Dict[int, int]] = {}
-        for i, f in enumerate(images):
-            self.add(f, int_images[i] if int_images is not None else None)
+        for f in images:
+            self.add(f)
 
-    def add(self, f: Polynomial, ints: Optional[Dict[Exponent, int]] = None) -> None:
-        """Append f.  `ints`, when given, must be f's terms with int
-        coefficients, held as the image with factor 1; otherwise the image
-        is the coprime integer multiple of f."""
-        if ints is None:
-            ints, (den, g) = primitive(f.terms, f.leading_monomial())
-        else:
-            den = g = 1
+    def add(self, f: Polynomial) -> None:
+        """Append f; its image is the coprime integer multiple of f, so a
+        normalized f is its own image, with factor 1.  The image's sign is
+        that of f: relations are normalized afterwards."""
+        ints, (den, g) = primitive(f.terms)
         if self.zeros:
             ints = _on_slice(ints, self.zeros)
         top = max((max(m, default=0) for m in ints), default=0)
@@ -522,7 +514,6 @@ def minimal_invariant_generators(spec: ProblemSpec) -> GeneratorSet:
     cring = CoefficientRing(spec.degrees)
     span = _ImageCache(cring.ring)
     gens: List[Polynomial] = []
-    int_terms: List[Dict[Exponent, int]] = []
     degs: List[int] = []
     mdegs: List[Tuple[int, ...]] = []
     for e in range(1, spec.degree_bound + 1):
@@ -535,19 +526,17 @@ def minimal_invariant_generators(spec: ProblemSpec) -> GeneratorSet:
             if ech.rank == dim_inv:
                 continue
             for b in invariant_basis(spec, md):
-                vec = {col_index[span.pack(m)]: int(c) for m, c in b.terms.items()}
+                vec = {col_index[span.pack(m)]: c for m, c in b.terms.items()}
                 rem = ech.add(vec)
                 if rem is None:
                     continue
                 # rem is coprime and positive on its leftmost column, the
                 # leading monomial: the generator is normalized as it is
-                ints = {cols[i]: c for i, c in rem.items()}
-                g = Polynomial._raw(cring.ring, {m: Fraction(c) for m, c in ints.items()})
+                g = Polynomial._raw(cring.ring, {cols[i]: c for i, c in rem.items()})
                 gens.append(g)
-                int_terms.append(ints)
                 degs.append(e)
                 mdegs.append(md)
-                span.add(g, ints)
+                span.add(g)
                 if ech.rank == dim_inv:
                     break
-    return GeneratorSet(cring, spec, gens, degs, mdegs, int_terms)
+    return GeneratorSet(cring, spec, gens, degs, mdegs)

@@ -1,9 +1,12 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
 A monomial is a tuple of non-negative integer exponents, one per ring
-variable.  A polynomial maps monomials to nonzero Fraction coefficients;
-the zero polynomial stores no terms.  Rings carry positive integer weights
-so that deg(x_i) = weights[i], and all degree bookkeeping is weighted.
+variable.  A polynomial maps monomials to nonzero rational coefficients,
+ints or Fractions: `normalize` and the engines give ints, the validating
+constructor and the parser Fractions.  Equal values compare and print
+alike.  The zero polynomial stores no terms.  Rings carry positive
+integer weights so that deg(x_i) = weights[i], and all degree bookkeeping
+is weighted.
 """
 
 from __future__ import annotations
@@ -13,11 +16,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .linalg import primitive
 
 Exponent = Tuple[int, ...]
+Coefficient = Union[int, Fraction]
 
 # largest exponent of one variable that any input or product may carry; it
 # fills the 12-bit field in which `invariants._ImageCache` packs exponents,
@@ -269,7 +273,8 @@ def elimination_order(front_block: int) -> MonomialOrder:
 
 
 class Polynomial:
-    """Immutable sparse polynomial with exact rational coefficients."""
+    """Immutable sparse polynomial with exact rational coefficients: ints or
+    Fractions (see the module docstring)."""
 
     __slots__ = ("ring", "terms")
 
@@ -287,7 +292,7 @@ class Polynomial:
         object.__setattr__(self, "terms", clean)
 
     @classmethod
-    def _raw(cls, ring: GradedRing, terms: Dict[Exponent, Fraction]) -> "Polynomial":
+    def _raw(cls, ring: GradedRing, terms: Dict[Exponent, Coefficient]) -> "Polynomial":
         """Trusted constructor: terms already clean (no zeros, right width)."""
         self = object.__new__(cls)
         object.__setattr__(self, "ring", ring)
@@ -321,7 +326,7 @@ class Polynomial:
         degs = {self.ring.weighted_degree(m) for m in self.terms}
         return len(degs) <= 1
 
-    def sorted_terms(self, order: MonomialOrder = WEIGHTED) -> List[Tuple[Exponent, Fraction]]:
+    def sorted_terms(self, order: MonomialOrder = WEIGHTED) -> List[Tuple[Exponent, Coefficient]]:
         key = order.key_function(self.ring)
         return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
 
@@ -331,7 +336,7 @@ class Polynomial:
         key = order.key_function(self.ring)
         return max(self.terms, key=key)
 
-    def leading_coefficient(self, order: MonomialOrder = WEIGHTED) -> Fraction:
+    def leading_coefficient(self, order: MonomialOrder = WEIGHTED) -> Coefficient:
         return self.terms[self.leading_monomial(order)]
 
     # -- arithmetic ------------------------------------------------------
@@ -418,14 +423,14 @@ class Polynomial:
     # -- normal form -----------------------------------------------------
 
     def normalize(self, order: MonomialOrder = WEIGHTED) -> "Polynomial":
-        """Scale so coefficients are coprime integers and the leading one is positive.
+        """Scale so coefficients are coprime ints and the leading one is positive.
 
         The zero polynomial normalizes to itself (a distinct signal, not an error).
         """
         if not self.terms:
             return self
         ints, _ = primitive(self.terms, self.leading_monomial(order))
-        return Polynomial._raw(self.ring, {m: Fraction(c) for m, c in ints.items()})
+        return Polynomial._raw(self.ring, ints)
 
     def __str__(self) -> str:
         return format_polynomial(self)
@@ -434,13 +439,15 @@ class Polynomial:
         return f"<Polynomial {format_polynomial(self)}>"
 
 
-def mul_dicts(a: Dict[Exponent, Fraction], b: Dict[Exponent, Fraction]) -> Dict[Exponent, Fraction]:
+def mul_dicts(
+    a: Dict[Exponent, Coefficient], b: Dict[Exponent, Coefficient]
+) -> Dict[Exponent, Coefficient]:
     """Exact product of two term maps."""
     if not a or not b:
         return {}
     if len(a) > len(b):
         a, b = b, a
-    out: Dict[Exponent, Fraction] = {}
+    out: Dict[Exponent, Coefficient] = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
             m = tuple(x + y for x, y in zip(ma, mb))

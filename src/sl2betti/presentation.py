@@ -62,18 +62,10 @@ class AlgebraMap:
 
     source: GradedRing
     images: List[Polynomial]
-    # each image's terms with int coefficients, when the caller holds them
-    # (the generator search does); the kernels then skip the conversion
-    int_images: Optional[List[Dict[Exponent, int]]] = None
 
     def __post_init__(self) -> None:
         if len(self.images) != self.source.nvars:
             raise ValueError("image count must match source variable count")
-        if self.int_images is not None and (
-            len(self.int_images) != len(self.images)
-            or any(f.terms != t for f, t in zip(self.images, self.int_images))
-        ):
-            raise ValueError("int_images must be the terms of the images")
         for w, f in zip(self.source.weights, self.images):
             if f.is_zero() or not f.is_homogeneous():
                 raise ValueError("images must be nonzero and homogeneous")
@@ -88,7 +80,7 @@ class AlgebraMap:
 def algebra_map_from_generators(genset: GeneratorSet) -> AlgebraMap:
     names = tuple(f"f{i+1}" for i in range(len(genset.generators)))
     source = GradedRing(names, tuple(genset.degrees))
-    return AlgebraMap(source, list(genset.generators), genset.int_terms)
+    return AlgebraMap(source, list(genset.generators))
 
 
 def _check_invariant(amap: AlgebraMap, spec: ProblemSpec) -> None:
@@ -100,7 +92,7 @@ def _check_invariant(amap: AlgebraMap, spec: ProblemSpec) -> None:
     for i, f in enumerate(amap.images, 1):
         if f.ring != cring.ring:
             raise ValueError(f"image {i} is not in the coefficient ring of {spec.degrees}")
-        ints = amap.int_images[i - 1] if amap.int_images is not None else primitive(f.terms)[0]
+        ints = primitive(f.terms)[0]
         if any(map(cring.sl2_weight, f.terms)) or _operator_image(cring, "raising", ints):
             raise ValueError(f"image {i} is not an SL2-invariant")
 
@@ -109,7 +101,7 @@ def substitute(amap: AlgebraMap, p: Polynomial, cache: Optional[_ImageCache] = N
     """phi(p), exact; with a cache built on a slice, its restriction there."""
     if p.ring != amap.source:
         raise ValueError("polynomial is not in the source ring of the map")
-    cache = cache or _ImageCache(amap.target_ring, amap.images, int_images=amap.int_images)
+    cache = cache or _ImageCache(amap.target_ring, amap.images)
     # phi(p) = sum c * factor(alpha) * image(alpha): fold the rational
     # scalars into integers over one denominator, accumulate in integers
     ints, (den, g) = primitive(
@@ -143,7 +135,7 @@ def kernel(amap: AlgebraMap) -> Ideal:
     if m == 0:
         return Ideal(src, [])
     # built first, so that its exponent guard runs before the elimination
-    cache = _ImageCache(amap.target_ring, amap.images, int_images=amap.int_images)
+    cache = _ImageCache(amap.target_ring, amap.images)
     tgt = amap.target_ring
     nc = tgt.nvars
     names = tuple(f"c{i}" for i in range(nc)) + tuple(f"z{i}" for i in range(m))
@@ -153,13 +145,13 @@ def kernel(amap: AlgebraMap) -> Ideal:
     order = elimination_order(nc)
     gens: List[Polynomial] = []
     for i, f in enumerate(amap.images):
-        terms: Dict[Exponent, Fraction] = {}
+        terms: Dict[Exponent, object] = {}
         e = [0] * (nc + m)
         e[nc + i] = 1
-        terms[tuple(e)] = Fraction(1)
+        terms[tuple(e)] = 1
         for mono, c in f.terms.items():
             key = tuple(mono) + (0,) * m
-            terms[key] = terms.get(key, Fraction(0)) - c
+            terms[key] = terms.get(key, 0) - c
         gens.append(Polynomial._raw(combined, terms))
     gb = buchberger(Ideal(combined, gens), order)
     out: List[Polynomial] = []
@@ -233,9 +225,7 @@ def kernel_by_degrees(
     cs = cs_total_dims(spec, horizon)
     _check_invariant(amap, spec)
     d = spec.degrees[0]
-    cache = _ImageCache(
-        amap.target_ring, amap.images, (1, d - 1) if d >= 3 else (1,), amap.int_images
-    )
+    cache = _ImageCache(amap.target_ring, amap.images, (1, d - 1) if d >= 3 else (1,))
     keyfn = WEIGHTED.key_function(src)
     engine = BuchbergerEngine(src, [], [0], base_keyfn(src))
     gens: List[Polynomial] = []
@@ -273,10 +263,7 @@ def kernel_by_degrees(
             )
         for vec in kern:
             # the matrix used the normalized images; undo their scale factors
-            terms = {
-                std[j]: Fraction(c) / cache.factor(std[j])
-                for j, c in vec.items()
-            }
+            terms = {std[j]: c / cache.factor(std[j]) for j, c in vec.items()}
             g = Polynomial._raw(src, terms).normalize(WEIGHTED)
             if not substitute(amap, g, cache).is_zero():
                 raise AssertionError(f"degree {e}: kernel vector not in the kernel")

@@ -38,7 +38,6 @@ from .groebner import (
     base_keyfn,
     buchberger,
     hilbert_numerator_monomial,
-    hilbert_series_quotient,
     standard_monomials,
 )
 from .linalg import Echelon, primitive
@@ -373,7 +372,8 @@ def regular_variables(I: Ideal, gb: Optional[GroebnerBasis] = None) -> Reduction
         gb = buchberger(I)
     elif gb.ring != I.ring or gb.order != WEIGHTED:
         raise ValueError("regular_variables needs a weighted-order basis of the ideal's ring")
-    series = hilbert_series_quotient(I, gb=gb)
+    leads = gb.leading_monomials()
+    series = RationalSeries(hilbert_numerator_monomial(leads, I.ring), I.ring.weights)
     kept: List[int] = []
     reduced = I
     for v in range(I.ring.nvars):
@@ -383,20 +383,23 @@ def regular_variables(I: Ideal, gb: Optional[GroebnerBasis] = None) -> Reduction
         # denominator of the smaller ring
         want = RationalSeries(series.numerator, target.weights)
         pos = v - len(kept)  # x_v in the ring of J: every kept variable precedes v
-        if not any(m[pos] for m in gb.leading_monomials()):
+        if not any(m[pos] for m in leads):
             others = [k for k in range(reduced.ring.nvars) if k != pos]
-            elements = []
-            for g in gb.elements:
-                image = _set_to_zero(g, target, others)
-                ints, _ = primitive(dict(image.terms), image.leading_monomial(gb.order))
-                elements.append(Polynomial._raw(target, {m: Fraction(c) for m, c in ints.items()}))
+            elements, trial_leads = [], []
+            for g, lead in zip(gb.elements, leads):
+                lead = tuple(lead[k] for k in others)
+                ints, _ = primitive(_set_to_zero(g, target, others).terms, lead)
+                elements.append(Polynomial._raw(target, ints))
+                trial_leads.append(lead)
             trial_gb, regular = GroebnerBasis(target, gb.order, elements), True
         else:
             trial_gb = buchberger(trial)
-            regular = hilbert_series_quotient(trial, gb=trial_gb).equals(want)
+            trial_leads = trial_gb.leading_monomials()
+            numerator = hilbert_numerator_monomial(trial_leads, target)
+            regular = RationalSeries(numerator, target.weights).equals(want)
         if regular:
             kept.append(v)
-            reduced, gb = trial, trial_gb
+            reduced, gb, leads = trial, trial_gb, trial_leads
     return Reduction(tuple(kept), reduced, gb, series)
 
 
@@ -587,9 +590,9 @@ def format_resolution(res: Resolution) -> str:
     for i in range(1, res.length + 1):
         lines.append(f"differential {i}")
         for c, col in enumerate(res.differential(i)):
-            entries: Dict[int, Dict[Exponent, Fraction]] = {}
+            entries: Dict[int, Dict[Exponent, object]] = {}
             for (r, m), a in col.items():
-                entries.setdefault(r, {})[m] = Fraction(a)
+                entries.setdefault(r, {})[m] = a
             for r in sorted(entries):
                 p = Polynomial._raw(res.ring, entries[r])
                 lines.append(f"  {r} {c} {format_polynomial(p)}")

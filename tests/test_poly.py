@@ -297,6 +297,23 @@ class TestGrammar:
         R2, order2, polys2 = parse_session(text)
         assert R2 == R and polys2 == polys
 
+    @pytest.mark.parametrize("terms, text", [
+        ({(1, 0): 1, (0, 1): -1}, "x - y"),
+        ({(1, 0): -1, (0, 1): 1}, "-x + y"),
+        ({(2, 0): -3, (1, 1): 4}, "-3*x^2 + 4*x*y"),
+        ({(1, 1): 1, (0, 0): -7}, "x*y - 7"),
+        ({(0, 0): 5}, "5"),
+    ])
+    def test_int_coefficients_print_like_fractions(self, terms, text):
+        # normalized polynomials hold ints, parsed ones Fractions
+        R = GradedRing(("x", "y"), (1, 1))
+        ints = Polynomial._raw(R, dict(terms))
+        fracs = Polynomial(R, {m: Fraction(c) for m, c in terms.items()})
+        assert all(type(c) is int for c in ints.terms.values())
+        assert all(type(c) is Fraction for c in fracs.terms.values())
+        assert format_polynomial(ints) == format_polynomial(fracs) == text
+        assert format_session(R, WEIGHTED, [ints]) == format_session(R, WEIGHTED, [fracs])
+
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_format_parse_round_trip(self, data):

@@ -1,10 +1,13 @@
 """Presentation maps and kernel computation, both routes."""
 
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from sl2betti.groebner import Ideal, hilbert_series_quotient, ideals_equal, minimal_generators
+from sl2betti.groebner import (
+    Ideal, buchberger, hilbert_series_quotient, ideals_equal, minimal_generators,
+)
 from sl2betti.invariants import (
     CoefficientRing,
     ProblemSpec,
@@ -13,7 +16,7 @@ from sl2betti.invariants import (
 )
 from sl2betti import invariants, presentation
 from sl2betti.cases import BY_LABEL
-from sl2betti.poly import GradedRing
+from sl2betti.poly import GradedRing, parse_polynomial
 from sl2betti.presentation import (
     AlgebraMap,
     algebra_map_from_generators,
@@ -56,24 +59,28 @@ class TestAlgebraMap:
         assert substitute(amap, f * f) == gs.generators[0] ** 2
         assert len(substitute(amap, f).terms) == 2
 
-    def test_int_images_are_the_images(self):
-        # the search hands on its generators' terms as ints; a map built
-        # without them derives them and finds the same kernel
+    def test_coefficients_are_ints(self):
+        # normalized polynomials and those the engines make hold ints, also
+        # when their inputs hold Fractions
+        def ints(polys):
+            polys = list(polys)
+            return polys and all(type(c) is int for p in polys for c in p.terms.values())
+
         spec = ProblemSpec((1, 1, 2), 3)
         gs = minimal_invariant_generators(spec)
+        assert ints(gs.generators)
+        assert ints(invariants.invariant_basis(spec, (1, 1, 1)))
         amap = algebra_map_from_generators(gs)
-        assert amap.int_images == [g.terms for g in gs.generators]
-        assert all(type(c) is int for t in amap.int_images for c in t.values())
-        plain = AlgebraMap(amap.source, amap.images)
-        assert kernel_by_degrees(plain, spec, 12)[0].generators == (
-            kernel_by_degrees(amap, spec, 12)[0].generators
-        )
-        wrong = [dict(t) for t in amap.int_images]
-        m = next(iter(wrong[0]))
-        wrong[0][m] *= 2
-        for ints in (wrong, amap.int_images[:-1]):
-            with pytest.raises(ValueError, match="int_images"):
-                AlgebraMap(amap.source, amap.images, ints)
+        lin, info = kernel_by_degrees(amap, spec, 12)
+        assert ints(lin.generators) and ints(info.basis.elements)
+        assert ints(kernel(amap).generators)
+        assert ints(kernel(twisted_cubic_map()[0]).generators)
+        R = GradedRing(("x", "y"), (1, 1))
+        gens = [parse_polynomial(t, R) for t in ("-1/2*x^2 + 3/4*x*y", "2/3*x*y - y^2")]
+        assert not ints(gens)
+        assert ints(g.normalize() for g in gens)
+        assert ints(buchberger(Ideal(R, gens)).elements)
+        assert ints(g for g, _ in minimal_generators(Ideal(R, gens)))
 
     def test_exponent_limit_guarded(self):
         # exponents above 4095 would carry into the neighbouring packed field
@@ -165,10 +172,18 @@ class TestKernelElimination:
 
 class TestKernelByDegrees:
     def test_agrees_with_elimination(self):
+        maps = []
         for degrees, bound in [((1, 1, 2), 3), ((1, 1, 1, 2), 3), ((2, 2), 2)]:
             spec = ProblemSpec(degrees, bound)
-            gs = minimal_invariant_generators(spec)
-            amap = algebra_map_from_generators(gs)
+            maps.append((spec, algebra_map_from_generators(minimal_invariant_generators(spec))))
+        # rational multiples of the generators: the product cache holds
+        # images of either sign with factors other than 1
+        spec, amap = maps[0]
+        scales = [Fraction(-1, 2), 3, Fraction(2, 3), -1, Fraction(5, 7)]
+        scaled = [c * f for c, f in zip(scales, amap.images)]
+        assert len(scaled) == len(amap.images)
+        maps.append((spec, AlgebraMap(amap.source, scaled)))
+        for spec, amap in maps:
             lin, info = kernel_by_degrees(amap, spec, 14)
             elim = kernel(amap)
             assert ideals_equal(
