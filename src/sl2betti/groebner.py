@@ -8,7 +8,10 @@ when asked, every treated pair that reduces to zero leaves a syzygy trace
 expressed over the original inputs.  Those traces are what
 the resolution module consumes.  `Reducer` is the division step on its
 own; the engine extends it, and `normal_form` and the Koszul oracle's
-normal-form table use it directly.  Inside them a module monomial is one
+strands use it directly.  `BuchbergerEngine.quotient_series` is the
+Hilbert series of the quotient by the engine's leading terms, and
+`standard_monomials` lists a basis of such a quotient in one degree.
+Inside them a module monomial is one
 int, its `ModuleKey` value, and every monomial test is an int operation:
 division, the pair update (each live pair keeps its lcm's key, so lcm
 equality is an int comparison and divisibility one masked subtraction) and
@@ -608,6 +611,21 @@ class BuchbergerEngine(Reducer):
         if trace:
             self.syzygies.append(self._normalize_trace(trace))
 
+    def quotient_series(self) -> "RationalSeries":
+        """HS(F / in M), F the free module of the shifts and in M the module
+        the leading terms so far generate: one monomial quotient per
+        position, shifted by its degree.  After `run(upto=e)` these are the
+        leads of a basis complete through e, so its coefficients through e
+        are those of F / M."""
+        leads: List[List[Exponent]] = [[] for _ in self.shifts]
+        for pos, m in self.leads:
+            leads[pos].append(m)
+        num: Dict[int, int] = {}
+        for s, monos in zip(self.shifts, leads):
+            for d, v in hilbert_numerator_monomial(monos, self.ring).items():
+                num[d + s] = num.get(d + s, 0) + v
+        return RationalSeries({d: v for d, v in num.items() if v}, self.weights)
+
     def reduced_basis(self, order: MonomialOrder) -> "GroebnerBasis":
         """Finish the run and return the reduced basis; order is the ring
         order keyfn packs.  For an engine without syzygies."""
@@ -695,13 +713,19 @@ def normal_form(
         reducer.add(ints)
         scales.append(sc)
     rem, quotients, (den, g0) = reducer._divide(key.encode(_poly_to_mvec(p)))
+
+    def exact(num: int, den: int):
+        # an int wherever the value is one
+        q, r = divmod(num, den)
+        return Fraction(num, den) if r else q
+
     remainder = Polynomial._raw(
-        ring, {mm[1]: Fraction(c * g0, den) for mm, c in key.decode_vec(rem).items()}
+        ring, {mm[1]: exact(c * g0, den) for mm, c in key.decode_vec(rem).items()}
     )
     cofs = []
     for i, (d, h) in enumerate(scales):
         q = quotients.get(i, {})
-        cofs.append(Polynomial._raw(ring, {m: Fraction(c * d * g0, h * den) for m, c in q.items()}))
+        cofs.append(Polynomial._raw(ring, {m: exact(c * d * g0, h * den) for m, c in q.items()}))
     return remainder, cofs
 
 
@@ -893,9 +917,6 @@ def hilbert_series_quotient(I: Ideal, gb: Optional[GroebnerBasis] = None) -> Rat
     ring = I.ring
     if not I.is_homogeneous():
         raise ValueError("hilbert_series_quotient requires a homogeneous ideal")
-    gens = I.nonzero_generators()
-    if not gens:
-        return RationalSeries({0: 1}, ring.weights)
     if gb is None:
         gb = buchberger(I)
     leads = gb.leading_monomials()
@@ -906,10 +927,11 @@ def standard_monomials(
     ring: GradedRing, leads: Sequence[Exponent], degree: int
 ) -> List[Exponent]:
     """Monomials of the given weighted degree outside the ideal of leads,
-    in ascending lexicographic order.
+    in decreasing weighted order.
 
-    Each monomial is keyed once and tested against the leads' masks, as
-    `Reducer` does; so no exponent may exceed MAX_EXPONENT.
+    Each monomial is keyed once, in the weighted order, tested against the
+    leads' masks, as `Reducer` does, and sorted by that key; so no exponent
+    may exceed MAX_EXPONENT.
     """
     key = base_keyfn(ring)
     guard, low = key.guard, key.low
@@ -918,5 +940,6 @@ def standard_monomials(
     for m in monomials_of_degree(ring, degree):
         k = key((0, m))
         if all((mask - k) & guard != guard for mask in masks):
-            out.append(m)
-    return out
+            out.append((k, m))
+    out.sort(reverse=True)
+    return [m for _, m in out]

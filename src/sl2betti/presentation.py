@@ -30,11 +30,9 @@ from .groebner import (
     BuchbergerEngine,
     GroebnerBasis,
     Ideal,
-    RationalSeries,
     _poly_to_mvec,
     base_keyfn,
     buchberger,
-    hilbert_numerator_monomial,
     standard_monomials,
 )
 from .invariants import (
@@ -114,7 +112,8 @@ def substitute(amap: AlgebraMap, p: Polynomial, cache: Optional[_ImageCache] = N
             acc[m] = get(m, 0) + s * v
     return Polynomial._raw(
         amap.target_ring,
-        {cache.unpack(m): Fraction(c * g, den) for m, c in acc.items() if c},
+        {cache.unpack(m): c * g if den == 1 else Fraction(c * g, den)
+         for m, c in acc.items() if c},
     )
 
 
@@ -212,7 +211,8 @@ def kernel_by_degrees(
 
     One `BuchbergerEngine` grows the basis of the kernel found so far: at
     degree e it runs to e, so its leading terms are complete through e and
-    give hf[e] and the standard monomials of degree e; the new relations are
+    give hf[e] (`quotient_series`) and the standard monomials of degree e
+    (the nullspace's columns, in decreasing order); the new relations are
     added as inputs and the engine runs to e again.  hf is recomputed only
     when the basis or the horizon grew.  The engine treats the tasks of one
     `buchberger` call on all the relations in that call's order, so the
@@ -226,18 +226,17 @@ def kernel_by_degrees(
     _check_invariant(amap, spec)
     d = spec.degrees[0]
     cache = _ImageCache(amap.target_ring, amap.images, (1, d - 1) if d >= 3 else (1,))
-    keyfn = WEIGHTED.key_function(src)
     engine = BuchbergerEngine(src, [], [0], base_keyfn(src))
     gens: List[Polynomial] = []
     relation_degrees: List[int] = []
-    hf = _quotient_dims(engine, horizon)
+    hf = engine.quotient_series().coefficients(horizon)
     counted = 0  # the basis size hf was computed for
     e = 0
     while e < horizon:
         e += 1
         engine.run(upto=e)
         if len(engine.basis) != counted:
-            hf, counted = _quotient_dims(engine, horizon), len(engine.basis)
+            hf, counted = engine.quotient_series().coefficients(horizon), len(engine.basis)
         need = hf[e] - cs[e]
         if need < 0:
             raise ValueError(
@@ -247,7 +246,6 @@ def kernel_by_degrees(
         if need == 0:
             continue
         std = standard_monomials(src, [m for _, m in engine.leads], e)
-        std.sort(key=keyfn, reverse=True)
         rows: Dict[Exponent, Dict[int, int]] = {}
         for j, alpha in enumerate(std):
             for mono, c in cache.image(alpha).items():
@@ -274,19 +272,11 @@ def kernel_by_degrees(
             horizon = default_horizon(relation_degrees, src.weights)
             cs = cs_total_dims(spec, horizon)
         engine.run(upto=e)
-        hf, counted = _quotient_dims(engine, horizon), len(engine.basis)
+        hf, counted = engine.quotient_series().coefficients(horizon), len(engine.basis)
         if hf[e] != cs[e]:
             raise AssertionError(f"degree {e}: quotient dimension still off")
     basis = engine.reduced_basis(WEIGHTED)
     return Ideal(src, gens), PresentInfo(horizon, relation_degrees, basis)
-
-
-def _quotient_dims(engine: BuchbergerEngine, upto: int) -> List[int]:
-    """dim (S / in G)_d for d <= upto, G the engine's basis so far: the
-    Hilbert function of S / I in every degree the basis is complete."""
-    leads = [m for _, m in engine.leads]
-    numerator = hilbert_numerator_monomial(leads, engine.ring)
-    return RationalSeries(numerator, engine.ring.weights).coefficients(upto)
 
 
 def default_horizon(relation_degrees: Sequence[int], weights: Sequence[int]) -> int:

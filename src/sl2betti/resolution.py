@@ -24,6 +24,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -407,48 +408,6 @@ def regular_variables(I: Ideal, gb: Optional[GroebnerBasis] = None) -> Reduction
 # Koszul homology oracle
 # ---------------------------------------------------------------------------
 
-class _NormalFormTable:
-    """Standard monomials of each weighted degree modulo a Groebner basis,
-    and the normal forms of the other monomials."""
-
-    def __init__(self, gb: GroebnerBasis):
-        self.ring = gb.ring
-        self._leads = gb.leading_monomials()
-        self._keyfn = gb.order.key_function(gb.ring)
-        self._std: Dict[int, List[Exponent]] = {}
-        self._reducer = Reducer(base_keyfn(self.ring, gb.order))
-        for g in gb.elements:
-            vec = self._reducer.keyfn.encode(_poly_to_mvec(g))
-            self._reducer.add(primitive(vec, max(vec))[0])
-        self._nf_cache: Dict[Exponent, Dict[Exponent, object]] = {}
-
-    def standard(self, degree: int) -> List[Exponent]:
-        """The standard monomials of the degree, in decreasing order."""
-        got = self._std.get(degree)
-        if got is None:
-            got = standard_monomials(self.ring, self._leads, degree)
-            got.sort(key=self._keyfn, reverse=True)
-            self._std[degree] = got
-        return got
-
-    def nf_vector(self, mono: Exponent) -> Dict[Exponent, object]:
-        """NF(mono) of a non-standard monomial, {standard monomial: coefficient}.
-
-        Coefficients are ints; a Fraction appears only for a normal form
-        that is not integral.
-        """
-        got = self._nf_cache.get(mono)
-        if got is None:
-            # mono * den / g == sum(q * basis) + rem
-            rem, _, (den, g) = self._reducer._divide({self._reducer.keyfn((0, mono)): 1})
-            got = {
-                mm[1]: c * g if den == 1 else Fraction(c * g, den)
-                for mm, c in self._reducer.keyfn.decode_vec(rem).items()
-            }
-            self._nf_cache[mono] = got
-        return got
-
-
 def _koszul_complex(ring: GradedRing) -> Resolution:
     """The Koszul complex K(x_1..x_m) of the ring, a resolution of its
     residue field.
@@ -475,24 +434,42 @@ def _koszul_complex(ring: GradedRing) -> Resolution:
 
 
 def _strand_homology(
-    res: Resolution, table: _NormalFormTable, degrees: Iterable[int]
+    res: Resolution, gb: GroebnerBasis, degrees: Iterable[int]
 ) -> Dict[Tuple[int, int], Tuple[int, int]]:
     """Strandwise homology of the complex res tensored with R/G, for G the
-    Groebner basis of `table`.
+    Groebner basis gb.
 
     The degree-j piece of F_i (x) R/G has the basis of pairs (c, u): a
     generator c of F_i and a standard monomial u of degree j - shift c, in
-    generator order, then in `table.standard` order.  The strand map d_i
-    sends (c, u) to u times the column of d_i at c, each product brought to
-    normal form.  Returns {(i, j): (dim ker d_i, rank d_{i+1})} for
-    0 <= i <= res.length, with d_0 = d_{length+1} = 0; the homology at
-    (F_i (x) R/G)_j has dimension ker - rank.
+    generator order, then in `standard_monomials` order.  The strand map
+    d_i sends (c, u) to u times the column of d_i at c, each product
+    brought to normal form modulo G.  Returns {(i, j): (dim ker d_i,
+    rank d_{i+1})} for 0 <= i <= res.length, with d_0 = d_{length+1} = 0;
+    the homology at (F_i (x) R/G)_j has dimension ker - rank.
 
     The complex must satisfy d o d = 0: then the image of d_i lies in the
     kernel of d_{i-1}, of dimension dim (F_{i-1} (x) R/G)_j - rank d_{i-1},
     and once the rank of d_i reaches that bound, the remaining columns
     cannot add to it and are not built.
     """
+    leads = gb.leading_monomials()
+    reducer = Reducer(base_keyfn(gb.ring, gb.order))
+    for g in gb.elements:
+        vec = reducer.keyfn.encode(_poly_to_mvec(g))
+        reducer.add(primitive(vec, max(vec))[0])
+
+    @cache
+    def standard(degree: int) -> List[Exponent]:
+        return standard_monomials(gb.ring, leads, degree)
+
+    @cache
+    def nf_vector(mono: Exponent) -> Dict[Exponent, object]:
+        # NF(mono) of a non-standard monomial, {standard monomial: int, or a
+        # Fraction where it is not integral}: mono * den / g == sum(q * G) + rem
+        rem, _, (den, g) = reducer._divide({reducer.keyfn((0, mono)): 1})
+        return {mm[1]: c * g if den == 1 else Fraction(c * g, den)
+                for mm, c in reducer.keyfn.decode_vec(rem).items()}
+
     top = res.length
     shifts = [mod.shifts for mod in res.modules]
     # d_i's columns as coprime integers: scaling a column does not change the rank
@@ -503,7 +480,7 @@ def _strand_homology(
         def piece(i: int):
             for c, s in enumerate(shifts[i]):
                 if s <= j:
-                    for u in table.standard(j - s):
+                    for u in standard(j - s):
                         yield c, u
 
         def columns(i: int, index: Dict[Tuple[int, Exponent], int]):
@@ -511,7 +488,7 @@ def _strand_homology(
                 col = cols[i - 1][c]
                 if s > j or not col:
                     continue
-                for u in table.standard(j - s):
+                for u in standard(j - s):
                     # multiplying by u is injective: standard products never collide
                     vec: Dict[int, object] = {}
                     rest = []
@@ -525,7 +502,7 @@ def _strand_homology(
                     if rest:
                         # normal forms may cancel terms and carry denominators
                         for r, prod, a in rest:
-                            for mm, b in table.nf_vector(prod).items():
+                            for mm, b in nf_vector(prod).items():
                                 k = index[(r, mm)]
                                 vec[k] = vec.get(k, 0) + a * b
                         vec = primitive(vec)[0]
@@ -533,7 +510,7 @@ def _strand_homology(
                         yield vec
 
         dims = [
-            sum(len(table.standard(j - s)) for s in shifts[i] if s <= j)
+            sum(len(standard(j - s)) for s in shifts[i] if s <= j)
             for i in range(top + 1)
         ]
         ranks = [0]  # ranks[i] = rank of d_i in degree j
@@ -566,9 +543,7 @@ def koszul_betti(gb: GroebnerBasis, j_cap: int) -> BettiTable:
     """
     if not all(g.is_homogeneous() for g in gb.elements):
         raise ValueError("koszul_betti requires a homogeneous basis")
-    homology = _strand_homology(
-        _koszul_complex(gb.ring), _NormalFormTable(gb), range(j_cap + 1)
-    )
+    homology = _strand_homology(_koszul_complex(gb.ring), gb, range(j_cap + 1))
     return BettiTable.from_entries(
         {key: ker - im for key, (ker, im) in homology.items()}
     )
@@ -613,11 +588,11 @@ def _image_dims(res: Resolution, e_cap: int) -> List[List[int]]:
     e_cap, so its leading terms generate the initial module of M_i in those
     degrees, and a module and its initial module have the same Hilbert
     function (Eisenbud, Commutative Algebra, 1995, ch. 15).  The quotient
-    F_{i-1} / in(M_i) is one monomial quotient per position, shifted by its
-    degree.  The order is the Schreyer order `resolve` builds: the ring order
-    at level 1, then the order induced by the columns' leading terms, where
-    a zero column stands for the first position of the module below (any
-    module order gives the same dimensions).
+    F_{i-1} / in(M_i) is the engine's `quotient_series`.  The order is the
+    Schreyer order `resolve` builds: the ring order at level 1, then the
+    order induced by the columns' leading terms, where a zero column stands
+    for the first position of the module below (any module order gives the
+    same dimensions).
     """
     ring = res.ring
     base = keyfn = base_keyfn(ring)
@@ -627,19 +602,9 @@ def _image_dims(res: Resolution, e_cap: int) -> List[List[int]]:
         shifts = res.modules[i - 1].shifts
         engine = BuchbergerEngine(ring, [col for col in cols if col], shifts, keyfn)
         engine.run(upto=e_cap)
-        leads: Dict[int, List[Exponent]] = {}
-        for pos, m in engine.leads:
-            leads.setdefault(pos, []).append(m)
-        # HS(M_i) = sum_p t^shift_p (1 - N_p) / prod(1 - t^w), N_p the
-        # numerator of R / (the leads at p)
-        num: Dict[int, int] = {}
-        for pos, monos in leads.items():
-            s = shifts[pos]
-            num[s] = num.get(s, 0) + 1
-            for d, v in hilbert_numerator_monomial(monos, ring).items():
-                num[d + s] = num.get(d + s, 0) - v
-        out.append(RationalSeries({d: v for d, v in num.items() if v}, ring.weights)
-                   .coefficients(e_cap))
+        free = RationalSeries(dict(Counter(shifts)), ring.weights).coefficients(e_cap)
+        quotient = engine.quotient_series().coefficients(e_cap)
+        out.append([f - q for f, q in zip(free, quotient)])
         tags = [keyfn.decode(max(map(keyfn, col))) if col else (0, ring.zero_exponent())
                 for col in cols]
         # below a module of rank 0 the zero columns stand for the ring's 1

@@ -1,13 +1,15 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
 import json
+import runpy
+import sys
 from pathlib import Path
 
 import pytest
 
-from sl2betti import groebner, presentation, resolution
-from sl2betti.cases import BY_LABEL
-from sl2betti.cli import run, verify_case
+from sl2betti import cli, groebner, presentation, resolution
+from sl2betti.cases import BY_LABEL, CASES
+from sl2betti.cli import CaseResult, CheckResult, run, verify_case
 from sl2betti.invariants import ProblemSpec
 from conftest import J_TEXT
 
@@ -627,3 +629,46 @@ class TestVerifyFailurePath:
         result = verify_case(sabotaged)
         assert not result.ok
         assert any(c.name == "betti" and not c.ok for c in result.checks)
+
+
+class TestVerifyExitCodes:
+    """`verify` with `verify_case` replaced by a stub: which cases run, and
+    how a failed check that raises nothing sets the exit code."""
+
+    @staticmethod
+    def _stub(monkeypatch, failing=()):
+        def stub(rec):
+            return CaseResult(rec.label, [CheckResult("betti", rec.label not in failing, "stub")])
+
+        monkeypatch.setattr(cli, "verify_case", stub)
+
+    def test_all_runs_the_non_stretch_cases(self, monkeypatch, capsys):
+        self._stub(monkeypatch)
+        assert run(["verify", "all", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        labels = [case["label"] for case in doc["cases"]]
+        assert doc["ok"] is True and len(labels) == 24
+        assert labels == [c.label for c in CASES if not c.stretch]
+
+    def test_include_stretch_runs_every_case(self, monkeypatch, capsys):
+        self._stub(monkeypatch)
+        assert run(["verify", "all", "--include-stretch", "--format", "json"]) == 0
+        labels = [case["label"] for case in json.loads(capsys.readouterr().out)["cases"]]
+        assert len(labels) == 28 and labels == [c.label for c in CASES]
+
+    def test_failed_check_exits_one(self, monkeypatch, capsys):
+        self._stub(monkeypatch, failing={"4V1"})
+        assert run(["verify", "all"]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] 4V1" in out and "[PASS] V1" in out
+        assert out.splitlines()[-1] == "verify: FAILURES above"
+        assert run(["verify", "4V1", "--format", "json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["ok"] is False and doc["cases"][0]["ok"] is False
+
+    def test_module_entry_point_exits_two_on_unknown_label(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["sl2betti", "verify", "V99"])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("sl2betti", run_name="__main__")
+        assert exc.value.code == 2
+        assert "unknown case label 'V99'" in capsys.readouterr().err

@@ -250,7 +250,9 @@ class TestPackedDivisibility:
         top = MAX_EXPONENT if n == 1 else 4
         leads = data.draw(st.lists(st.tuples(*(st.integers(0, top) for _ in range(n))), max_size=6))
         degree = data.draw(st.integers(0, MAX_EXPONENT if n == 1 else 9))
-        assert standard_monomials(R, leads, degree) == _standard_by_tuples(R, leads, degree)
+        want = _standard_by_tuples(R, leads, degree)
+        want.sort(key=WEIGHTED.key_function(R), reverse=True)
+        assert standard_monomials(R, leads, degree) == want
 
 
 class TestExponentGuard:
@@ -717,6 +719,33 @@ class TestHilbertNumerator:
         assert base == {0: 1, 2: -1, 3: -1, 4: -1, 5: 1, 6: 1, 7: 1, 9: -1}
         got = hilbert_numerator_monomial([monomial_mul((3000, 2000, 1000), g) for g in square], R3)
         assert got == _times_monomial(base, 3000 + 2 * 2000 + 3 * 1000)
+
+
+class TestQuotientSeries:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_counts_standard_module_monomials(self, data):
+        # monomial inputs over a free module of rank 2 or 3 with unequal
+        # shifts; one position gets no input, so it keeps no lead
+        n = data.draw(st.integers(1, 3))
+        weights = tuple(data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+        R = GradedRing(tuple(f"x{i}" for i in range(n)), weights)
+        rank = data.draw(st.integers(2, 3))
+        shifts = data.draw(st.lists(st.integers(0, 4), min_size=rank, max_size=rank, unique=True))
+        bare = data.draw(st.integers(0, rank - 1))
+        expo = st.tuples(*(st.integers(0, 3) for _ in range(n)))
+        leads = [[] if pos == bare else data.draw(st.lists(expo, max_size=4)) for pos in range(rank)]
+        top = data.draw(st.integers(0, 10))
+        keyfn = base_keyfn(R).induced([(0, R.zero_exponent())] * rank)
+        inputs = [{(pos, m): 1} for pos, monos in enumerate(leads) for m in monos]
+        engine = BuchbergerEngine(R, inputs, shifts, keyfn).run(upto=top)
+        got = engine.quotient_series().coefficients(top)
+        for e in range(top + 1):
+            want = sum(
+                len(_standard_by_tuples(R, monos, e - s))
+                for s, monos in zip(shifts, leads) if s <= e
+            )
+            assert got[e] == want, (leads, shifts, e)
 
 
 class TestStandardMonomials:

@@ -287,6 +287,21 @@ class TestGrammar:
         with pytest.raises(ValueError):
             parse_polynomial("x + q", R)
 
+    # the grammar fuzzing reaches these rejections only when it draws them
+    def test_dangling_sign_rejected(self):
+        R = GradedRing(("x", "y"), (1, 1))
+        with pytest.raises(ValueError, match="dangling sign"):
+            parse_polynomial("x + - y", R)
+
+    @pytest.mark.parametrize("text, message", [
+        ("ring x y ; order ;", "order clause needs a kind"),
+        ("ring x y ; order sideways ;", "unknown order kind 'sideways'"),
+        ("ring x y ; grading 1 1 ;", "unknown header clause 'grading'"),
+    ])
+    def test_header_bad_clause_rejected(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_header(text)
+
     def test_session_round_trip(self):
         R = GradedRing(("x1", "x2", "x3"), (2, 2, 3))
         polys = [

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from sl2betti.groebner import (
-    Ideal, buchberger, hilbert_series_quotient, ideals_equal, minimal_generators,
+    Ideal, buchberger, hilbert_series_quotient, ideals_equal, minimal_generators, normal_form,
 )
 from sl2betti.invariants import (
     CoefficientRing,
@@ -71,6 +71,12 @@ class TestAlgebraMap:
         assert ints(gs.generators)
         assert ints(invariants.invariant_basis(spec, (1, 1, 1)))
         amap = algebra_map_from_generators(gs)
+        f1, f2, _ = (amap.source.variable(i) for i in range(3))
+        assert ints([substitute(amap, f1 * f2)])
+        g = gs.generators
+        remainder, cofactors = normal_form(g[2] * g[3], [g[0], g[1]])
+        assert not remainder.is_zero() and all(cofactors)
+        assert ints([remainder, *cofactors])
         lin, info = kernel_by_degrees(amap, spec, 12)
         assert ints(lin.generators) and ints(info.basis.elements)
         assert ints(kernel(amap).generators)

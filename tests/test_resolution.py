@@ -27,7 +27,6 @@ from sl2betti.presentation import present
 from sl2betti.resolution import (
     FreeModule,
     Resolution,
-    _NormalFormTable,
     _koszul_complex,
     _set_to_zero,
     _strand_homology,
@@ -556,10 +555,13 @@ class TestRegularVariables:
             raise AssertionError("a Groebner basis was computed")
 
         monkeypatch.setattr("sl2betti.resolution.buchberger", no_basis)
+        monkeypatch.setattr("sl2betti.resolution.BuchbergerEngine", no_basis)
         R = GradedRing(("x", "y"), (1, 1))
         x, y = R.variable(0), R.variable(1)
         with pytest.raises(ValueError, match="regular_variables requires a homogeneous"):
             regular_variables(Ideal(R, [x + x * y]))
+        with pytest.raises(ValueError, match="resolve requires homogeneous generators"):
+            resolve(Ideal(R, [x * x, x + x * y]))
 
     def test_basis_of_another_order_rejected(self):
         R = GradedRing(("x", "y"), (1, 2))
@@ -779,8 +781,7 @@ def _strand_verdict(res, e_cap):
     if rep.failure is not None and rep.failure[0] != "exactness":
         # the d o d = 0 and homogeneity checks run first either way
         return rep.ok, rep.failure, rep.message
-    empty = _NormalFormTable(GroebnerBasis(res.ring, WEIGHTED, []))
-    homology = _strand_homology(res, empty, range(e_cap + 1))
+    homology = _strand_homology(res, GroebnerBasis(res.ring, WEIGHTED, []), range(e_cap + 1))
     for i in range(1, res.length + 1):
         for e in range(e_cap + 1):
             ker, im = homology[(i, e)]
